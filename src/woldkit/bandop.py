@@ -63,6 +63,19 @@ def _tneg(a: tuple) -> tuple:
     return tuple(-x for x in a)
 
 
+def _axis_bounds(a) -> tuple:
+    if a == "nat":
+        return 0, math.inf
+    if a == "int":
+        return -math.inf, math.inf
+    return 0, a - 1
+
+
+def _verdict(cover: tuple[bool, bool]) -> bool | None:
+    every, none = cover
+    return False if none else (True if every else None)
+
+
 class Lattice:
     """Product lattice over integer axes.
 
@@ -72,7 +85,7 @@ class Lattice:
     there are identically zero.
     """
 
-    __slots__ = ("axes",)
+    __slots__ = ("axes", "bounds")
 
     def __init__(self, axes: Sequence):
         axes = tuple(axes)
@@ -85,6 +98,7 @@ class Lattice:
         if not axes:
             raise ValueError("lattice needs at least one axis")
         self.axes = axes
+        self.bounds = tuple(_axis_bounds(a) for a in axes)  # inclusive per-axis ranges
 
     @classmethod
     def nat(cls, rank: int = 1) -> "Lattice":
@@ -156,6 +170,38 @@ class Lattice:
                 if o != 0:
                     return False
         return True
+
+    def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
+        """Decide the mask ``k + off in lattice`` over the in-lattice ``k``
+        satisfying the coordinate selectors (``(axis, value)`` pairs).
+
+        True when it holds for every such ``k``, False when for none (also
+        when no ``k`` satisfies the selectors), None when it depends on ``k``.
+        """
+        return _verdict(self.shift_cover(dict(selects), off))
+
+    def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
+        """``(every, none)``: whether ``k + off`` lies in the lattice for every
+        / for no in-lattice ``k`` whose coordinates satisfy ``selects``
+        (axis -> value).
+
+        Axes are independent, so per axis the selected coordinates form an
+        interval that is shifted and compared with the axis range.  With no
+        such ``k`` at all, both answers are (vacuously) true.
+        """
+        every, none = True, False
+        for axis, ((tlo, thi), o) in enumerate(zip(self.bounds, off)):
+            lo, hi = tlo, thi
+            v = selects.get(axis)
+            if v is not None:
+                if not lo <= v <= hi:
+                    return True, True
+                lo = hi = v
+            if lo + o < tlo or hi + o > thi:
+                every = False
+            if hi + o < tlo or lo + o > thi:
+                none = True
+        return every, none
 
     def edge_margin(self, ix: tuple, extent: int) -> int:
         """Distance from ``ix`` to the truncation edge of ``window(extent)``.
@@ -229,6 +275,30 @@ class UnionLattice:
         return (self.left.always_contains_shift(off[1:])
                 and self.right.always_contains_shift(off[1:]))
 
+    def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
+        """Like :meth:`Lattice.decide_shift`; axis 0 is the tag coordinate."""
+        return _verdict(self.shift_cover(dict(selects), off))
+
+    def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
+        """Like :meth:`Lattice.shift_cover`, recursing into the selected parts.
+
+        An offset that moves the tag into the other part is left undecided
+        (``(False, False)``); operators never build one.
+        """
+        rest = {axis - 1: v for axis, v in selects.items() if axis}
+        every, none = True, True
+        for tag in ([selects[0]] if 0 in selects else [0, 1]):
+            if tag not in (0, 1):
+                continue
+            if tag + off[0] not in (0, 1):
+                every = False
+                continue
+            if off[0]:
+                return False, False
+            e, n = self.parts[tag].shift_cover(rest, off[1:])
+            every, none = every and e, none and n
+        return every, none
+
     def edge_margin(self, ix: tuple, extent: int) -> int:
         return self.parts[ix[0]].edge_margin(ix[1:], extent)
 
@@ -260,6 +330,8 @@ def union(left, right) -> UnionLattice:
 # masks (k + offset must be in the lattice).  Everything is normalized at
 # construction: selector conflicts kill a term, conjugate atom pairs merge to
 # an analytic squared-modulus atom, identical terms merge coefficients.
+# Masks are created only by composition, which resolves every mask a term's
+# own selectors decide (see ``_masked``).
 
 class Atom(NamedTuple):
     kind: str        # 'bergman' | 'dirichlet' | 'table' | 'powratio' | 'abs2'
@@ -420,10 +492,6 @@ class Weight:
     @classmethod
     def select(cls, axis: int, value: int) -> "Weight":
         return cls((_make_term(1.0, (), (Select(axis, value),), ()),))
-
-    @classmethod
-    def mask(cls, offset: tuple) -> "Weight":
-        return cls((_make_term(1.0, (), (), (tuple(offset),)),))
 
     # -- algebra ------------------------------------------------------------
     @property
@@ -626,7 +694,7 @@ class BandOp:
         """self after other: (self @ other)(u) = self(other(u)), exactly.
 
         A mask records that the intermediate index ``k + other_offset`` must
-        lie in the lattice; it is omitted when that holds automatically.
+        lie in the lattice; see :func:`_masked` for when it is resolved.
         """
         if not isinstance(other, BandOp):
             raise TypeError("compose expects a BandOp")
@@ -636,8 +704,9 @@ class BandOp:
         for aoff, aw in self.bands:
             for boff, bw in other.bands:
                 w = aw.shifted(boff) * bw
-                if not self.lattice.always_contains_shift(boff):
-                    w = w * Weight.mask(boff)
+                # a mask that always holds leaves mask-free products as they are
+                if not self.lattice.always_contains_shift(boff) or any(t.masks for t in w.terms):
+                    w = _masked(w, boff, self.lattice)
                 out.append((_tadd(aoff, boff), w))
         return BandOp(self.lattice, out)
 
@@ -684,6 +753,37 @@ class BandOp:
 
     def __repr__(self) -> str:
         return f"BandOp({self.lattice!r}, offsets={list(self.offsets)!r})"
+
+
+def _masked(w: Weight, off: tuple, lattice) -> Weight:
+    """``w`` times the mask ``k + off in lattice``, in lattice-aware normal form.
+
+    Each mask of each term is decided against the term's own selectors: one
+    that always holds is dropped, a term with one that never holds is
+    dropped, an undecided one is kept.  Both drops are exact because weights
+    are only evaluated at in-lattice indices.  Without them, powers of
+    selector operators (quasinormal blocks) keep terms that differ only in
+    redundant masks and grow exponentially.  Returns ``w`` itself when no
+    term changes.
+    """
+    out = []
+    changed = False
+    for t in w.terms:
+        kept = []
+        for m in (t.masks if off in t.masks else t.masks + (off,)):
+            decided = lattice.decide_shift(t.selects, m)
+            if decided is False:
+                changed = True
+                break
+            if decided is None:
+                kept.append(m)
+        else:
+            kept = tuple(kept)
+            if kept != t.masks:
+                changed = True
+                t = Term(t.coeff, t.atoms, t.selects, tuple(sorted(kept)))
+            out.append(t)
+    return Weight(out) if changed else w
 
 
 def identity(lattice) -> BandOp:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from woldkit.bandop import (
     BandOp,
@@ -10,6 +10,8 @@ from woldkit.bandop import (
     Lattice,
     LatticeMismatch,
     NoConvergence,
+    UnionLattice,
+    Weight,
     constant,
     identity,
     left_inverse_apply,
@@ -20,7 +22,14 @@ from woldkit.bandop import (
     union,
 )
 from woldkit.seqspace import FinVec, RankMismatch, unit, zero
-from woldkit.zoo import bergman_shift, dirichlet_shift, quasinormal_block, unilateral_shift
+from woldkit.zoo import (
+    bergman_shift,
+    direct_sum,
+    dirichlet_shift,
+    quasinormal_block,
+    tensor_pair,
+    unilateral_shift,
+)
 
 from conftest import rand_vec
 
@@ -244,6 +253,149 @@ def test_adjoint_pairing_union_lattice():
         lhs = D.apply(u).inner(v)
         rhs = u.inner(D.adjoint().apply(v))
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, u.norm() * v.norm())
+
+
+# ---------------------------------------------------------------------------
+# lattice-aware mask normal form
+# ---------------------------------------------------------------------------
+
+BLOCK_2 = [[2.0, 0.5], [0.5, 3.0]]
+BLOCK_3 = [[2.5, 0.4 + 0.3j, 0.2 - 0.1j],
+           [0.4 - 0.3j, 3.0, 0.5j],
+           [0.2 + 0.1j, -0.5j, 2.2]]
+
+
+def _n_terms(T):
+    return sum(len(w.terms) for _, w in T.bands)
+
+
+@st.composite
+def lattices(draw):
+    # grids of rank 1..3 and tagged unions of them, nested up to two levels
+    axis = st.sampled_from(["nat", "int", 1, 2, 3, 4])
+
+    def build(rank, depth):
+        if depth and rank > 1 and draw(st.booleans()):
+            return union(build(rank - 1, depth - 1), build(rank - 1, depth - 1))
+        return Lattice([draw(axis) for _ in range(rank)])
+
+    return build(draw(st.integers(1, 3)), 2)
+
+
+def _tag_axes(lat, axis=0):
+    # axes that are a tag coordinate in some part (parts may be shaped apart)
+    if not isinstance(lat, UnionLattice):
+        return set()
+    return {axis} | _tag_axes(lat.left, axis + 1) | _tag_axes(lat.right, axis + 1)
+
+
+def _offset(draw, lat, reach):
+    tags = _tag_axes(lat)
+    return tuple(draw(st.integers(-1, 1) if ax in tags else st.integers(-reach, reach))
+                 for ax in range(lat.rank))
+
+
+@seed(20170413)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decide_shift_matches_enumeration(data):
+    # the window reaches every case: offsets and selected values stay well
+    # inside it, so an undecided mask has a witness either way in the window.
+    # An offset moving a tag (never built by an operator) may stay undecided.
+    lat = data.draw(lattices())
+    axes = data.draw(st.sets(st.integers(0, lat.rank - 1)))
+    selects = tuple((ax, data.draw(st.integers(-2, 5))) for ax in sorted(axes))
+    off = _offset(data.draw, lat, 5)
+    hits = [lat.contains(tuple(c + o for c, o in zip(k, off)))
+            for k in lat.window(10) if all(k[ax] == v for ax, v in selects)]
+    expect = False if not any(hits) else (True if all(hits) else None)
+    got = lat.decide_shift(selects, off)
+    moves_tag = any(off[ax] for ax in _tag_axes(lat))
+    assert got is expect or (got is None and moves_tag)
+    if not selects:
+        # compose's mask-free bypass must agree with the mask rule
+        assert lat.always_contains_shift(off) == (got is True)
+
+
+@st.composite
+def selector_ops(draw, lat):
+    bands = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = Weight.const(complex(draw(st.integers(1, 3)), draw(st.integers(-2, 2))))
+        for ax in draw(st.sets(st.integers(0, lat.rank - 1), max_size=2)):
+            w = w * Weight.select(ax, draw(st.integers(-1, 3)))
+        bands.append((_offset(draw, lat, 2), w))
+    return BandOp(lat, bands)
+
+
+def _assert_compose_exact(ops, lat, rng):
+    for _ in range(3):
+        u = rand_vec(lat, rng, size=5, extent=4)
+        lhs = ops[0]
+        for T in ops[1:]:
+            lhs = lhs @ T
+        rhs = u
+        for T in reversed(ops):
+            rhs = T.apply(rhs)
+        assert (lhs.apply(u) - rhs).norm() <= 1e-13 * max(rhs.norm(), u.norm())
+
+
+@seed(20170414)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_compose_exact_on_random_selector_operators(data):
+    lat = data.draw(lattices())
+    A, B, C = (data.draw(selector_ops(lat)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    for ops in ((A, B), (A, B.adjoint()), (A.adjoint(), B, C), (A, B, C.adjoint(), A)):
+        _assert_compose_exact(ops, lat, rng)
+
+
+def _random_block(rng, d):
+    X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return quasinormal_block(X @ X.conj().T / d + 1.5 * np.eye(d))
+
+
+@seed(20170415)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from([2, 3]))
+def test_compose_exact_on_blocks_sums_and_tensor_pairs(s, d):
+    rng = np.random.default_rng(s)
+    Q, R = _random_block(rng, d), _random_block(rng, d)
+    for T in (Q, direct_sum(Q, R), direct_sum(direct_sum(Q, R), direct_sum(R, Q))):
+        for ops in ((T, T, T), (T, T.adjoint()), (T.adjoint(), T, T), (T, T.adjoint(), T)):
+            _assert_compose_exact(ops, T.lattice, rng)
+    T1, T2 = tensor_pair(table(rng.standard_normal(3), 1.5), constant(2.0), "nat", "int")
+    for ops in ((T1, T2.adjoint()), (T2.adjoint(), T1, T1.adjoint()), (T1.adjoint(), T2, T1)):
+        _assert_compose_exact(ops, T1.lattice, rng)
+
+
+def test_compose_resolves_masks_against_later_selectors():
+    # T T moves the finite axis twice, so its masks depend on k; composing
+    # with a selector projection (a band whose own mask always holds) decides them
+    lat = Lattice(("nat", 2))
+    T = BandOp(lat, [((0, 1), Weight.const(1.0)), ((0, -1), Weight.const(1.0))])
+    P = BandOp(lat, [((0, 0), Weight.select(1, 0))])
+    TT = T @ T
+    assert all(t.masks for _, w in TT.bands for t in w.terms)
+    TTP = TT @ P
+    assert not any(t.masks for _, w in TTP.bands for t in w.terms)
+    assert len(dict(TTP.bands)[(0, 0)].terms) == 1
+
+
+@pytest.mark.parametrize("L", [BLOCK_2, BLOCK_3], ids=["real_2x2", "complex_3x3"])
+def test_gram_of_block_powers_keeps_d_squared_terms(L):
+    Q = quasinormal_block(L)
+    d = len(L)
+    assert [_n_terms((Q ** n).gram()) for n in range(1, 9)] == [d * d] * 8
+
+
+def test_gram_of_block_sum_powers_keeps_d_squared_terms_per_summand():
+    Q, R = quasinormal_block(BLOCK_2), quasinormal_block([[3.0, -1.0], [-1.0, 2.5]])
+    S = direct_sum(Q, R)
+    assert [_n_terms((S ** n).gram()) for n in range(1, 9)] == [8] * 8
+    S = direct_sum(S, direct_sum(R, Q))
+    assert [_n_terms((S ** n).gram()) for n in range(1, 9)] == [16] * 8
 
 
 # ---------------------------------------------------------------------------

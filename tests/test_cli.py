@@ -177,6 +177,25 @@ def test_check_gating_failure_exit_code(tmp_path):
     assert rep["verdict"] == "fail"
 
 
+def test_check_full_quasinormal_block_finishes(tmp_path):
+    code, rep = run_cli(tmp_path, "check", '{"kind":"quasinormal_block","L":[[2,0.5],[0.5,3]]}')
+    assert code == 0
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name["classd"]["verdict"] == "pass"
+    assert by_name["left_invertibility"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"adjoint","child":{"kind":"bergman_shift"}}',
+    '{"kind":"scale","factor":0,"child":{"kind":"bergman_shift"}}',
+])
+def test_check_oracle_skips_rank_deficient_section(tmp_path, capsys, spec):
+    code, rep = run_cli(tmp_path, "check", spec, "--oracle")
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert rep["oracle"]["skipped"]
+
+
 def test_decompose_command(tmp_path):
     code, rep = run_cli(
         tmp_path, "decompose",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from woldkit.bandop import Lattice, constant, identity, left_inverse_apply, table
+from woldkit.classd import default_probes
 from woldkit.oracle import (
     RankDeficientSection,
     WindowTooLarge,
@@ -23,6 +24,7 @@ from woldkit.zoo import (
     bergman_shift,
     bilateral_shift,
     dirichlet_shift,
+    quasinormal_block,
     unilateral_shift,
     weighted_shift,
 )
@@ -116,6 +118,23 @@ def test_band_vs_oracle_projection(zoo_op):
         band = nested_project(T, n, v)
         dense = oracle_project(D, v, n)
         assert (band - dense).norm() <= 1e-9 * max(1.0, v.norm())
+
+
+def test_band_vs_oracle_projection_full_complex_block():
+    # off-diagonal couplings make every power of Q a multi-band selector
+    # operator; the oracle takes plain matrix powers of the dense section
+    L = [[2.5, 0.4 + 0.3j, 0.2 - 0.1j],
+         [0.4 - 0.3j, 3.0, 0.5j],
+         [0.2 + 0.1j, -0.5j, 2.2]]
+    Q = quasinormal_block(L)
+    D = dense_section(Q, 24)
+    probes = default_probes(Q.lattice, n_basis=6, n_random=2, max_support=3, extent=3)
+    for n in range(1, 6):
+        for v in probes:
+            assert guard_ok(D, [v], depth=n + 2)
+            band = nested_project(Q, n, v)
+            dense = oracle_project(D, v, n)
+            assert (band - dense).norm() <= 1e-12 * v.norm()
 
 
 def test_band_vs_oracle_decompose():
