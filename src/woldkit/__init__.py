@@ -19,13 +19,9 @@ from .bandop import (
     NoConvergence,
     UnionLattice,
     Weight,
-    adjoint,
-    apply,
     bergman,
-    compose,
     constant,
     dirichlet,
-    gram,
     identity,
     left_inverse_apply,
     lower_bound_estimate,

@@ -270,6 +270,7 @@ class UnionLattice:
             yield (tag,) + ix
 
     def always_contains_shift(self, off: tuple) -> bool:
+        """Like :meth:`Lattice.always_contains_shift`; :meth:`BandOp.compose` calls it."""
         if off[0] != 0:
             return False
         return (self.left.always_contains_shift(off[1:])
@@ -639,13 +640,6 @@ class BandOp:
     def offsets(self) -> tuple:
         return tuple(off for off, _ in self.bands)
 
-    def weight_at(self, off) -> Weight:
-        off = tuple(int(c) for c in off)
-        for o, w in self.bands:
-            if o == off:
-                return w
-        return Weight(())
-
     def max_band_reach(self) -> int:
         reach = 0
         for off, _ in self.bands:
@@ -685,10 +679,6 @@ class BandOp:
             noff = _tneg(off)
             out.append((noff, w.conjugated().shifted(noff)))
         return BandOp(self.lattice, out)
-
-    @property
-    def H(self) -> "BandOp":
-        return self.adjoint()
 
     def compose(self, other: "BandOp") -> "BandOp":
         """self after other: (self @ other)(u) = self(other(u)), exactly.
@@ -836,20 +826,29 @@ def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
     return (G.apply(x) - v).norm()
 
 
-def _hermitian_section(G: BandOp, window: Sequence[tuple]) -> np.ndarray:
-    pos = {ix: i for i, ix in enumerate(window)}
-    n = len(window)
-    M = np.zeros((n, n), dtype=complex)
-    for j, jx in enumerate(window):
-        for off, w in G.bands:
-            tix = _tadd(jx, off)
-            i = pos.get(tix)
+def section(T: BandOp, cols: Sequence[tuple],
+            rows: Sequence[tuple] | None = None) -> tuple[np.ndarray, Sequence[tuple]]:
+    """Finite matrix section of ``T`` and its row indices.
+
+    ``M[i, j]`` is the coefficient of ``rows[i]`` in the image of ``cols[j]``.
+    With ``rows=None`` the rows are every in-lattice image of ``cols``,
+    sorted, so ``M`` acts exactly on vectors supported in ``cols``; given
+    ``rows``, images that land outside them are dropped.
+    """
+    if rows is None:
+        images = {_tadd(c, off) for c in cols for off, _ in T.bands}
+        rows = sorted(ix for ix in images if T.lattice.contains(ix))
+    pos = {ix: i for i, ix in enumerate(rows)}
+    M = np.zeros((len(rows), len(cols)), dtype=complex)
+    for j, c in enumerate(cols):
+        for off, w in T.bands:
+            i = pos.get(_tadd(c, off))
             if i is None:
                 continue
-            val = w.evaluate(jx, G.lattice)
+            val = w.evaluate(c, T.lattice)
             if val != 0:
                 M[i, j] += val
-    return M
+    return M, rows
 
 
 def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> FinVec:
@@ -897,7 +896,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
                 f"window of {len(window)} ordinals exceeds cap {p.max_window} "
                 f"with residual {last_residual:.3e}",
                 residual=last_residual, window=len(window))
-        M = _hermitian_section(G, window)
+        M, _ = section(G, window, window)
         rhs = np.zeros(len(window), dtype=complex)
         pos = {ix: i for i, ix in enumerate(window)}
         for ix, amp in v.items():
@@ -937,43 +936,8 @@ def lower_bound_estimate(T: BandOp, window: int) -> float:
     cols = T.lattice.window(window)
     if not cols or not T.bands:
         return 0.0
-    rows: set[tuple] = set()
-    for c in cols:
-        for off, _ in T.bands:
-            tgt = _tadd(c, off)
-            if T.lattice.contains(tgt):
-                rows.add(tgt)
-    rows = sorted(rows)
-    rpos = {ix: i for i, ix in enumerate(rows)}
-    M = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        for off, w in T.bands:
-            tgt = _tadd(c, off)
-            i = rpos.get(tgt)
-            if i is None:
-                continue
-            val = w.evaluate(c, T.lattice)
-            if val != 0:
-                M[i, j] += val
+    M, _ = section(T, cols)
     if M.shape[0] < M.shape[1]:
         return 0.0
     sv = np.linalg.svd(M, compute_uv=False)
     return float(sv[-1])
-
-
-# thin functional aliases matching the operation names used elsewhere --------
-
-def apply(T: BandOp, u: FinVec) -> FinVec:
-    return T.apply(u)
-
-
-def adjoint(T: BandOp) -> BandOp:
-    return T.adjoint()
-
-
-def compose(A: BandOp, B: BandOp) -> BandOp:
-    return A.compose(B)
-
-
-def gram(T: BandOp) -> BandOp:
-    return T.gram()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .bandop import (
     bergman,
     constant,
     dirichlet,
+    left_inverse_apply,
     lower_bound_estimate,
     table,
 )
@@ -302,7 +304,7 @@ def _v_tensor_pair(obj, path, errors):
     return out
 
 
-def _v_direct_sum(obj, path, errors):
+def _v_two_children(obj, path, errors):
     _check_fields(obj, path, errors, ("a", "b"))
     return {"a": _parse_node(obj.get("a"), f"{path}.a", errors),
             "b": _parse_node(obj.get("b"), f"{path}.b", errors)}
@@ -320,12 +322,6 @@ def _v_adjoint(obj, path, errors):
     return {"child": _parse_node(obj.get("child"), f"{path}.child", errors)}
 
 
-def _v_compose(obj, path, errors):
-    _check_fields(obj, path, errors, ("a", "b"))
-    return {"a": _parse_node(obj.get("a"), f"{path}.a", errors),
-            "b": _parse_node(obj.get("b"), f"{path}.b", errors)}
-
-
 def _v_pair(obj, path, errors):
     _check_fields(obj, path, errors, ("first", "second"))
     return {"first": _parse_node(obj.get("first"), f"{path}.first", errors),
@@ -340,10 +336,10 @@ KIND_VALIDATORS = {
     "weighted_translation": _v_weighted_translation,
     "quasinormal_block": _v_quasinormal_block,
     "tensor_pair": _v_tensor_pair,
-    "direct_sum": _v_direct_sum,
+    "direct_sum": _v_two_children,
     "scale": _v_scale,
     "adjoint": _v_adjoint,
-    "compose": _v_compose,
+    "compose": _v_two_children,
     "pair": _v_pair,
 }
 
@@ -556,7 +552,19 @@ def _read_source(source: str) -> str:
         return fh.read()
 
 
-def _oracle_extent(lattice, vectors, depth: int, reach: int) -> int:
+def _read_vector(source: str, lattice) -> FinVec:
+    try:
+        obj = json.loads(_read_source(source))
+    except json.JSONDecodeError as e:
+        raise SpecError([f"vector: invalid JSON: {e}"]) from None
+    v = parse_vector_literal(obj, rank=lattice.rank)
+    outside = [ix for ix in v.support() if not lattice.contains(ix)]
+    if outside:
+        raise SpecError([f"vector: index {ix} lies outside {lattice!r}" for ix in outside])
+    return v
+
+
+def _oracle_extent(vectors, depth: int, reach: int) -> int:
     spread = 0
     for v in vectors:
         for ix in v.support():
@@ -567,6 +575,23 @@ def _oracle_extent(lattice, vectors, depth: int, reach: int) -> int:
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+_INT_FLAG_FLOORS = {"window": 1, "guard": 0, "n_max": 1, "j_max": 0, "seed": 0}
+
+
+def _check_flags(args) -> None:
+    """Reject out-of-range numeric flags before a command does any work."""
+    errors = []
+    for name, low in _INT_FLAG_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            errors.append(f"--{name.replace('_', '-')}: expected an integer >= {low}, got {value}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 < tol < math.inf:
+        errors.append(f"--tol: expected a finite positive number, got {tol}")
+    if errors:
+        raise SpecError(errors)
+
 
 def _cmd_check(args) -> int:
     spec = parse_spec(_read_source(args.spec))
@@ -619,11 +644,10 @@ def _cmd_check(args) -> int:
 
 
 def _oracle_check(T: BandOp, probes, args) -> dict:
-    extent = _oracle_extent(T.lattice, probes, depth=2, reach=T.max_band_reach()) + 8
+    extent = _oracle_extent(probes, depth=2, reach=T.max_band_reach()) + 8
     p = GramSolveParams(guard=args.guard)
     worst = 0.0
     compared = 0
-    from .bandop import left_inverse_apply
     try:
         D = dense_section(T, extent)
         for v in probes:
@@ -642,7 +666,7 @@ def _oracle_check(T: BandOp, probes, args) -> dict:
 def _cmd_decompose(args) -> int:
     spec = parse_spec(_read_source(args.spec))
     T = _single(build_operator(spec), "decompose")
-    v = parse_vector_literal(json.loads(_read_source(args.vector)), rank=T.rank)
+    v = _read_vector(args.vector, T.lattice)
     tol = args.tol if args.tol is not None else 1e-10
     p = GramSolveParams(guard=args.guard, tol=tol)
     res = decompose(T, v, p, n_max=args.n_max, j_max=args.j_max)
@@ -654,7 +678,7 @@ def _cmd_decompose(args) -> int:
 
     if args.oracle:
         depth = res.n_used + res.j_used + 2
-        extent = _oracle_extent(T.lattice, [v], depth, T.max_band_reach())
+        extent = _oracle_extent([v], depth, T.max_band_reach())
         try:
             D = dense_section(T, extent)
             ores = oracle_decompose(D, v, n_max=args.n_max, j_max=args.j_max, tol=tol)
@@ -680,7 +704,7 @@ def _cmd_fourfold(args) -> int:
     if not isinstance(built, tuple):
         raise SpecError(["fourfold needs a pair spec (kind 'pair' or 'tensor_pair')"])
     T1, T2 = built
-    v = parse_vector_literal(json.loads(_read_source(args.vector)), rank=T1.rank)
+    v = _read_vector(args.vector, T1.lattice)
     tol = args.tol if args.tol is not None else 1e-10
     p = GramSolveParams(guard=args.guard, tol=tol)
     res = fourfold(T1, T2, v, p, n_max=args.n_max)
@@ -693,7 +717,7 @@ def _cmd_fourfold(args) -> int:
 
     if args.oracle:
         depth = 2 * args.n_max
-        extent = _oracle_extent(T1.lattice, [v], min(depth, 24),
+        extent = _oracle_extent([v], min(depth, 24),
                                 max(T1.max_band_reach(), T2.max_band_reach()))
         try:
             D1 = dense_section(T1, extent)
@@ -793,6 +817,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except SpecError as e:
         for msg in e.errors:
@@ -802,7 +827,7 @@ def main(argv=None) -> int:
             InputNotInHInfinity) as e:
         print(f"convergence error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"spec error: {e}", file=sys.stderr)
         return 1
 

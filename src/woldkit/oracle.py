@@ -55,9 +55,6 @@ class DenseSection:
     def size(self) -> int:
         return len(self.indices)
 
-    def position(self, ix: tuple) -> int:
-        return self.indices.index(ix)
-
 
 def dense_section(T: BandOp, window: int,
                   max_ordinals: int = DEFAULT_MAX_ORDINALS) -> DenseSection:

@@ -155,11 +155,6 @@ class FinVec:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def prune(self, eps: float) -> "FinVec":
-        """Drop entries with magnitude <= eps.  Optional; never applied implicitly."""
-        return FinVec({ix: a for ix, a in self._entries.items() if abs(a) > eps},
-                      rank=self._rank)
-
 
 def unit(ix, rank: int | None = None) -> FinVec:
     """Basis vector with amplitude 1 at the given index."""

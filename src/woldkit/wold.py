@@ -32,9 +32,9 @@ from .bandop import (
     BandOp,
     GramSolveParams,
     NoConvergence,
-    _hermitian_section,
     _padded_window,
     left_inverse_apply,
+    section,
     solve_gram,
 )
 from .seqspace import FinVec
@@ -219,7 +219,7 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     if len(window) > p.max_window:
         raise NoConvergence(f"criterion window of {len(window)} ordinals exceeds "
                             f"cap {p.max_window}", window=len(window))
-    M = _hermitian_section(G, window)
+    M, _ = section(G, window, window)
     lam, U = np.linalg.eigh(M)
     floor = 1e-14 * float(lam[-1])
     if lam[0] < floor:
@@ -257,25 +257,9 @@ def wandering_basis(T: BandOp, window: int = 16, tol: float = 1e-10) -> list[Fin
     cols = T.lattice.window(window)
     if not cols:
         return []
-    rows: set[tuple] = set()
-    from .bandop import _tadd  # local import to keep the helper private
-    for c in cols:
-        for off, _ in A.bands:
-            tgt = _tadd(c, off)
-            if T.lattice.contains(tgt):
-                rows.add(tgt)
-    rows = sorted(rows)
-    rpos = {ix: i for i, ix in enumerate(rows)}
-    M = np.zeros((max(1, len(rows)), len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        for off, w in A.bands:
-            tgt = _tadd(c, off)
-            i = rpos.get(tgt)
-            if i is None:
-                continue
-            val = w.evaluate(c, T.lattice)
-            if val != 0:
-                M[i, j] += val
+    M, rows = section(A, cols)
+    if not rows:  # null_space needs at least one row
+        M = np.zeros((1, len(cols)), dtype=complex)
     ns = scipy.linalg.null_space(M)
     out = []
     for c in range(ns.shape[1]):

@@ -205,15 +205,7 @@ def tensor_pair(w1: Weight, w2: Weight, lattice1="nat", lattice2="nat") -> tuple
     ax2 = _as_lattice(lattice2).axes[0]
     lat = Lattice((ax1, ax2))
     T1 = BandOp(lat, (((1, 0), w1),))
-    # w2 is written as a rank-1 weight on axis 0; move it to axis 1
-    w2_on_axis1 = Weight(tuple(
-        t._replace(
-            atoms=tuple(a._replace(axis=1) for a in t.atoms),
-            selects=tuple(s._replace(axis=1) for s in t.selects),
-            masks=tuple((0,) + m for m in t.masks),
-        )
-        for t in w2.terms))
-    T2 = BandOp(lat, (((0, 1), w2_on_axis1),))
+    T2 = BandOp(lat, (((0, 1), w2.embedded()),))
     return T1, T2
 
 

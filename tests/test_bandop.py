@@ -17,10 +17,12 @@ from woldkit.bandop import (
     left_inverse_apply,
     lower_bound_estimate,
     power_ratio,
+    section,
     solve_gram,
     table,
     union,
 )
+from woldkit.oracle import dense_section
 from woldkit.seqspace import FinVec, RankMismatch, unit, zero
 from woldkit.zoo import (
     bergman_shift,
@@ -396,6 +398,42 @@ def test_gram_of_block_sum_powers_keeps_d_squared_terms_per_summand():
     assert [_n_terms((S ** n).gram()) for n in range(1, 9)] == [8] * 8
     S = direct_sum(S, direct_sum(R, Q))
     assert [_n_terms((S ** n).gram()) for n in range(1, 9)] == [16] * 8
+
+
+# ---------------------------------------------------------------------------
+# matrix sections
+# ---------------------------------------------------------------------------
+
+# the fixtures themselves have real weights and never map out of their
+# lattice; a complex multiple of the adjoint does both
+SECTION_VARIANTS = {"T": lambda T: T, "complex_adjoint": lambda T: (0.5 + 2j) * T.adjoint()}
+
+
+@pytest.mark.parametrize("variant", SECTION_VARIANTS)
+@pytest.mark.parametrize("extent", [1, 4])
+def test_square_section_equals_dense_oracle(zoo_op, extent, variant):
+    # independent copies of the section loop; they share only Weight.evaluate
+    T = SECTION_VARIANTS[variant](zoo_op[1])
+    w = T.lattice.window(extent)
+    M, rows = section(T, w, w)
+    assert rows == w
+    assert np.array_equal(M, dense_section(T, extent).matrix)
+
+
+@pytest.mark.parametrize("variant", SECTION_VARIANTS)
+def test_section_acts_exactly_on_its_columns(zoo_op, variant):
+    T = SECTION_VARIANTS[variant](zoo_op[1])
+    rng = np.random.default_rng(11)
+    cols = T.lattice.window(4)
+    M, rows = section(T, cols)
+    assert rows == sorted(set(rows)) and all(T.lattice.contains(ix) for ix in rows)
+    for _ in range(3):
+        u = rand_vec(T.lattice, rng, extent=4)
+        image = T.apply(u)
+        assert set(image.support()) <= set(rows)
+        got = M @ np.array([u[ix] for ix in cols])
+        want = np.array([image[ix] for ix in rows])
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,40 @@ def test_fourfold_requires_pair(tmp_path):
     assert code == 1
 
 
+_BERGMAN = '{"kind":"bergman_shift"}'
+_TENSOR = ('{"kind":"tensor_pair","w1":{"family":"constant","value":1},'
+           '"w2":{"family":"constant","value":1}}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", _BERGMAN, "--window", "0"],
+    ["check", _BERGMAN, "--guard", "-1"],
+    ["check", _BERGMAN, "--tol", "-1"],
+    ["check", _BERGMAN, "--tol", "nan"],
+    ["check", _BERGMAN, "--tol", "inf"],
+    ["check", _BERGMAN, "--seed", "-5"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1,0]]", "--n-max", "0"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1,0]]", "--j-max", "-1"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1,0]]", "--tol", "0"],
+    ["decompose", _BERGMAN, "--vector", "[[-1,1,0]]"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1,0]"],
+    ["fourfold", _TENSOR, "--vector", "[[0,-1,1,0]]"],
+    ["check", "DIR"],
+    ["check", "NOT_UTF8"],
+], ids=["window-0", "guard-neg", "tol-neg", "tol-nan", "tol-inf", "seed-neg", "n-max-0",
+        "j-max-neg", "tol-0", "vector-off-lattice", "vector-bad-json",
+        "pair-vector-off-lattice", "spec-is-directory", "spec-not-utf8"])
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
+    binary = tmp_path / "spec.bin"
+    binary.write_bytes(b"\xd0\xff\x00")
+    places = {"DIR": str(tmp_path), "NOT_UTF8": str(binary)}
+    code = main([places.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("spec error: ")
+
+
 def test_zoo_list(tmp_path):
     code, rep = run_cli(tmp_path, "zoo", "list")
     assert code == 0
