@@ -36,6 +36,7 @@ import scipy.linalg
 from .seqspace import FinVec, RankMismatch
 
 _BIG = 10 ** 9  # sentinel distance for axes without a truncation edge
+SECTION_BYTE_CAP = 512 * 2 ** 20  # largest dense complex section ever allocated
 
 
 class LatticeMismatch(ValueError):
@@ -43,7 +44,8 @@ class LatticeMismatch(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A guarded Gram solve hit its window cap before certifying the residual."""
+    """A guarded Gram solve hit its window cap before certifying the residual,
+    or a finite section would exceed ``SECTION_BYTE_CAP``."""
 
     def __init__(self, message: str, residual: float = math.inf, window: int = 0):
         super().__init__(message)
@@ -614,9 +616,13 @@ def power_ratio(beta: float, h: float, steps: int, axis: int = 0) -> Weight:
 # ---------------------------------------------------------------------------
 
 class BandOp:
-    """Operator given by finitely many (offset, weight) bands on a lattice."""
+    """Operator given by finitely many (offset, weight) bands on a lattice.
 
-    __slots__ = ("lattice", "bands")
+    Immutable, so its adjoint, Gram operator and powers are each derived
+    once, on first use, and kept on the instance.
+    """
+
+    __slots__ = ("lattice", "bands", "_adjoint", "_gram", "_powers")
 
     def __init__(self, lattice, bands: Iterable[tuple]):
         merged: dict[tuple, Weight] = {}
@@ -631,6 +637,10 @@ class BandOp:
         self.lattice = lattice
         self.bands = tuple((off, w) for off, w in sorted(merged.items(), key=lambda kv: kv[0])
                            if not w.is_zero)
+        self._adjoint = None
+        self._gram = None
+        # T^2, T^3, ...; T itself is not stored, so the caches hold no cycle
+        self._powers = []
 
     @property
     def rank(self) -> int:
@@ -674,11 +684,13 @@ class BandOp:
 
     # -- algebra ------------------------------------------------------------
     def adjoint(self) -> "BandOp":
-        out = []
-        for off, w in self.bands:
-            noff = _tneg(off)
-            out.append((noff, w.conjugated().shifted(noff)))
-        return BandOp(self.lattice, out)
+        if self._adjoint is None:
+            out = []
+            for off, w in self.bands:
+                noff = _tneg(off)
+                out.append((noff, w.conjugated().shifted(noff)))
+            self._adjoint = BandOp(self.lattice, out)
+        return self._adjoint
 
     def compose(self, other: "BandOp") -> "BandOp":
         """self after other: (self @ other)(u) = self(other(u)), exactly.
@@ -705,17 +717,22 @@ class BandOp:
 
     def gram(self) -> "BandOp":
         """The operator ``T* T``; Hermitian, exactly diagonal for weighted shifts."""
-        return self.adjoint().compose(self)
+        if self._gram is None:
+            self._gram = self.adjoint().compose(self)
+        return self._gram
 
     def __pow__(self, n: int) -> "BandOp":
+        """``T^n``, extending the cached chain ``T^k = T^(k-1) @ T``."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("power must be a nonnegative integer")
         if n == 0:
             return identity(self.lattice)
-        acc = self
-        for _ in range(n - 1):
-            acc = acc.compose(self)
-        return acc
+        if n == 1:
+            return self
+        powers = self._powers
+        while len(powers) < n - 1:
+            powers.append((powers[-1] if powers else self).compose(self))
+        return powers[n - 2]
 
     def __add__(self, other: "BandOp") -> "BandOp":
         if not isinstance(other, BandOp):
@@ -833,11 +850,18 @@ def section(T: BandOp, cols: Sequence[tuple],
     ``M[i, j]`` is the coefficient of ``rows[i]`` in the image of ``cols[j]``.
     With ``rows=None`` the rows are every in-lattice image of ``cols``,
     sorted, so ``M`` acts exactly on vectors supported in ``cols``; given
-    ``rows``, images that land outside them are dropped.
+    ``rows``, images that land outside them are dropped.  Raises
+    :class:`NoConvergence` instead of allocating more than
+    ``SECTION_BYTE_CAP`` bytes.
     """
     if rows is None:
         images = {_tadd(c, off) for c in cols for off, _ in T.bands}
         rows = sorted(ix for ix in images if T.lattice.contains(ix))
+    nbytes = len(rows) * len(cols) * 16
+    if nbytes > SECTION_BYTE_CAP:
+        raise NoConvergence(
+            f"a {len(rows)}x{len(cols)} section needs {nbytes} bytes, over the "
+            f"cap of {SECTION_BYTE_CAP} bytes", window=len(cols))
     pos = {ix: i for i, ix in enumerate(rows)}
     M = np.zeros((len(rows), len(cols)), dtype=complex)
     for j, c in enumerate(cols):

@@ -142,11 +142,9 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
             continue
         vn = v.norm()
         y = left_inverse_apply(T, v, p)
-        Tn = T
         for n in range(2, n_max + 1):
-            Tn = Tn.compose(T)
             y = y if y.is_zero else left_inverse_apply(T, y, p)
-            x = left_inverse_apply(Tn, v, p)
+            x = left_inverse_apply(T ** n, v, p)
             r = (x - y).norm() / vn
             if r > res:
                 res, worst_n = r, n

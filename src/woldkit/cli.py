@@ -75,6 +75,7 @@ from .zoo import (
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0x5EED
 LOWER_BOUND_FLOOR = 1e-8
+DECOMPOSE_GATE_WINDOW = 16  # the lower-bound window of decompose's gate
 
 
 class SpecError(ValueError):
@@ -593,6 +594,19 @@ def _check_flags(args) -> None:
         raise SpecError(errors)
 
 
+def _left_invertibility(T: BandOp, window: int) -> CheckReport:
+    """Gate: the lower bound of T on the window stays above LOWER_BOUND_FLOOR."""
+    lb = lower_bound_estimate(T, window=window)
+    return CheckReport(
+        name="left_invertibility",
+        residual=max(0.0, LOWER_BOUND_FLOOR - lb),
+        tolerance=0.0,
+        probes_used=len(T.lattice.window(window)),
+        window=window,
+        details={"lower_bound": lb, "floor": LOWER_BOUND_FLOOR},
+    )
+
+
 def _cmd_check(args) -> int:
     spec = parse_spec(_read_source(args.spec))
     built = build_operator(spec)
@@ -615,15 +629,7 @@ def _cmd_check(args) -> int:
         probes = default_probes(T.lattice, seed=args.seed)
         p = GramSolveParams(guard=args.guard)
         tol = args.tol if args.tol is not None else 1e-10
-        lb = lower_bound_estimate(T, window=args.window)
-        lb_report = CheckReport(
-            name="left_invertibility",
-            residual=max(0.0, LOWER_BOUND_FLOOR - lb),
-            tolerance=0.0,
-            probes_used=len(T.lattice.window(args.window)),
-            window=args.window,
-            details={"lower_bound": lb, "floor": LOWER_BOUND_FLOOR},
-        )
+        lb_report = _left_invertibility(T, args.window)
         iso = isometry_residual(T, window=args.window, params=p)
         quasi = quasinormal_residual(T, probes)
         cd = classd_residual(T, n_max=8, probes=probes, params=p, tolerance=tol)
@@ -669,10 +675,18 @@ def _cmd_decompose(args) -> int:
     v = _read_vector(args.vector, T.lattice)
     tol = args.tol if args.tol is not None else 1e-10
     p = GramSolveParams(guard=args.guard, tol=tol)
-    res = decompose(T, v, p, n_max=args.n_max, j_max=args.j_max)
     report = _base_report("decompose", spec, args)
     report["params"]["tol"] = tol
     report["vector"] = vector_to_literal(v)
+    gate = _left_invertibility(T, DECOMPOSE_GATE_WINDOW)
+    report["left_invertibility"] = _check_dict(gate, informational=False)
+    if not gate.passed:
+        # without a left inverse there is no decomposition to compute
+        report["decomposition"] = None
+        report["verdict"] = "fail"
+        _emit(report, args.out)
+        return 3
+    res = decompose(T, v, p, n_max=args.n_max, j_max=args.j_max)
     report["decomposition"] = _wold_result_dict(res)
     ok = res.reconstruction_residual <= tol * max(v.norm(), 1e-300)
 

@@ -91,13 +91,18 @@ class WoldResult:
 
 def defect_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None) -> FinVec:
     """Project onto the defect space: ``h - T (T~ h)``, certified in ``ker T*``."""
-    p = params or GramSolveParams()
+    return _defect_and_pullback(T, h, params or GramSolveParams())[0]
+
+
+def _defect_and_pullback(T: BandOp, h: FinVec, p: GramSolveParams) -> tuple[FinVec, FinVec]:
+    """``(h - T (T~ h), T~ h)``: the certified defect projection together with
+    the left-inverse image it was built from, which the series loop reuses."""
     if h.is_zero:
-        return h
+        return h, h
     adj_h = T.adjoint().apply(h)
     if adj_h.is_zero:
-        return h
-    x = left_inverse_apply(T, h, p)
+        return h, adj_h
+    x = solve_gram(T, adj_h, p)
     d = h - T.apply(x)
     cert = T.adjoint().apply(d).norm()
     bound = 4.0 * p.tol * max(h.norm(), adj_h.norm())
@@ -105,7 +110,7 @@ def defect_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None) 
         raise NoConvergence(
             f"defect certificate ||T* d|| = {cert:.3e} exceeds {bound:.3e}",
             residual=cert)
-    return d
+    return d, x
 
 
 def nested_project(T: BandOp, n: int, h: FinVec, params: GramSolveParams | None = None) -> FinVec:
@@ -160,10 +165,9 @@ def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = N
     prev = h
     history: list[float] = []
     consec = 0
-    Tn = None
     w = h  # (T*)^n h, maintained without solves
     for n in range(1, n_max + 1):
-        Tn = T if Tn is None else Tn.compose(T)
+        Tn = T ** n
         w = adjT.apply(w)
         if w.is_zero:
             history.append(prev.norm())
@@ -310,6 +314,7 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
 
     comps: list[FinVec] = []
     adjT = T.adjoint()
+    iterates = [h]  # (T~)^j h, each solved once and reused by the drift check
     x = h
     consec = 0
     terminated = False
@@ -320,7 +325,8 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
             j_used = j - 1
             flags.append("series terminated exactly: left-inverse iterate vanished")
             break
-        d = defect_project(T, x, p)
+        d, pulled = _defect_and_pullback(T, x, p)
+        iterates.append(pulled)
         c = d
         for _ in range(j):
             c = T.apply(c)
@@ -335,7 +341,7 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
                 break
         else:
             consec = 0
-        x = left_inverse_apply(T, x, p)
+        x = pulled
     if not terminated:
         raise SeriesNotConverged(j_max, comps[-1].norm() if comps else math.inf)
 
@@ -358,10 +364,10 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     # iterate; they agree exactly when powers of the left inverse are left
     # inverses of powers, which classd checks as a property
     y = h
-    for _ in range(n_used):
+    for k in range(1, n_used + 1):
         if y.is_zero:
             break
-        y = left_inverse_apply(T, y, p)
+        y = iterates[k] if k < len(iterates) else left_inverse_apply(T, y, p)
     alt = y
     for _ in range(n_used):
         if alt.is_zero:

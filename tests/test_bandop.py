@@ -33,7 +33,7 @@ from woldkit.zoo import (
     unilateral_shift,
 )
 
-from conftest import rand_vec
+from conftest import ZOO, make_zoo_fixtures, rand_vec
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,20 @@ def test_power():
     out = (B ** 2).apply(unit(0))
     w0w1 = math.sqrt(1 / 2) * math.sqrt(2 / 3)
     assert abs(out[(2,)] - w0w1) < 1e-15
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ZOO])
+def test_derived_operators_are_memoised_and_unchanged(name):
+    T = dict(make_zoo_fixtures())[name]
+    assert T.adjoint() is T.adjoint()
+    assert T.gram() is T.gram()
+    assert T.gram() == T.adjoint().compose(T)
+    top = T ** 8  # builds the whole cached chain before the lower powers are asked for
+    chain = T
+    for n in range(1, 9):
+        assert T ** n == chain and T ** n is T ** n, n
+        chain = chain.compose(T)
+    assert top is T ** 8
 
 
 def test_table_weight_default_is_explicit():

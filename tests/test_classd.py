@@ -25,6 +25,8 @@ from woldkit.zoo import (
     weighted_translation,
 )
 
+from conftest import ZOO, make_zoo_fixtures
+
 
 def test_default_probes_deterministic():
     lat = bergman_shift().lattice
@@ -124,6 +126,13 @@ def test_classd_residual_reproducible_bitwise():
     a = classd_residual(B).residual
     b = classd_residual(B).residual
     assert a == b
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ZOO])
+def test_classd_residual_same_on_cold_and_warm_operator(name):
+    T = dict(make_zoo_fixtures())[name]
+    cold = classd_residual(T)
+    assert classd_residual(T) == cold
 
 
 def test_classd_requires_two_powers():

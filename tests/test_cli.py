@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from woldkit.bandop import SECTION_BYTE_CAP
 from woldkit.cli import (
     SpecError,
     build_operator,
@@ -14,6 +16,8 @@ from woldkit.cli import (
     vector_to_literal,
 )
 from woldkit.seqspace import FinVec, unit
+
+from conftest import ZOO
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,82 @@ def test_decompose_oracle_flag(tmp_path):
                         "--vector", "[[0,1,0],[4,0,-1]]", "--oracle")
     assert code == 0
     assert rep["oracle"]["max_rel_delta"] <= 1e-9
+
+
+_NO_LEFT_INVERSE = [
+    '{"kind":"scale","factor":0,"child":{"kind":"bergman_shift"}}',
+    '{"kind":"adjoint","child":{"kind":"bergman_shift"}}',
+]
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+@pytest.mark.parametrize("spec", _NO_LEFT_INVERSE, ids=["zero", "bergman-adjoint"])
+def test_decompose_refuses_operator_without_left_inverse(tmp_path, spec, oracle):
+    code, rep = run_cli(tmp_path, "decompose", spec, "--vector", "[[0,1,0]]", *oracle)
+    assert code == 3
+    assert rep["verdict"] == "fail"
+    assert rep["left_invertibility"]["verdict"] == "fail"
+    assert rep["left_invertibility"]["window"] == 16
+    assert rep["decomposition"] is None
+
+
+def _one(value=1.0):
+    return {"family": "constant", "value": value}
+
+
+def _tensor(w1, w2, part):
+    return {"kind": "tensor_pair", "w1": w1, "w2": w2, "part": part}
+
+
+# the conftest fixtures as CLI specs
+_ZOO_SPECS = {
+    "unilateral_shift": {"kind": "weighted_shift", "weight": _one()},
+    "bilateral_shift": {"kind": "weighted_shift", "weight": _one(), "lattice": "int"},
+    "double_bilateral": {"kind": "weighted_shift", "weight": _one(2.0), "lattice": "int"},
+    "bergman_shift": {"kind": "bergman_shift"},
+    "dirichlet_shift": {"kind": "dirichlet_shift"},
+    "translation_exp": {"kind": "weighted_translation",
+                        "phi": {"kind": "exp", "alpha": 1.0}, "t": 1.0, "h": 1.0},
+    "translation_power": {"kind": "weighted_translation",
+                          "phi": {"kind": "power", "beta": 2.0}, "t": 2.0, "h": 1.0},
+    "quasinormal_block": {"kind": "quasinormal_block", "L": [[2.0, 0.0], [0.0, 3.0]]},
+    "tensor_bergman_factor": _tensor({"family": "bergman"}, {"family": "dirichlet"}, 1),
+    "tensor_product": {"kind": "compose", "a": _tensor(_one(), _one(), 1),
+                       "b": _tensor(_one(), _one(), 2)},
+    "mixed_sum": {"kind": "direct_sum",
+                  "a": {"kind": "weighted_shift", "weight": _one(), "lattice": "int"},
+                  "b": {"kind": "weighted_shift", "weight": _one()}},
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ZOO])
+def test_decompose_gate_passes_on_every_zoo_fixture(tmp_path, name):
+    spec = json.dumps(_ZOO_SPECS[name])
+    T = build_operator(parse_spec(spec))
+    assert T == dict(ZOO)[name]
+    vector = [[*ix, 1.0, -0.5] for ix in T.lattice.window(2)[:3]]
+    code, rep = run_cli(tmp_path, "decompose", spec, "--vector", json.dumps(vector))
+    assert code == 0
+    assert rep["verdict"] == "pass"
+    assert rep["left_invertibility"]["verdict"] == "pass"
+    assert rep["decomposition"]["reconstruction_residual"] <= 1e-10
+
+
+def test_huge_window_is_refused_before_allocating(capsys, monkeypatch):
+    shapes = []
+    zeros = np.zeros
+
+    def recording_zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    code = main(["check", _BERGMAN, "--window", "100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("convergence error: ")
+    assert str(SECTION_BYTE_CAP) in err
+    assert all(16 * np.prod(shape) <= SECTION_BYTE_CAP for shape in shapes)
 
 
 def test_fourfold_command(tmp_path):

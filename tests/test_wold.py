@@ -1,7 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
-from woldkit.bandop import GramSolveParams, constant
+import woldkit.bandop
+import woldkit.wold
+from woldkit.bandop import BandOp, GramSolveParams, Weight, constant
 from woldkit.oracle import dense_section, oracle_project
 from woldkit.seqspace import FinVec, inner, unit, zero
 from woldkit.wold import (
@@ -28,7 +32,7 @@ from woldkit.zoo import (
     weighted_shift,
 )
 
-from conftest import rand_vec
+from conftest import ZOO, make_zoo_fixtures, rand_vec
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +342,49 @@ def test_decompose_reconstructs_on_every_zoo_fixture():
         res = decompose(T, h, p)
         assert res.reconstruction_residual <= p.tol * h.norm() * 10, name
         assert res.component_cross_max <= 1e-10, name
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ZOO])
+def test_decompose_same_on_cold_and_warm_operator(name):
+    T = dict(make_zoo_fixtures())[name]
+    h = rand_vec(T.lattice, np.random.default_rng(23), size=4, extent=4)
+    cold = decompose(T, h)
+    assert decompose(T, h) == cold
+
+
+def test_decompose_solves_once_per_series_term(monkeypatch):
+    calls = []
+    real = woldkit.bandop.solve_gram
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    # left_inverse_apply reaches the solver through bandop, the loops through wold
+    monkeypatch.setattr(woldkit.bandop, "solve_gram", counting)
+    monkeypatch.setattr(woldkit.wold, "solve_gram", counting)
+    res = decompose(bergman_shift(), unit(0) + unit(40))
+    assert (len(calls), res.n_used, res.j_used) == (80, 41, 40)
+
+
+def test_derived_operators_make_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        T = direct_sum(bergman_shift(), bilateral_shift())
+        T.adjoint()
+        T.gram()
+        (T ** 8).gram()
+        decompose(T, FinVec({(0, 3): 1.0, (1, -2): 1j}))
+        del T
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (BandOp, Weight))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked
 
 
 def test_decompose_components_match_series_component():
