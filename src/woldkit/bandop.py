@@ -20,7 +20,8 @@ The inverse Gram factor needed by the canonical left inverse
 operator is not band.  It is applied per vector by guarded finite-section
 solves whose residual is always re-measured with the exact band arithmetic;
 the window is enlarged (guard doubling) until the requested tolerance is
-certified or a hard size cap is reached.
+certified, the section would exceed ``SECTION_BYTE_CAP`` or the lattice
+stops the window from growing.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class LatticeMismatch(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A guarded Gram solve hit its window cap before certifying the residual,
-    or a finite section would exceed ``SECTION_BYTE_CAP``."""
+    """A finite section would exceed ``SECTION_BYTE_CAP``, or a guarded Gram
+    solve ran out of window (that cap, or a window that cannot grow) before
+    certifying its residual."""
 
     def __init__(self, message: str, residual: float = math.inf, window: int = 0):
         super().__init__(message)
@@ -145,6 +147,10 @@ class Lattice:
         pts = itertools.product(*(self._axis_window(a, extent) for a in self.axes))
         return sorted(pts, key=lambda ix: (sum(abs(c) for c in ix), ix))
 
+    def window_size(self, extent: int) -> int:
+        """``len(self.window(extent))``, counted without enumerating."""
+        return math.prod(len(self._axis_window(a, extent)) for a in self.axes)
+
     def _axis_pad(self, a, guard: int) -> range:
         if a == "nat" or a == "int":
             return range(-guard, guard + 1)
@@ -159,19 +165,6 @@ class Lattice:
             ix = _tadd(center, off)
             if self.contains(ix):
                 yield ix
-
-    def always_contains_shift(self, off: tuple) -> bool:
-        """True when ``k in lattice`` implies ``k + off in lattice`` for all k."""
-        for o, a in zip(off, self.axes):
-            if a == "int":
-                continue
-            if a == "nat":
-                if o < 0:
-                    return False
-            else:
-                if o != 0:
-                    return False
-        return True
 
     def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
         """Decide the mask ``k + off in lattice`` over the in-lattice ``k``
@@ -266,17 +259,13 @@ class UnionLattice:
         pts += [(1,) + ix for ix in self.right.window(extent)]
         return sorted(pts, key=lambda ix: (sum(abs(c) for c in ix), ix))
 
+    def window_size(self, extent: int) -> int:
+        return self.left.window_size(extent) + self.right.window_size(extent)
+
     def ball(self, center: tuple, guard: int) -> Iterable[tuple]:
         tag = center[0]
         for ix in self.parts[tag].ball(center[1:], guard):
             yield (tag,) + ix
-
-    def always_contains_shift(self, off: tuple) -> bool:
-        """Like :meth:`Lattice.always_contains_shift`; :meth:`BandOp.compose` calls it."""
-        if off[0] != 0:
-            return False
-        return (self.left.always_contains_shift(off[1:])
-                and self.right.always_contains_shift(off[1:]))
 
     def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
         """Like :meth:`Lattice.decide_shift`; axis 0 is the tag coordinate."""
@@ -372,52 +361,35 @@ def _atom_sort_key(a: Atom):
     return (a.kind, a.axis, a.shift, repr(a.params), a.conj)
 
 
-def _eval_plain(kind: str, params: tuple, m: int, conj: bool) -> complex:
+def _eval_atom(a: Atom, ix: tuple) -> complex:
+    """Value of one atom at ``ix``; an ``abs2`` atom evaluates its inner
+    family squared, in closed form (no square root, doubled exponent)."""
+    m = ix[a.axis] + a.shift
+    kind, params = a.kind, a.params
+    sq = kind == "abs2"
+    if sq:
+        kind, params = params
     if kind == "bergman":
         if m < 0:
             raise ValueError(f"Bergman weight evaluated at negative index {m}")
-        return math.sqrt((m + 1) / (m + 2))
+        return (m + 1) / (m + 2) if sq else math.sqrt((m + 1) / (m + 2))
     if kind == "dirichlet":
         if m < 0:
             raise ValueError(f"Dirichlet weight evaluated at negative index {m}")
-        return math.sqrt((m + 2) / (m + 1))
+        return (m + 2) / (m + 1) if sq else math.sqrt((m + 2) / (m + 1))
     if kind == "table":
         values, default = params
         v = values[m] if 0 <= m < len(values) else default
-        return v.conjugate() if conj else v
+        if sq:
+            return v.real * v.real + v.imag * v.imag
+        return v.conjugate() if a.conj else v
     if kind == "powratio":
         beta, h, steps = params
         if m < 0:
             raise ValueError(f"translation weight evaluated at negative grid site {m}")
         base = (1.0 + (m + steps) * h) / (1.0 + m * h)
-        return base ** beta
+        return base ** (2.0 * beta if sq else beta)
     raise ValueError(f"unknown atom kind {kind!r}")
-
-
-def _eval_atom(a: Atom, ix: tuple) -> complex:
-    m = ix[a.axis] + a.shift
-    if a.kind == "abs2":
-        inner_kind, inner_params = a.params
-        if inner_kind == "bergman":
-            if m < 0:
-                raise ValueError(f"Bergman weight evaluated at negative index {m}")
-            return (m + 1) / (m + 2)
-        if inner_kind == "dirichlet":
-            if m < 0:
-                raise ValueError(f"Dirichlet weight evaluated at negative index {m}")
-            return (m + 2) / (m + 1)
-        if inner_kind == "powratio":
-            beta, h, steps = inner_params
-            if m < 0:
-                raise ValueError(f"translation weight evaluated at negative grid site {m}")
-            base = (1.0 + (m + steps) * h) / (1.0 + m * h)
-            return base ** (2.0 * beta)
-        if inner_kind == "table":
-            values, default = inner_params
-            v = values[m] if 0 <= m < len(values) else default
-            return v.real * v.real + v.imag * v.imag
-        raise ValueError(f"unknown abs2 inner kind {inner_kind!r}")
-    return _eval_plain(a.kind, a.params, m, a.conj)
 
 
 def _merge_abs2(atoms: list[Atom]) -> list[Atom]:
@@ -702,12 +674,13 @@ class BandOp:
             raise TypeError("compose expects a BandOp")
         if self.lattice != other.lattice:
             raise LatticeMismatch(f"lattices differ: {self.lattice!r} vs {other.lattice!r}")
+        # a mask that always holds leaves mask-free products as they are
+        always = [self.lattice.decide_shift((), boff) is True for boff, _ in other.bands]
         out = []
         for aoff, aw in self.bands:
-            for boff, bw in other.bands:
+            for (boff, bw), holds in zip(other.bands, always):
                 w = aw.shifted(boff) * bw
-                # a mask that always holds leaves mask-free products as they are
-                if not self.lattice.always_contains_shift(boff) or any(t.masks for t in w.terms):
+                if not holds or any(t.masks for t in w.terms):
                     w = _masked(w, boff, self.lattice)
                 out.append((_tadd(aoff, boff), w))
         return BandOp(self.lattice, out)
@@ -807,21 +780,18 @@ class GramSolveParams:
 
     ``guard`` is the initial window padding around the right-hand side
     support (``None`` derives 16x the band reach of the operator), ``tol``
-    the certified relative residual, ``max_window`` the hard cap on window
-    ordinals before giving up.
+    the certified relative residual.  Memory is bounded by
+    ``SECTION_BYTE_CAP`` alone.
     """
 
     guard: int | None = None
     tol: float = 1e-12
-    max_window: int = 2 ** 16
 
     def __post_init__(self):
         if self.guard is not None and self.guard < 0:
             raise ValueError("guard must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_window <= 0:
-            raise ValueError("max_window must be positive")
 
     def effective_guard(self, T: BandOp) -> int:
         if self.guard is not None:
@@ -829,18 +799,19 @@ class GramSolveParams:
         return 16 * max(1, T.max_band_reach())
 
     def tightened(self, factor: float = 10.0) -> "GramSolveParams":
-        return GramSolveParams(self.guard, self.tol / factor, self.max_window)
-
-
-def _padded_window(lattice, support: Iterable[tuple], guard: int) -> list[tuple]:
-    pts: set[tuple] = set()
-    for s in support:
-        pts.update(lattice.ball(s, guard))
-    return sorted(pts)
+        return GramSolveParams(self.guard, self.tol / factor)
 
 
 def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
     return (G.apply(x) - v).norm()
+
+
+def _require_section_fits(nrows: int, ncols: int) -> None:
+    nbytes = nrows * ncols * 16
+    if nbytes > SECTION_BYTE_CAP:
+        raise NoConvergence(
+            f"a {nrows}x{ncols} section needs {nbytes} bytes, over the "
+            f"cap of {SECTION_BYTE_CAP} bytes", window=ncols)
 
 
 def section(T: BandOp, cols: Sequence[tuple],
@@ -857,11 +828,7 @@ def section(T: BandOp, cols: Sequence[tuple],
     if rows is None:
         images = {_tadd(c, off) for c in cols for off, _ in T.bands}
         rows = sorted(ix for ix in images if T.lattice.contains(ix))
-    nbytes = len(rows) * len(cols) * 16
-    if nbytes > SECTION_BYTE_CAP:
-        raise NoConvergence(
-            f"a {len(rows)}x{len(cols)} section needs {nbytes} bytes, over the "
-            f"cap of {SECTION_BYTE_CAP} bytes", window=len(cols))
+    _require_section_fits(len(rows), len(cols))
     pos = {ix: i for i, ix in enumerate(rows)}
     M = np.zeros((len(rows), len(cols)), dtype=complex)
     for j, c in enumerate(cols):
@@ -875,13 +842,30 @@ def section(T: BandOp, cols: Sequence[tuple],
     return M, rows
 
 
+def _window_system(G: BandOp, v: FinVec, guard: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The guarded finite-section system of ``G x = v``: the window (sorted
+    in-lattice indices within ``guard`` of the support of ``v``), the section
+    of ``G`` on it and ``v`` as a right-hand side over it."""
+    pts: set[tuple] = set()
+    for s in v.support():
+        pts.update(G.lattice.ball(s, guard))
+    window = sorted(pts)
+    M, _ = section(G, window, window)
+    pos = {ix: i for i, ix in enumerate(window)}
+    rhs = np.zeros(len(window), dtype=complex)
+    for ix, amp in v.items():
+        rhs[pos[ix]] = amp
+    return window, M, rhs
+
+
 def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> FinVec:
     """Solve ``(T* T) x = v`` with a certified residual.
 
     The residual of the returned ``x`` is re-measured with the exact band
     Gram operator (never trusted from the dense solver) and satisfies
     ``|| T*T x - v || <= tol * ||v||``.  Raises :class:`NoConvergence` when
-    the solve window would exceed ``max_window`` ordinals.
+    the window's section would exceed ``SECTION_BYTE_CAP`` or the window
+    stops growing (finite axes) before the residual is certified.
     """
     p = params or GramSolveParams()
     if v.rank != T.rank:
@@ -913,18 +897,20 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
 
     guard = p.effective_guard(T)
     last_residual = math.inf
+    window = None
     while True:
-        window = _padded_window(G.lattice, v.support(), guard)
-        if len(window) > p.max_window:
+        try:
+            grown, M, rhs = _window_system(G, v, guard)
+        except NoConvergence as e:
+            raise NoConvergence(f"{e}; residual {last_residual:.3e}",
+                                residual=last_residual, window=e.window) from None
+        if grown == window:
+            # a window the lattice stops from growing only repeats its solve
             raise NoConvergence(
-                f"window of {len(window)} ordinals exceeds cap {p.max_window} "
-                f"with residual {last_residual:.3e}",
+                f"window of {len(window)} ordinals cannot grow; "
+                f"residual {last_residual:.3e}",
                 residual=last_residual, window=len(window))
-        M, _ = section(G, window, window)
-        rhs = np.zeros(len(window), dtype=complex)
-        pos = {ix: i for i, ix in enumerate(window)}
-        for ix, amp in v.items():
-            rhs[pos[ix]] = amp
+        window = grown
         try:
             cf = scipy.linalg.cho_factor(M)
             sol = scipy.linalg.cho_solve(cf, rhs)
@@ -932,7 +918,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
             raise NoConvergence(
                 "Gram section is not positive definite (operator near-singular?)",
                 residual=last_residual, window=len(window)) from None
-        x = FinVec({ix: sol[i] for ix, i in pos.items()}, rank=v.rank)
+        x = FinVec(dict(zip(window, sol)), rank=v.rank)
         last_residual = _gram_residual(G, x, v)
         if last_residual <= p.tol * vn:
             return x
@@ -953,14 +939,17 @@ def lower_bound_estimate(T: BandOp, window: int) -> float:
     The section keeps every image row (columns are never truncated), so the
     value is exactly ``min ||T h|| / ||h||`` over vectors supported in the
     window: an upper bound for the global bound-below constant, monotone
-    nonincreasing in the window size.
+    nonincreasing in the window size.  Raises :class:`NoConvergence`, before
+    enumerating the window, when even a square section on it would exceed
+    ``SECTION_BYTE_CAP``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    cols = T.lattice.window(window)
-    if not cols or not T.bands:
+    if not T.bands:
         return 0.0
-    M, _ = section(T, cols)
+    n = T.lattice.window_size(window)
+    _require_section_fits(n, n)
+    M, _ = section(T, T.lattice.window(window))
     if M.shape[0] < M.shape[1]:
         return 0.0
     sv = np.linalg.svd(M, compute_uv=False)

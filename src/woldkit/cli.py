@@ -439,8 +439,12 @@ def build_operator(spec: OpSpec):
             return _single(build_operator(prm["a"]), "compose").compose(
                 _single(build_operator(prm["b"]), "compose"))
         if k == "pair":
-            return (_single(build_operator(prm["first"]), "pair"),
-                    _single(build_operator(prm["second"]), "pair"))
+            first = _single(build_operator(prm["first"]), "pair")
+            second = _single(build_operator(prm["second"]), "pair")
+            if first.lattice != second.lattice:
+                raise SpecError([f"pair: the operators live on different lattices, "
+                                 f"{first.lattice!r} and {second.lattice!r}"])
+            return first, second
     except SpecError:
         raise
     except (ValueError, TypeError) as e:
@@ -601,7 +605,7 @@ def _left_invertibility(T: BandOp, window: int) -> CheckReport:
         name="left_invertibility",
         residual=max(0.0, LOWER_BOUND_FLOOR - lb),
         tolerance=0.0,
-        probes_used=len(T.lattice.window(window)),
+        probes_used=T.lattice.window_size(window),
         window=window,
         details={"lower_bound": lb, "floor": LOWER_BOUND_FLOOR},
     )

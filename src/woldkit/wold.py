@@ -32,7 +32,7 @@ from .bandop import (
     BandOp,
     GramSolveParams,
     NoConvergence,
-    _padded_window,
+    _window_system,
     left_inverse_apply,
     section,
     solve_gram,
@@ -219,21 +219,13 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
             lam = np.maximum(lam, floor)
         amps = np.array([amp for _, amp in items])
         return float(np.linalg.norm(amps / np.sqrt(lam)))
-    window = _padded_window(G.lattice, v.support(), p.effective_guard(Tn))
-    if len(window) > p.max_window:
-        raise NoConvergence(f"criterion window of {len(window)} ordinals exceeds "
-                            f"cap {p.max_window}", window=len(window))
-    M, _ = section(G, window, window)
+    _, M, rhs = _window_system(G, v, p.effective_guard(Tn))
     lam, U = np.linalg.eigh(M)
     floor = 1e-14 * float(lam[-1])
     if lam[0] < floor:
         warnings.warn("Gram eigenvalue floor hit; operator is near the "
                       "left-invertibility boundary", stacklevel=2)
         lam = np.maximum(lam, floor)
-    pos = {ix: i for i, ix in enumerate(window)}
-    rhs = np.zeros(len(window), dtype=complex)
-    for ix, amp in v.items():
-        rhs[pos[ix]] = amp
     y = U.conj().T @ rhs
     return float(np.linalg.norm(y / np.sqrt(lam)))
 

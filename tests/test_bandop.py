@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from woldkit import bandop
 from woldkit.bandop import (
     BandOp,
     GramSolveParams,
@@ -59,12 +60,20 @@ def test_lattice_windows():
     assert set(uw) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+@pytest.mark.parametrize("lat", [Lattice.nat(1), Lattice.integers(2), Lattice(("nat", 3, "int")),
+                                 union(Lattice(("nat", 2)), Lattice.integers(2))],
+                         ids=["nat", "int2", "nat-3-int", "union"])
+def test_window_size_counts_window(lat):
+    for extent in (1, 2, 5):
+        assert lat.window_size(extent) == len(lat.window(extent))
+
+
 def test_lattice_shift_closure():
     nat = Lattice.nat(1)
-    assert nat.always_contains_shift((2,)) and not nat.always_contains_shift((-1,))
-    assert Lattice.integers(1).always_contains_shift((-5,))
-    assert Lattice(("nat", 3)).always_contains_shift((1, 0))
-    assert not Lattice(("nat", 3)).always_contains_shift((1, 1))
+    assert nat.decide_shift((), (2,)) is True and nat.decide_shift((), (-1,)) is None
+    assert Lattice.integers(1).decide_shift((), (-5,)) is True
+    assert Lattice(("nat", 3)).decide_shift((), (1, 0)) is True
+    assert Lattice(("nat", 3)).decide_shift((), (1, 1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +250,70 @@ def test_power_ratio_weight():
         assert abs(w.evaluate((j,), lat) - ((j + 3) / (j + 1)) ** 2) < 1e-14
 
 
+_TABLE_VALUES = (0.5 + 2j, -1.25 - 0.75j, 3.0, 1j / 3)
+_TABLE_DEFAULT = 0.2 - 1.1j
+
+
+def _table_abs2(m):
+    v = _TABLE_VALUES[m] if m < len(_TABLE_VALUES) else _TABLE_DEFAULT
+    return v.real * v.real + v.imag * v.imag
+
+
+# family -> (plain weight, closed form of its squared modulus at m >= 0,
+#            message for a negative index or None)
+ATOM_FAMILIES = {
+    "bergman": (Weight.atom("bergman"), lambda m: (m + 1) / (m + 2),
+                "Bergman weight evaluated at negative index"),
+    "dirichlet": (Weight.atom("dirichlet"), lambda m: (m + 2) / (m + 1),
+                  "Dirichlet weight evaluated at negative index"),
+    "powratio": (power_ratio(0.7, 0.3, 2),
+                 lambda m: ((1.0 + (m + 2) * 0.3) / (1.0 + m * 0.3)) ** (2.0 * 0.7),
+                 "translation weight evaluated at negative grid site"),
+    "table": (table(_TABLE_VALUES, _TABLE_DEFAULT), _table_abs2, None),
+}
+
+
+@pytest.mark.parametrize("family", list(ATOM_FAMILIES))
+def test_atom_evaluation_pinned(family):
+    plain, closed, _ = ATOM_FAMILIES[family]
+    square = plain * plain.conjugated()
+    assert [a.kind for t in square.terms for a in t.atoms] == ["abs2"]
+    lat = Lattice.nat(1)
+    for m in range(41):
+        got = square.evaluate((m,), lat)
+        assert got == closed(m) and got.imag == 0.0
+        assert abs(abs(plain.evaluate((m,), lat)) ** 2 - closed(m)) <= 1e-15 * max(1.0, closed(m))
+
+
+def test_table_atom_conj_and_default():
+    lat = Lattice.nat(1)
+    plain = table(_TABLE_VALUES, _TABLE_DEFAULT)
+    conj = plain.conjugated()
+    for m in range(41):
+        v = _TABLE_VALUES[m] if m < len(_TABLE_VALUES) else _TABLE_DEFAULT
+        assert plain.evaluate((m,), lat) == v
+        assert conj.evaluate((m,), lat) == v.conjugate()
+    # below the table the explicit default applies too
+    assert plain.evaluate((-3,), Lattice.integers(1)) == _TABLE_DEFAULT
+
+
+@pytest.mark.parametrize("family", [f for f, (_, _, msg) in ATOM_FAMILIES.items() if msg])
+def test_atom_negative_index_raises(family):
+    plain, _, msg = ATOM_FAMILIES[family]
+    lat = Lattice.integers(1)
+    for w in (plain, plain * plain.conjugated()):
+        with pytest.raises(ValueError, match=msg):
+            w.evaluate((-1,), lat)
+
+
+def test_unknown_atom_kind_raises():
+    lat = Lattice.nat(1)
+    with pytest.raises(ValueError, match="unknown"):
+        Weight.atom("nope").evaluate((0,), lat)
+    with pytest.raises(ValueError, match="unknown"):
+        Weight.atom("abs2", ("nope", ())).evaluate((0,), lat)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.integers(min_value=0, max_value=15),
                        st.complex_numbers(max_magnitude=10, allow_nan=False,
@@ -328,9 +401,6 @@ def test_decide_shift_matches_enumeration(data):
     got = lat.decide_shift(selects, off)
     moves_tag = any(off[ax] for ax in _tag_axes(lat))
     assert got is expect or (got is None and moves_tag)
-    if not selects:
-        # compose's mask-free bypass must agree with the mask rule
-        assert lat.always_contains_shift(off) == (got is True)
 
 
 @st.composite
@@ -503,12 +573,29 @@ def test_solve_gram_guard_doubling():
     assert len(x) > 5  # the solution window grew past the initial padding
 
 
-def test_solve_gram_window_cap_raises():
+def test_solve_gram_window_cap_raises(monkeypatch):
+    # the byte cap is the only bound: at 6x6 complex entries the guard
+    # doubling 1, 2, 4 solves windows of 2, 3 and 5 ordinals, then stops
+    monkeypatch.setattr(bandop, "SECTION_BYTE_CAP", 16 * 6 * 6)
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
     with pytest.raises(NoConvergence) as exc:
-        solve_gram(T, unit(0), GramSolveParams(guard=1, tol=1e-14, max_window=6))
-    assert exc.value.residual > 0
+        solve_gram(T, unit(0), GramSolveParams(guard=1, tol=1e-14))
+    assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
+    assert exc.value.window == 9
+    assert "576 bytes" in str(exc.value)
+
+
+def test_solve_gram_raises_when_the_window_cannot_grow():
+    # every axis is finite, so guard doubling keeps the same two-point window
+    # and the near-singular Gram never certifies tol=1e-15
+    lat = Lattice((2,))
+    T = BandOp(lat, [((0,), constant(1.0)), ((1,), constant(1.0)),
+                     ((-1,), constant(1.0 - 1e-6))])
+    with pytest.raises(NoConvergence, match="cannot grow") as exc:
+        solve_gram(T, unit(0), GramSolveParams(tol=1e-15))
+    assert exc.value.window == 2
+    assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
 
 
 def test_left_inverse_bergman():

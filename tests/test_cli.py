@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from woldkit.bandop import SECTION_BYTE_CAP
+import woldkit
+from woldkit.bandop import SECTION_BYTE_CAP, Lattice
 from woldkit.cli import (
     SpecError,
     build_operator,
@@ -321,6 +324,27 @@ def test_huge_window_is_refused_before_allocating(capsys, monkeypatch):
     assert all(16 * np.prod(shape) <= SECTION_BYTE_CAP for shape in shapes)
 
 
+def test_huge_rank2_window_is_refused_before_enumerating(capsys, monkeypatch):
+    # a 100001^2-point window would be built tuple by tuple; the cap must
+    # trip on the counted size before Lattice.window is asked for it
+    asked = []
+    window = Lattice.window
+
+    def recording_window(self, extent):
+        asked.append(extent)
+        return window(self, extent)
+
+    monkeypatch.setattr(Lattice, "window", recording_window)
+    spec = ('{"kind":"tensor_pair","w1":{"family":"bergman"},'
+            '"w2":{"family":"bergman"},"part":1}')
+    code = main(["check", spec, "--window", "100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("convergence error: ")
+    assert str(SECTION_BYTE_CAP) in err
+    assert 100000 not in asked
+
+
 def test_fourfold_command(tmp_path):
     code, rep = run_cli(
         tmp_path, "fourfold",
@@ -342,6 +366,9 @@ def test_fourfold_requires_pair(tmp_path):
 _BERGMAN = '{"kind":"bergman_shift"}'
 _TENSOR = ('{"kind":"tensor_pair","w1":{"family":"constant","value":1},'
            '"w2":{"family":"constant","value":1}}')
+_TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
+                     '{"kind":"tensor_pair","w1":{"family":"bergman"},'
+                     '"w2":{"family":"bergman"},"part":1}}')
 
 
 @pytest.mark.parametrize("argv", [
@@ -359,9 +386,12 @@ _TENSOR = ('{"kind":"tensor_pair","w1":{"family":"constant","value":1},'
     ["fourfold", _TENSOR, "--vector", "[[0,-1,1,0]]"],
     ["check", "DIR"],
     ["check", "NOT_UTF8"],
+    ["check", _TWO_LATTICE_PAIR],
+    ["fourfold", _TWO_LATTICE_PAIR, "--vector", "[[0,1,0]]"],
 ], ids=["window-0", "guard-neg", "tol-neg", "tol-nan", "tol-inf", "seed-neg", "n-max-0",
         "j-max-neg", "tol-0", "vector-off-lattice", "vector-bad-json",
-        "pair-vector-off-lattice", "spec-is-directory", "spec-not-utf8"])
+        "pair-vector-off-lattice", "spec-is-directory", "spec-not-utf8",
+        "pair-two-lattices-check", "pair-two-lattices-fourfold"])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
     binary = tmp_path / "spec.bin"
     binary.write_bytes(b"\xd0\xff\x00")
@@ -393,10 +423,12 @@ def test_reports_are_deterministic(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "rep.json"
+    # the child runs the same woldkit sources as this test process
+    env = {**os.environ, "PYTHONPATH": str(Path(woldkit.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "woldkit", "check", '{"kind":"bergman_shift"}',
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     rep = json.loads(out.read_text())
     assert rep["verdict"] == "pass"
