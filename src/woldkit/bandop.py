@@ -823,7 +823,7 @@ def section(T: BandOp, cols: Sequence[tuple],
     sorted, so ``M`` acts exactly on vectors supported in ``cols``; given
     ``rows``, images that land outside them are dropped.  Raises
     :class:`NoConvergence` instead of allocating more than
-    ``SECTION_BYTE_CAP`` bytes.
+    ``SECTION_BYTE_CAP`` bytes, and instead of returning a non-finite entry.
     """
     if rows is None:
         images = {_tadd(c, off) for c in cols for off, _ in T.bands}
@@ -839,6 +839,9 @@ def section(T: BandOp, cols: Sequence[tuple],
             val = w.evaluate(c, T.lattice)
             if val != 0:
                 M[i, j] += val
+    if not np.isfinite(M.view(np.float64)).all():  # both parts, at half the cost
+        raise NoConvergence(f"a {len(rows)}x{len(cols)} section has a non-finite entry: "
+                            f"a weight overflows double precision", window=len(cols))
     return M, rows
 
 
@@ -874,6 +877,10 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         return v
     G = T.gram()
     vn = v.norm()
+    if not math.isfinite(vn):
+        # an infinite norm would certify any residual
+        raise NoConvergence(f"right-hand side norm {vn} overflows double precision",
+                            residual=vn, window=0)
 
     if G.is_diagonal():
         # exactly diagonal (every weighted shift lands here): divide entrywise
@@ -912,8 +919,9 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
                 residual=last_residual, window=len(window))
         window = grown
         try:
-            cf = scipy.linalg.cho_factor(M)
-            sol = scipy.linalg.cho_solve(cf, rhs)
+            # section() refuses non-finite entries and v has a finite norm
+            cf = scipy.linalg.cho_factor(M, check_finite=False)
+            sol = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             raise NoConvergence(
                 "Gram section is not positive definite (operator near-singular?)",

@@ -20,6 +20,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -140,76 +142,40 @@ def _as_lattice_name(v, path, errors):
     return None
 
 
-def _check_fields(obj, path, errors, required, optional=()):
-    for key in required:
-        if key not in obj:
-            errors.append(f"{path}: missing required field '{key}'")
-    for key in obj:
-        if key != "kind" and key not in required and key not in optional:
-            errors.append(f"{path}: unknown field '{key}'")
-
-
-def _parse_weight(obj, path, errors):
-    if not isinstance(obj, dict):
-        errors.append(f"{path}: expected a weight object, got {obj!r}")
-        return None
-    family = obj.get("family")
-    if family == "constant":
-        _check_fields(obj, path, errors, ("family", "value"))
-        value = _as_complex(obj.get("value", 0), f"{path}.value", errors)
-        return {"family": "constant", "value": value}
-    if family in ("bergman", "dirichlet"):
-        _check_fields(obj, path, errors, ("family",))
-        return {"family": family}
-    if family == "table":
-        _check_fields(obj, path, errors, ("family", "values", "default"))
-        values = obj.get("values")
-        if not isinstance(values, list) or not values:
-            errors.append(f"{path}.values: expected a nonempty list")
-            vals = ()
-        else:
-            vals = tuple(_as_complex(v, f"{path}.values[{i}]", errors) or 0j
-                         for i, v in enumerate(values))
-        default = _as_complex(obj.get("default", 0), f"{path}.default", errors)
-        return {"family": "table", "values": vals, "default": default}
-    errors.append(f"{path}.family: expected one of constant/bergman/dirichlet/table, "
-                  f"got {family!r}")
+def _as_number(v, path, errors):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    errors.append(f"{path}: expected a number")
     return None
 
 
-def _parse_phi(obj, path, errors):
-    if not isinstance(obj, dict):
-        errors.append(f"{path}: expected an envelope object, got {obj!r}")
-        return None
-    kind = obj.get("kind")
-    if kind == "exp":
-        _check_fields(obj, path, errors, ("kind", "alpha"))
-        alpha = obj.get("alpha")
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            errors.append(f"{path}.alpha: expected a number")
-            alpha = 0.0
-        return {"kind": "exp", "alpha": float(alpha)}
-    if kind == "power":
-        _check_fields(obj, path, errors, ("kind", "beta"))
-        beta = obj.get("beta")
-        if not isinstance(beta, (int, float)) or isinstance(beta, bool):
-            errors.append(f"{path}.beta: expected a number")
-            beta = 0.0
-        return {"kind": "power", "beta": float(beta)}
-    if kind == "table":
-        _check_fields(obj, path, errors, ("kind", "samples", "h", "tail_ratio"))
-        samples = obj.get("samples")
-        if not isinstance(samples, list) or not samples or \
-                any(not isinstance(s, (int, float)) or isinstance(s, bool) or s <= 0
-                    for s in samples):
-            errors.append(f"{path}.samples: expected a nonempty list of positive numbers")
-            samples = [1.0]
-        h = _as_positive_number(obj.get("h", 0), f"{path}.h", errors)
-        tail = _as_positive_number(obj.get("tail_ratio", 0), f"{path}.tail_ratio", errors)
-        return {"kind": "table", "samples": tuple(float(s) for s in samples),
-                "h": h, "tail_ratio": tail}
-    errors.append(f"{path}.kind: expected one of exp/power/table, got {kind!r}")
+def _as_step(v, path, errors):
+    if isinstance(v, int) and not isinstance(v, bool) and v >= 1:
+        return v
+    errors.append(f"{path}: expected a positive integer, got {v!r}")
     return None
+
+
+def _as_part(v, path, errors):
+    if v in (1, 2):
+        return v
+    errors.append(f"{path}: expected 1 or 2, got {v!r}")
+    return None
+
+
+def _as_values(v, path, errors):
+    if not isinstance(v, list) or not v:
+        errors.append(f"{path}: expected a nonempty list")
+        return None
+    return tuple(_as_complex(x, f"{path}[{i}]", errors) for i, x in enumerate(v))
+
+
+def _as_samples(v, path, errors):
+    if not isinstance(v, list) or not v or \
+            any(not isinstance(s, (int, float)) or isinstance(s, bool) or s <= 0 for s in v):
+        errors.append(f"{path}: expected a nonempty list of positive numbers")
+        return None
+    return tuple(float(s) for s in v)
 
 
 def _parse_matrix(obj, path, errors):
@@ -236,136 +202,210 @@ def _parse_matrix(obj, path, errors):
     return tuple(rows)
 
 
-def _parse_node(obj, path, errors):
+def _check_fields(obj, path, errors, tag, form):
+    for key in form.required:
+        if key not in obj:
+            errors.append(f"{path}: missing required field '{key}'")
+    for key in obj:
+        if key != tag and key not in form.required and key not in form.optional:
+            errors.append(f"{path}: unknown field '{key}'")
+
+
+def _parse_form(registry, tag, obj, path, errors, what, unknown):
+    """``(name, params)`` of a spec object whose ``tag`` field names an entry
+    of ``registry``; otherwise None, with the error recorded.  Each field is
+    parsed as ``FIELDS`` says, in the order the entry lists them."""
     if not isinstance(obj, dict):
-        errors.append(f"{path}: expected an object, got {obj!r}")
+        errors.append(f"{path}: expected {what}, got {obj!r}")
         return None
-    kind = obj.get("kind")
-    if kind not in KIND_VALIDATORS:
-        errors.append(f"{path}.kind: unknown operator kind {kind!r}")
+    name = obj.get(tag)
+    if not isinstance(name, str) or name not in registry:
+        errors.append(f"{path}.{tag}: {unknown} {name!r}")
         return None
-    params = KIND_VALIDATORS[kind](obj, path, errors)
-    return OpSpec(kind, params or {})
+    form = registry[name]
+    _check_fields(obj, path, errors, tag, form)
+    params = {}
+    for key in form.required + form.optional:
+        absent, parse = FIELDS[key]
+        if key in obj or absent is not _OMIT:
+            params[key] = parse(obj.get(key, absent), f"{path}.{key}", errors)
+    if form.validate is not None:
+        form.validate(params, path, errors)
+    return name, params
 
 
-def _v_identity(obj, path, errors):
-    _check_fields(obj, path, errors, (), ("lattice",))
-    lat = _as_lattice_name(obj.get("lattice", "nat"), f"{path}.lattice", errors)
-    return {"lattice": lat or "nat"}
+def _parse_family(registry, tag, what, obj, path, errors):
+    """A weight or envelope object as one dict: its family under ``tag``,
+    then its parameters."""
+    parsed = _parse_form(registry, tag, obj, path, errors, what,
+                         f"expected one of {'/'.join(registry)}, got")
+    return None if parsed is None else {tag: parsed[0], **parsed[1]}
 
 
-def _v_weighted_shift(obj, path, errors):
-    _check_fields(obj, path, errors, ("weight",), ("step", "lattice"))
-    w = _parse_weight(obj.get("weight"), f"{path}.weight", errors)
-    step = obj.get("step", 1)
-    if not isinstance(step, int) or isinstance(step, bool) or step < 1:
-        errors.append(f"{path}.step: expected a positive integer, got {step!r}")
-        step = 1
-    lat = _as_lattice_name(obj.get("lattice", "nat"), f"{path}.lattice", errors)
-    return {"weight": w, "step": step, "lattice": lat or "nat"}
+def _parse_node(obj, path, errors):
+    parsed = _parse_form(KINDS, "kind", obj, path, errors, "an object",
+                         "unknown operator kind")
+    return None if parsed is None else OpSpec(*parsed)
 
 
-def _v_plain(obj, path, errors):
-    _check_fields(obj, path, errors, ())
-    return {}
+# ---------------------------------------------------------------------------
+# the spec registry: every operator kind, weight family and envelope family
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Form:
+    """One spec form: its summary, its fields besides the tag, a builder
+    ``params -> value`` and an optional check across fields."""
+
+    summary: str
+    required: tuple
+    optional: tuple
+    build: Callable
+    validate: Callable | None = None
 
 
-def _v_weighted_translation(obj, path, errors):
-    _check_fields(obj, path, errors, ("phi", "t", "h"))
-    phi = _parse_phi(obj.get("phi"), f"{path}.phi", errors)
-    t = _as_positive_number(obj.get("t", 0), f"{path}.t", errors)
-    h = _as_positive_number(obj.get("h", 0), f"{path}.h", errors)
+WEIGHT_FAMILIES = {  # the "family" of a weight object
+    "constant": Form("the same value at every index", ("value",), (),
+                     lambda w: constant(w["value"])),
+    "bergman": Form("sqrt((k+1)/(k+2))", (), (), lambda w: bergman()),
+    "dirichlet": Form("sqrt((k+2)/(k+1))", (), (), lambda w: dirichlet()),
+    "table": Form("the listed values, then the default", ("values", "default"), (),
+                  lambda w: table(w["values"], w["default"])),
+}
+
+PHI_FAMILIES = {  # the "kind" of a weighted translation's envelope object
+    "exp": Form("phi(x) = e^(alpha x)", ("alpha",), (), lambda p: PhiFamily.exp(p["alpha"])),
+    "power": Form("phi(x) = (1+x)^beta", ("beta",), (), lambda p: PhiFamily.power(p["beta"])),
+    "table": Form("samples on a grid of spacing h, tail_ratio beyond them",
+                  ("samples", "h", "tail_ratio"), (),
+                  lambda p: PhiFamily.table(p["samples"], p["h"], p["tail_ratio"])),
+}
+
+
+_parse_weight = partial(_parse_family, WEIGHT_FAMILIES, "family", "a weight object")
+_parse_phi = partial(_parse_family, PHI_FAMILIES, "kind", "an envelope object")
+_OMIT = object()  # an optional field without a default stays out of params
+
+FIELDS = {  # every spec field: (value parsed when the field is absent, parser)
+    "step": (1, _as_step),
+    "part": (_OMIT, _as_part),
+    "phi": (None, _parse_phi),
+    "L": (None, _parse_matrix),
+    "values": (None, _as_values),
+    "samples": (None, _as_samples),
+    **dict.fromkeys(("lattice", "lattice1", "lattice2"), ("nat", _as_lattice_name)),
+    **dict.fromkeys(("weight", "w1", "w2"), (None, _parse_weight)),
+    **dict.fromkeys(("a", "b", "child", "first", "second"), (None, _parse_node)),
+    **dict.fromkeys(("t", "h", "tail_ratio"), (0, _as_positive_number)),
+    **dict.fromkeys(("factor", "value", "default"), (0, _as_complex)),
+    **dict.fromkeys(("alpha", "beta"), (None, _as_number)),
+}
+
+
+def _weight(w: dict) -> Weight:
+    return WEIGHT_FAMILIES[w["family"]].build(w)
+
+
+def _single(spec: OpSpec, what: str) -> BandOp:
+    built = build_operator(spec)
+    if isinstance(built, tuple):
+        raise SpecError([f"{what} needs a single operator, but the spec names a pair"])
+    return built
+
+
+def _commensurate(params, path, errors):
+    t, h = params["t"], params["h"]
     if t and h:
         s = t / h
-        if abs(s - round(s)) > 1e-9 * max(1.0, abs(s)) or round(s) < 1:
+        if not math.isfinite(s) or abs(s - round(s)) > 1e-9 * max(1.0, abs(s)) or round(s) < 1:
             errors.append(f"{path}: translation step t/h = {s} is not a positive "
                           f"integer (incommensurate grid)")
-    return {"phi": phi, "t": t, "h": h}
 
 
-def _v_quasinormal_block(obj, path, errors):
-    _check_fields(obj, path, errors, ("L",))
-    L = _parse_matrix(obj.get("L"), f"{path}.L", errors)
-    return {"L": L}
+def _b_tensor_pair(p):
+    T1, T2 = tensor_pair(_weight(p["w1"]), _weight(p["w2"]), p["lattice1"], p["lattice2"])
+    if "part" in p:
+        return T1 if p["part"] == 1 else T2
+    return (T1, T2)
 
 
-def _v_tensor_pair(obj, path, errors):
-    _check_fields(obj, path, errors, ("w1", "w2"), ("lattice1", "lattice2", "part"))
-    w1 = _parse_weight(obj.get("w1"), f"{path}.w1", errors)
-    w2 = _parse_weight(obj.get("w2"), f"{path}.w2", errors)
-    lat1 = _as_lattice_name(obj.get("lattice1", "nat"), f"{path}.lattice1", errors)
-    lat2 = _as_lattice_name(obj.get("lattice2", "nat"), f"{path}.lattice2", errors)
-    out = {"w1": w1, "w2": w2, "lattice1": lat1 or "nat", "lattice2": lat2 or "nat"}
-    if "part" in obj:
-        part = obj["part"]
-        if part not in (1, 2):
-            errors.append(f"{path}.part: expected 1 or 2, got {part!r}")
-        else:
-            out["part"] = part
-    return out
+def _b_pair(p):
+    first, second = _single(p["first"], "pair"), _single(p["second"], "pair")
+    if first.lattice != second.lattice:
+        raise SpecError([f"pair: the operators live on different lattices, "
+                         f"{first.lattice!r} and {second.lattice!r}"])
+    return first, second
 
 
-def _v_two_children(obj, path, errors):
-    _check_fields(obj, path, errors, ("a", "b"))
-    return {"a": _parse_node(obj.get("a"), f"{path}.a", errors),
-            "b": _parse_node(obj.get("b"), f"{path}.b", errors)}
-
-
-def _v_scale(obj, path, errors):
-    _check_fields(obj, path, errors, ("factor", "child"))
-    factor = _as_complex(obj.get("factor", 0), f"{path}.factor", errors)
-    return {"factor": factor,
-            "child": _parse_node(obj.get("child"), f"{path}.child", errors)}
-
-
-def _v_adjoint(obj, path, errors):
-    _check_fields(obj, path, errors, ("child",))
-    return {"child": _parse_node(obj.get("child"), f"{path}.child", errors)}
-
-
-def _v_pair(obj, path, errors):
-    _check_fields(obj, path, errors, ("first", "second"))
-    return {"first": _parse_node(obj.get("first"), f"{path}.first", errors),
-            "second": _parse_node(obj.get("second"), f"{path}.second", errors)}
-
-
-KIND_VALIDATORS = {
-    "identity": _v_identity,
-    "weighted_shift": _v_weighted_shift,
-    "bergman_shift": _v_plain,
-    "dirichlet_shift": _v_plain,
-    "weighted_translation": _v_weighted_translation,
-    "quasinormal_block": _v_quasinormal_block,
-    "tensor_pair": _v_tensor_pair,
-    "direct_sum": _v_two_children,
-    "scale": _v_scale,
-    "adjoint": _v_adjoint,
-    "compose": _v_two_children,
-    "pair": _v_pair,
+# Builders name zoo constructors and build_operator at call time, so a
+# wrapper installed on this module's namespace sees every call.
+KINDS = {
+    "identity": Form(
+        "identity operator on a rank-1 lattice ('nat' or 'int')",
+        (), ("lattice",), lambda p: identity_on(p["lattice"])),
+    "weighted_shift": Form(
+        "e_k -> w(k) e_{k+step}; weight family " + "/".join(WEIGHT_FAMILIES),
+        ("weight",), ("step", "lattice"),
+        lambda p: weighted_shift(_weight(p["weight"]), p["step"], p["lattice"])),
+    "bergman_shift": Form(
+        "unilateral shift with weights sqrt((k+1)/(k+2))",
+        (), (), lambda p: weighted_shift(bergman(), 1, "nat")),
+    "dirichlet_shift": Form(
+        "unilateral shift with weights sqrt((k+2)/(k+1))",
+        (), (), lambda p: weighted_shift(dirichlet(), 1, "nat")),
+    "weighted_translation": Form(
+        f"grid translation by t with envelope-ratio weights (phi {'/'.join(PHI_FAMILIES)})",
+        ("phi", "t", "h"), (),
+        lambda p: weighted_translation(PHI_FAMILIES[p["phi"]["kind"]].build(p["phi"]),
+                                       p["t"], p["h"]),
+        _commensurate),
+    "quasinormal_block": Form(
+        "block shift (k_0, k_1, ...) -> (0, L k_0, L k_1, ...), L Hermitian PD",
+        ("L",), (), lambda p: quasinormal_block(np.array(p["L"], dtype=complex))),
+    "tensor_pair": Form(
+        "double-commuting pair shifting the two axes of a product lattice",
+        ("w1", "w2"), ("lattice1", "lattice2", "part"), _b_tensor_pair),
+    "direct_sum": Form(
+        "block operator acting summand-wise on a tagged union lattice",
+        ("a", "b"), (),
+        lambda p: direct_sum(_single(p["a"], "direct_sum"), _single(p["b"], "direct_sum"))),
+    "scale": Form(
+        "scalar multiple of a child operator",
+        ("factor", "child"), (), lambda p: p["factor"] * _single(p["child"], "scale")),
+    "adjoint": Form(
+        "adjoint of a child operator",
+        ("child",), (), lambda p: _single(p["child"], "adjoint").adjoint()),
+    "compose": Form(
+        "composition a after b of two child operators",
+        ("a", "b"), (),
+        lambda p: _single(p["a"], "compose").compose(_single(p["b"], "compose"))),
+    "pair": Form(
+        "explicit operator pair for the pair commands",
+        ("first", "second"), (), _b_pair),
 }
 
-KIND_SUMMARIES = {
-    "identity": "identity operator on a rank-1 lattice ('nat' or 'int')",
-    "weighted_shift": "e_k -> w(k) e_{k+step}; weight family constant/bergman/dirichlet/table",
-    "bergman_shift": "unilateral shift with weights sqrt((k+1)/(k+2))",
-    "dirichlet_shift": "unilateral shift with weights sqrt((k+2)/(k+1))",
-    "weighted_translation": "grid translation by t with envelope-ratio weights (phi exp/power/table)",
-    "quasinormal_block": "block shift (k_0, k_1, ...) -> (0, L k_0, L k_1, ...), L Hermitian PD",
-    "tensor_pair": "double-commuting pair shifting the two axes of a product lattice",
-    "direct_sum": "block operator acting summand-wise on a tagged union lattice",
-    "scale": "scalar multiple of a child operator",
-    "adjoint": "adjoint of a child operator",
-    "compose": "composition a after b of two child operators",
-    "pair": "explicit operator pair for the pair commands",
-}
+
+def _load_json(text: str, what: str):
+    """Decode JSON in which every number is a finite double: NaN, Infinity
+    and literals that overflow (1e400, a 400-digit integer) are refused."""
+    def finite(literal, kind=float):
+        try:
+            value = kind(literal)
+            if math.isfinite(value):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        raise SpecError([f"{what}: {literal[:32]} is not a finite double-precision number"])
+    try:
+        return json.loads(text, parse_constant=finite, parse_float=finite,
+                          parse_int=partial(finite, kind=int))
+    except json.JSONDecodeError as e:
+        raise SpecError([f"{what}: invalid JSON: {e}"]) from None
 
 
 def parse_spec(text: str) -> OpSpec:
     """Parse and fully validate a JSON operator spec; collects all errors."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpecError([f"$: invalid JSON: {e}"]) from None
+    obj = _load_json(text, "$")
     errors: list[str] = []
     spec = _parse_node(obj, "$", errors)
     if errors:
@@ -377,79 +417,17 @@ def serialize_spec(spec: OpSpec) -> dict:
     return spec.to_dict()
 
 
-# ---------------------------------------------------------------------------
-# spec -> operator
-# ---------------------------------------------------------------------------
-
-def _build_weight(w: dict) -> Weight:
-    family = w["family"]
-    if family == "constant":
-        return constant(w["value"])
-    if family == "bergman":
-        return bergman()
-    if family == "dirichlet":
-        return dirichlet()
-    return table(w["values"], w["default"])
-
-
-def _build_phi(p: dict) -> PhiFamily:
-    if p["kind"] == "exp":
-        return PhiFamily.exp(p["alpha"])
-    if p["kind"] == "power":
-        return PhiFamily.power(p["beta"])
-    return PhiFamily.table(p["samples"], p["h"], p["tail_ratio"])
-
-
-def _single(value, what):
-    if isinstance(value, tuple):
-        raise SpecError([f"{what} needs a single operator, but the spec names a pair"])
-    return value
-
-
 def build_operator(spec: OpSpec):
     """Turn a validated spec into a BandOp, or a pair for pair-shaped specs."""
-    k, prm = spec.kind, spec.params
+    form = KINDS.get(spec.kind)
+    if form is None:
+        raise SpecError([f"unknown operator kind {spec.kind!r}"])
     try:
-        if k == "identity":
-            return identity_on(prm["lattice"])
-        if k == "weighted_shift":
-            return weighted_shift(_build_weight(prm["weight"]), prm["step"], prm["lattice"])
-        if k == "bergman_shift":
-            return weighted_shift(bergman(), 1, "nat")
-        if k == "dirichlet_shift":
-            return weighted_shift(dirichlet(), 1, "nat")
-        if k == "weighted_translation":
-            return weighted_translation(_build_phi(prm["phi"]), prm["t"], prm["h"])
-        if k == "quasinormal_block":
-            return quasinormal_block(np.array(prm["L"], dtype=complex))
-        if k == "tensor_pair":
-            T1, T2 = tensor_pair(_build_weight(prm["w1"]), _build_weight(prm["w2"]),
-                                 prm["lattice1"], prm["lattice2"])
-            if "part" in prm:
-                return T1 if prm["part"] == 1 else T2
-            return (T1, T2)
-        if k == "direct_sum":
-            return direct_sum(_single(build_operator(prm["a"]), "direct_sum"),
-                              _single(build_operator(prm["b"]), "direct_sum"))
-        if k == "scale":
-            return prm["factor"] * _single(build_operator(prm["child"]), "scale")
-        if k == "adjoint":
-            return _single(build_operator(prm["child"]), "adjoint").adjoint()
-        if k == "compose":
-            return _single(build_operator(prm["a"]), "compose").compose(
-                _single(build_operator(prm["b"]), "compose"))
-        if k == "pair":
-            first = _single(build_operator(prm["first"]), "pair")
-            second = _single(build_operator(prm["second"]), "pair")
-            if first.lattice != second.lattice:
-                raise SpecError([f"pair: the operators live on different lattices, "
-                                 f"{first.lattice!r} and {second.lattice!r}"])
-            return first, second
+        return form.build(spec.params)
     except SpecError:
         raise
-    except (ValueError, TypeError) as e:
-        raise SpecError([f"building '{k}': {e}"]) from None
-    raise SpecError([f"unknown operator kind {k!r}"])
+    except (ValueError, TypeError, ArithmeticError) as e:
+        raise SpecError([f"building '{spec.kind}': {e}"]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +536,7 @@ def _read_source(source: str) -> str:
 
 
 def _read_vector(source: str, lattice) -> FinVec:
-    try:
-        obj = json.loads(_read_source(source))
-    except json.JSONDecodeError as e:
-        raise SpecError([f"vector: invalid JSON: {e}"]) from None
-    v = parse_vector_literal(obj, rank=lattice.rank)
+    v = parse_vector_literal(_load_json(_read_source(source), "vector"), rank=lattice.rank)
     outside = [ix for ix in v.support() if not lattice.contains(ix)]
     if outside:
         raise SpecError([f"vector: index {ix} lies outside {lattice!r}" for ix in outside])
@@ -675,7 +649,7 @@ def _oracle_check(T: BandOp, probes, args) -> dict:
 
 def _cmd_decompose(args) -> int:
     spec = parse_spec(_read_source(args.spec))
-    T = _single(build_operator(spec), "decompose")
+    T = _single(spec, "decompose")
     v = _read_vector(args.vector, T.lattice)
     tol = args.tol if args.tol is not None else 1e-10
     p = GramSolveParams(guard=args.guard, tol=tol)
@@ -767,8 +741,7 @@ def _cmd_zoo(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "woldkit", "version": __version__},
         "command": "zoo list",
-        "kinds": [{"kind": k, "summary": KIND_SUMMARIES[k]}
-                  for k in sorted(KIND_VALIDATORS)],
+        "kinds": [{"kind": k, "summary": KINDS[k].summary} for k in sorted(KINDS)],
     }
     _emit(report, args.out)
     return 0
@@ -844,6 +817,9 @@ def main(argv=None) -> int:
     except (NoConvergence, NoStrongConvergence, SeriesNotConverged,
             InputNotInHInfinity) as e:
         print(f"convergence error: {e}", file=sys.stderr)
+        return 2
+    except OverflowError as e:
+        print(f"overflow error: a value exceeds double precision: {e}", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as e:
         print(f"spec error: {e}", file=sys.stderr)

@@ -60,12 +60,18 @@ def weighted_shift(weight: Weight, step: int = 1, lattice="nat") -> BandOp:
     if lat.rank != 1:
         raise RankMismatch("weighted_shift builds rank-1 operators; use tensor_pair for rank 2")
     T = BandOp(lat, (((step,), weight),))
-    probe = lat.window(32)
-    vals = [abs(weight.evaluate(ix, lat)) for ix in probe]
+    _probe_weight(weight, lat)
+    return T
+
+
+def _probe_weight(weight: Weight, lat: Lattice) -> None:
+    """Evaluate a shift weight on a probe window of its rank-1 lattice, so a
+    weight undefined there raises at build time; warn when it is not bounded
+    away from zero, since the shift is then not left invertible."""
+    vals = [abs(weight.evaluate(ix, lat)) for ix in lat.window(32)]
     if not vals or min(vals) < 1e-12:
         warnings.warn("shift weight is not bounded below on the probe window; "
-                      "the operator is not left invertible", stacklevel=2)
-    return T
+                      "the operator is not left invertible", stacklevel=3)
 
 
 def unilateral_shift() -> BandOp:
@@ -142,7 +148,8 @@ def weighted_translation(phi: PhiFamily, t: float, h: float) -> BandOp:
         raise IncommensurateStep(t, h)
     if phi.kind == "exp":
         (alpha,) = phi.params
-        w = constant(np.exp(alpha * s * h))
+        with np.errstate(over="raise"):  # an infinite weight makes no operator
+            w = constant(np.exp(alpha * s * h))
     elif phi.kind == "power":
         (beta,) = phi.params
         w = power_ratio(beta, h, s)
@@ -200,12 +207,15 @@ def tensor_pair(w1: Weight, w2: Weight, lattice1="nat", lattice2="nat") -> tuple
 
     The first shifts axis 0 with weight ``w1`` (given on axis 0), the second
     shifts axis 1 with weight ``w2`` (given on axis 0 and re-homed to axis 1).
+    Each weight is probed on its own axis as :func:`weighted_shift` probes it.
     """
     ax1 = _as_lattice(lattice1).axes[0]
     ax2 = _as_lattice(lattice2).axes[0]
     lat = Lattice((ax1, ax2))
     T1 = BandOp(lat, (((1, 0), w1),))
     T2 = BandOp(lat, (((0, 1), w2.embedded()),))
+    _probe_weight(w1, Lattice((ax1,)))
+    _probe_weight(w2, Lattice((ax2,)))
     return T1, T2
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import woldkit
-from woldkit.bandop import SECTION_BYTE_CAP, Lattice
+from woldkit.bandop import SECTION_BYTE_CAP, Lattice, NoConvergence, section
 from woldkit.cli import (
     SpecError,
     build_operator,
@@ -68,6 +68,74 @@ def test_parse_rejects_non_hermitian_matrix():
 def test_parse_invalid_json():
     with pytest.raises(SpecError):
         parse_spec("{nope")
+
+
+_B = '{"kind":"bergman_shift"}'
+_BB = '{"family":"bergman"}'
+
+# malformed specs and the exact errors parse_spec or build_operator reports
+MALFORMED_SPECS = {
+    "unknown-kind": ('{"kind":"nope"}', ["$.kind: unknown operator kind 'nope'"]),
+    "unknown-family": (
+        '{"kind":"weighted_shift","weight":{"family":"nope"}}',
+        ["$.weight.family: expected one of constant/bergman/dirichlet/table, got 'nope'"]),
+    "unknown-envelope": (
+        '{"kind":"weighted_translation","phi":{"kind":"nope"},"t":1,"h":1}',
+        ["$.phi.kind: expected one of exp/power/table, got 'nope'"]),
+    "missing-field": ('{"kind":"scale","child":' + _B + '}',
+                      ["$: missing required field 'factor'"]),
+    "unknown-field": ('{"kind":"bergman_shift","extra":1}', ["$: unknown field 'extra'"]),
+    "bad-step": ('{"kind":"weighted_shift","weight":' + _BB + ',"step":0}',
+                 ["$.step: expected a positive integer, got 0"]),
+    "bad-part": ('{"kind":"tensor_pair","w1":' + _BB + ',"w2":' + _BB + ',"part":3}',
+                 ["$.part: expected 1 or 2, got 3"]),
+    "bad-lattice": ('{"kind":"identity","lattice":"bogus"}',
+                    ["$.lattice: expected 'nat' or 'int', got 'bogus'"]),
+    "non-object-node": ('{"kind":"compose","a":5,"b":' + _B + '}',
+                        ["$.a: expected an object, got 5"]),
+    "pair-in-single-slot": (
+        '{"kind":"adjoint","child":{"kind":"pair","first":' + _B + ',"second":' + _B + '}}',
+        ["adjoint needs a single operator, but the spec names a pair"]),
+    "incommensurate": (
+        '{"kind":"weighted_translation","phi":{"kind":"exp","alpha":1.0},"t":1.0,"h":0.4}',
+        ["$: translation step t/h = 2.5 is not a positive integer (incommensurate grid)"]),
+    "non-hermitian": ('{"kind":"quasinormal_block","L":[[2,1],[0,3]]}',
+                      ["$.L: matrix must be Hermitian"]),
+    "not-positive-definite": (
+        '{"kind":"quasinormal_block","L":[[1,2],[2,1]]}',
+        ["$.L: matrix must be positive definite (smallest eigenvalue -1.000e+00)"]),
+    "all-errors": (
+        '{"kind":"weighted_shift","step":0,"lattice":"bogus","extra":1}',
+        ["$: missing required field 'weight'", "$: unknown field 'extra'",
+         "$.weight: expected a weight object, got None",
+         "$.step: expected a positive integer, got 0",
+         "$.lattice: expected 'nat' or 'int', got 'bogus'"]),
+    "bad-table": (
+        '{"kind":"weighted_shift","weight":{"family":"table","values":[],"default":"x"}}',
+        ["$.weight.values: expected a nonempty list",
+         "$.weight.default: expected a number or [re, im] pair, got 'x'"]),
+    "bad-envelope-table": (
+        '{"kind":"weighted_translation","phi":{"kind":"table","samples":[1,-1],"h":0,'
+        '"tail_ratio":1,"x":2},"t":1,"h":1}',
+        ["$.phi: unknown field 'x'",
+         "$.phi.samples: expected a nonempty list of positive numbers",
+         "$.phi.h: expected a positive number, got 0"]),
+    "pair-two-lattices": (
+        '{"kind":"pair","first":' + _B + ',"second":{"kind":"tensor_pair","w1":' + _BB
+        + ',"w2":' + _BB + ',"part":1}}',
+        ["pair: the operators live on different lattices, "
+         "Lattice(('nat',)) and Lattice(('nat', 'nat'))"]),
+    "invalid-json": ('{"kind": nope}',
+                     ["$: invalid JSON: Expecting value: line 1 column 10 (char 9)"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SPECS))
+def test_spec_error_text_pinned(name):
+    text, errors = MALFORMED_SPECS[name]
+    with pytest.raises(SpecError) as exc:
+        build_operator(parse_spec(text))
+    assert exc.value.errors == errors
 
 
 def test_spec_round_trip():
@@ -366,6 +434,18 @@ def test_fourfold_requires_pair(tmp_path):
 _BERGMAN = '{"kind":"bergman_shift"}'
 _TENSOR = ('{"kind":"tensor_pair","w1":{"family":"constant","value":1},'
            '"w2":{"family":"constant","value":1}}')
+_TENSOR_BERGMAN_INT = ('{"kind":"tensor_pair","w1":{"family":"bergman"},'
+                       '"w2":{"family":"bergman"},"lattice1":"int","part":1}')
+
+
+def _shift(weight):
+    return '{"kind":"weighted_shift","weight":' + weight + '}'
+
+
+def _translation(phi, t="1.0", h="1.0"):
+    return '{"kind":"weighted_translation","phi":' + phi + f',"t":{t},"h":{h}}}'
+
+
 _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
                      '{"kind":"tensor_pair","w1":{"family":"bergman"},'
                      '"w2":{"family":"bergman"},"part":1}}')
@@ -388,10 +468,30 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
     ["check", "NOT_UTF8"],
     ["check", _TWO_LATTICE_PAIR],
     ["fourfold", _TWO_LATTICE_PAIR, "--vector", "[[0,1,0]]"],
+    ["check", _translation('{"kind":"exp","alpha":1.0}', t="Infinity")],
+    ["check", _translation('{"kind":"exp","alpha":1.0}', t="1e300", h="1e-300")],
+    ["check", '{"kind":"scale","factor":NaN,"child":' + _BERGMAN + '}'],
+    ["check", '{"kind":"quasinormal_block","L":[[NaN]]}'],
+    ["check", _translation('{"kind":"power","beta":NaN}')],
+    ["check", _translation('{"kind":"power","beta":2000}')],
+    ["check", _translation('{"kind":"exp","alpha":1e308}')],
+    ["check", _shift('{"family":"table","values":[1],"default":NaN}')],
+    ["check", _shift('{"family":"constant","value":Infinity}')],
+    ["check", _shift('{"family":"constant","value":-Infinity}')],
+    ["check", _shift('{"family":"constant","value":1e400}')],
+    ["check", _shift('{"family":"constant","value":1' + "0" * 400 + '}')],
+    ["check", _shift('{"family":"constant","value":1' + "0" * 5000 + '}')],
+    ["decompose", _BERGMAN, "--vector", "[[0,NaN,0]]"],
+    ["check", _TENSOR_BERGMAN_INT],
+    ["fourfold", _TENSOR_BERGMAN_INT.replace(',"part":1', ""), "--vector", "[[0,0,1,0]]"],
 ], ids=["window-0", "guard-neg", "tol-neg", "tol-nan", "tol-inf", "seed-neg", "n-max-0",
         "j-max-neg", "tol-0", "vector-off-lattice", "vector-bad-json",
         "pair-vector-off-lattice", "spec-is-directory", "spec-not-utf8",
-        "pair-two-lattices-check", "pair-two-lattices-fourfold"])
+        "pair-two-lattices-check", "pair-two-lattices-fourfold", "t-infinity",
+        "t-over-h-overflows", "factor-nan", "L-nan", "beta-nan", "beta-2000-overflows-at-build",
+        "alpha-1e308-overflows-at-build", "table-default-nan", "value-infinity",
+        "value-minus-infinity", "value-1e400", "value-400-digits", "value-5000-digits",
+        "vector-nan", "tensor-bergman-on-int-axis", "tensor-bergman-on-int-axis-fourfold"])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
     binary = tmp_path / "spec.bin"
     binary.write_bytes(b"\xd0\xff\x00")
@@ -401,6 +501,38 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
     assert code == 1
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("spec error: ")
+
+
+_BIG = '{"kind":"scale","factor":1e200,"child":' + _BERGMAN + '}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", _shift('{"family":"constant","value":1e40}')],
+    ["check", '{"kind":"compose","a":' + _BIG + ',"b":' + _BIG + '}'],
+    ["check", _translation('{"kind":"power","beta":600}')],
+    ["decompose", _shift('{"family":"constant","value":1e200}'), "--vector", "[[1,1,0]]"],
+], ids=["value-1e40", "compose-1e200-scales", "beta-600", "decompose-value-1e200"])
+def test_overflowing_weights_exit_2_with_one_line(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("convergence error: ", "overflow error: "))
+
+
+def test_section_refuses_non_finite_entries():
+    T = build_operator(parse_spec(_shift('{"family":"constant","value":1e200}')))
+    section(T, [(0,), (1,)])  # T itself is finite
+    with pytest.raises(NoConvergence, match="non-finite"):
+        section(T.gram(), [(0,), (1,)])
+
+
+def test_tensor_pair_refuses_weight_undefined_on_its_axis():
+    with pytest.raises(SpecError) as exc:
+        build_operator(parse_spec(_TENSOR_BERGMAN_INT))
+    assert exc.value.errors == [
+        "building 'tensor_pair': Bergman weight evaluated at negative index -1"]
 
 
 def test_zoo_list(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from woldkit.seqspace import (
     FinVec,
@@ -118,6 +118,7 @@ def _to_vec(d):
     return FinVec({(k,): v for k, v in d.items()}, rank=1)
 
 
+@seed(20170416)
 @settings(max_examples=80, deadline=None)
 @given(_vecs, _vecs)
 def test_inner_conjugate_symmetry(du, dv):
@@ -125,6 +126,7 @@ def test_inner_conjugate_symmetry(du, dv):
     assert inner(u, v) == inner(v, u).conjugate()
 
 
+@seed(20170417)
 @settings(max_examples=80, deadline=None)
 @given(_vecs, st.complex_numbers(max_magnitude=1e2, allow_nan=False, allow_infinity=False))
 def test_norm_scaling(du, alpha):

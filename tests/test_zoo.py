@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from woldkit.bandop import constant, identity, lower_bound_estimate
+from woldkit.bandop import bergman, constant, dirichlet, identity, lower_bound_estimate, table
 from woldkit.seqspace import RankMismatch, unit
 from woldkit.zoo import (
     IncommensurateStep,
@@ -141,6 +141,25 @@ def test_tensor_pair_mixed_lattices():
     T1, T2 = tensor_pair(constant(1.0), constant(1.0), "int", "nat")
     assert T1.apply(unit((-3, 0))) == unit((-2, 0))
     assert T2.adjoint().apply(unit((-3, 0))).is_zero
+
+
+def test_tensor_pair_probes_each_weight_on_its_own_axis():
+    with pytest.raises(ValueError, match="negative index -1"):
+        tensor_pair(bergman(), constant(1.0), "int", "nat")
+    with pytest.raises(ValueError, match="negative index -1"):
+        tensor_pair(constant(1.0), dirichlet(), "nat", "int")
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_tensor_pair_warns_on_zero_table_weight_like_weighted_shift(factor):
+    zero = table([1.0, 0.0], 1.0)
+    with pytest.warns(UserWarning, match="not bounded below") as shift_warning:
+        weighted_shift(zero)
+    weights = (zero, constant(1.0)) if factor == 1 else (constant(1.0), zero)
+    with pytest.warns(UserWarning, match="not bounded below") as pair_warning:
+        tensor_pair(*weights)
+    assert [str(w.message) for w in pair_warning] == [str(w.message) for w in shift_warning]
+    assert pair_warning[0].filename == __file__
 
 
 def test_direct_sum_summand_action():
