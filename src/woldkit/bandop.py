@@ -117,17 +117,11 @@ class Lattice:
         return len(self.axes)
 
     def contains(self, ix: tuple) -> bool:
-        if len(ix) != len(self.axes):
+        if len(ix) != len(self.bounds):
             return False
-        for c, a in zip(ix, self.axes):
-            if a == "nat":
-                if c < 0:
-                    return False
-            elif a == "int":
-                continue
-            else:
-                if not (0 <= c < a):
-                    return False
+        for c, (lo, hi) in zip(ix, self.bounds):
+            if not lo <= c <= hi:
+                return False
         return True
 
     def _axis_window(self, a, extent: int) -> range:
@@ -649,7 +643,7 @@ class BandOp:
                 val = w.evaluate(ix, self.lattice)
                 if val != 0:
                     acc[tgt] = acc.get(tgt, 0j) + val * amp
-        return FinVec(acc, rank=self.rank)
+        return FinVec._wrap(acc, self.rank)
 
     def __call__(self, u: FinVec) -> FinVec:
         return self.apply(u)
@@ -896,7 +890,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
                 break
             entries[ix] = complex(amp.real / g.real, amp.imag / g.real)
         if ok:
-            x = FinVec(entries, rank=v.rank)
+            x = FinVec._wrap(entries, v.rank)
             r = _gram_residual(G, x, v)
             if r <= p.tol * vn:
                 return x
@@ -926,7 +920,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
             raise NoConvergence(
                 "Gram section is not positive definite (operator near-singular?)",
                 residual=last_residual, window=len(window)) from None
-        x = FinVec(dict(zip(window, sol)), rank=v.rank)
+        x = FinVec._wrap(dict(zip(window, sol.tolist())), v.rank)  # Python complex
         last_residual = _gram_residual(G, x, v)
         if last_residual <= p.tol * vn:
             return x

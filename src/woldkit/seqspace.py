@@ -61,6 +61,15 @@ class FinVec:
         self._entries = data
         self._rank = int(r)
 
+    @classmethod
+    def _wrap(cls, data: dict, rank: int) -> "FinVec":
+        """Trusted constructor: ``data`` maps int tuples of length ``rank``
+        to Python ``complex`` already, so only exact zeros are dropped."""
+        v = cls.__new__(cls)
+        v._entries = {ix: a for ix, a in data.items() if a != 0}
+        v._rank = rank
+        return v
+
     @property
     def rank(self) -> int:
         return self._rank
@@ -97,7 +106,7 @@ class FinVec:
         data = dict(self._entries)
         for ix, a in other._entries.items():
             data[ix] = data.get(ix, 0j) + a
-        return FinVec(data, rank=self._rank)
+        return FinVec._wrap(data, self._rank)
 
     def __sub__(self, other: "FinVec") -> "FinVec":
         if not isinstance(other, FinVec):
@@ -107,11 +116,11 @@ class FinVec:
         data = dict(self._entries)
         for ix, a in other._entries.items():
             data[ix] = data.get(ix, 0j) - a
-        return FinVec(data, rank=self._rank)
+        return FinVec._wrap(data, self._rank)
 
     def __mul__(self, alpha) -> "FinVec":
         alpha = complex(alpha)
-        return FinVec({ix: alpha * a for ix, a in self._entries.items()}, rank=self._rank)
+        return FinVec._wrap({ix: alpha * a for ix, a in self._entries.items()}, self._rank)
 
     __rmul__ = __mul__
 
@@ -119,7 +128,7 @@ class FinVec:
         return self * (1.0 / complex(alpha))
 
     def __neg__(self) -> "FinVec":
-        return FinVec({ix: -a for ix, a in self._entries.items()}, rank=self._rank)
+        return FinVec._wrap({ix: -a for ix, a in self._entries.items()}, self._rank)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinVec):

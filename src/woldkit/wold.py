@@ -32,6 +32,7 @@ from .bandop import (
     BandOp,
     GramSolveParams,
     NoConvergence,
+    _tadd,
     _window_system,
     left_inverse_apply,
     section,
@@ -134,6 +135,9 @@ def _adjoint_orbit_settled(adjT: BandOp, w: FinVec, budget: int) -> bool:
     surviving invertible component can mask a dying one, so a small-delta
     plateau is only trusted once the forward orbit (computed with exact band
     arithmetic, no solves) shows no further losses within the budget.
+
+    The reference walk: the two loops' linear-time tests below agree with
+    it, and the series loop still calls it where they cannot decide.
     """
     size = len(w)
     for _ in range(budget):
@@ -142,6 +146,49 @@ def _adjoint_orbit_settled(adjT: BandOp, w: FinVec, budget: int) -> bool:
             return False
         size = len(w)
     return True
+
+
+class _Orbit:
+    """Lazily extended orbit ``v, f(v), f(f(v)), ...`` of a step ``f``."""
+
+    def __init__(self, start, step):
+        self.items, self._step, self._k = [start], step, 0
+
+    def at(self, k: int):
+        while len(self.items) <= k:
+            self.items.append(self._step(self.items[-1]))
+        return self.items[k]
+
+    def settled(self, p: int, end: int) -> bool:
+        """No drop of ``len`` at ``p+1 .. end``, for ``p`` nondecreasing between
+        calls: ``p+1 .. _k-1`` hold none, so each position is scanned once."""
+        k = max(p + 1, self._k)
+        while k <= end and len(self.at(k)) >= len(self.items[k - 1]):
+            k += 1
+        self._k = k
+        return k > end
+
+
+class _SeriesSettle:
+    """``_adjoint_orbit_settled(adjT, x_j, j_max - j)`` for nondecreasing j.
+    A single band maps indices injectively, so ``supp (T*)^k x`` lies in the
+    support-only orbit (sorted index tuples, as a shift keeps their order,
+    started at ``supp x_j0`` and kept while entry ``j - j0`` is ``supp x_j``):
+    a drop there within the budget proves the walk False.  Only a level
+    orbit runs the walk, which alone sees amplitudes underflow."""
+
+    def __init__(self, adjT: BandOp, j_max: int):
+        self.adjT, self.j_max, self.orbit, self.j0 = adjT, j_max, None, 0
+
+    def __call__(self, x: FinVec, j: int) -> bool:
+        if len(self.adjT.bands) == 1:
+            if self.orbit is None or self.orbit.at(j - self.j0) != x.support():
+                ((off, _),), lat = self.adjT.bands, self.adjT.lattice
+                self.orbit, self.j0 = _Orbit(x.support(), lambda S: tuple(
+                    t for t in (_tadd(s, off) for s in S) if lat.contains(t))), j
+            if not self.orbit.settled(j - self.j0, self.j_max - self.j0):
+                return False
+        return _adjoint_orbit_settled(self.adjT, x, self.j_max - j)
 
 
 def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
@@ -165,20 +212,23 @@ def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = N
     prev = h
     history: list[float] = []
     consec = 0
-    w = h  # (T*)^n h, maintained without solves
+    orbit = _Orbit(h, adjT.apply)  # (T*)^n h, maintained without solves
     for n in range(1, n_max + 1):
         Tn = T ** n
-        w = adjT.apply(w)
+        w = orbit.at(n)
         if w.is_zero:
             history.append(prev.norm())
             return FinVec((), rank=h.rank), tuple(history)
-        x = solve_gram(Tn, w, p)
+        try:
+            x = solve_gram(Tn, w, p)
+        except NoConvergence as e:
+            raise NoConvergence(f"limit phase, n={n}: {e}", e.residual, e.window) from e
         cur = Tn.apply(x)
         delta = (prev - cur).norm()
         history.append(delta)
         if delta <= p.tol * hn:
             consec += 1
-            if consec >= 3 and _adjoint_orbit_settled(adjT, w, n_max - n):
+            if consec >= 3 and orbit.settled(n, n_max):
                 return cur, tuple(history)
         else:
             consec = 0
@@ -305,7 +355,7 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     n_used = len(history)
 
     comps: list[FinVec] = []
-    adjT = T.adjoint()
+    settled = _SeriesSettle(T.adjoint(), j_max)
     iterates = [h]  # (T~)^j h, each solved once and reused by the drift check
     x = h
     consec = 0
@@ -317,7 +367,10 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
             j_used = j - 1
             flags.append("series terminated exactly: left-inverse iterate vanished")
             break
-        d, pulled = _defect_and_pullback(T, x, p)
+        try:
+            d, pulled = _defect_and_pullback(T, x, p)
+        except NoConvergence as e:
+            raise NoConvergence(f"series phase, j={j}: {e}", e.residual, e.window) from e
         iterates.append(pulled)
         c = d
         for _ in range(j):
@@ -328,7 +381,7 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
             consec += 1
             # a run of negligible components is only trusted once the
             # iterate's forward orbit shows no more structural losses
-            if consec >= 3 and _adjoint_orbit_settled(adjT, x, j_max - j):
+            if consec >= 3 and settled(x, j):
                 terminated = True
                 break
         else:

@@ -672,3 +672,30 @@ def test_lower_bound_invertible_bilateral():
     from woldkit.zoo import weighted_shift
     T = weighted_shift(constant(2.0), 1, "int")
     assert abs(lower_bound_estimate(T, 8) - 2.0) < 1e-12
+
+
+def _assert_public_form(out: FinVec) -> None:
+    """``out`` is exactly what the validating public constructor builds."""
+    assert out == FinVec(dict(out._entries), rank=out.rank)
+    for ix, a in out._entries.items():
+        assert type(ix) is tuple and len(ix) == out.rank
+        assert all(type(c) is int for c in ix)
+        assert type(a) is complex and a != 0
+
+
+def test_trusted_outputs_equal_public_constructor():
+    # internal vectors skip validation, so each engine output must already be
+    # in the form the public constructor would give it
+    rng = np.random.default_rng(20170428)
+    for name, T in ZOO:
+        u = rand_vec(T.lattice, rng, size=5, extent=6)
+        v = rand_vec(T.lattice, rng, size=5, extent=6)
+        for out in (T.apply(u), T.adjoint().apply(u), u + v, u - v, u - u, 2.5j * u,
+                    u * np.float64(0.5), 0 * u, -u, u / 3):
+            _assert_public_form(out)
+        _assert_public_form(solve_gram(T, u))  # diagonal Gram: entrywise path
+    S = unilateral_shift()
+    T = S + 0.5 * identity(S.lattice)
+    assert not T.gram().is_diagonal()
+    _assert_public_form(solve_gram(T, unit(0) + 1j * unit(3)))  # windowed path
+

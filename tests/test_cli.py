@@ -521,6 +521,15 @@ def test_overflowing_weights_exit_2_with_one_line(capsys, argv):
     assert err.startswith(("convergence error: ", "overflow error: "))
 
 
+def test_convergence_error_names_the_loop_phase(capsys):
+    code = main(["decompose", _shift('{"family":"constant","value":1e200}'),
+                 "--vector", "[[1,1,0]]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("convergence error: limit phase, n=1: right-hand side norm inf "
+                   "overflows double precision\n")
+
+
 def test_section_refuses_non_finite_entries():
     T = build_operator(parse_spec(_shift('{"family":"constant","value":1e200}')))
     section(T, [(0,), (1,)])  # T itself is finite

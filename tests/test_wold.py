@@ -1,11 +1,14 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import woldkit.bandop
 import woldkit.wold
-from woldkit.bandop import BandOp, GramSolveParams, Weight, constant
+from woldkit.bandop import (BandOp, GramSolveParams, NoConvergence, Weight, constant,
+                            left_inverse_apply, lower_bound_estimate)
 from woldkit.oracle import dense_section, oracle_project
 from woldkit.seqspace import FinVec, inner, unit, zero
 from woldkit.wold import (
@@ -20,6 +23,9 @@ from woldkit.wold import (
     shift_limit_project,
     surjectivity_witness,
     wandering_basis,
+    _adjoint_orbit_settled,
+    _Orbit,
+    _SeriesSettle,
 )
 from woldkit.zoo import (
     bergman_shift,
@@ -393,6 +399,131 @@ def test_decompose_components_match_series_component():
     res = decompose(B, h)
     for j, c in enumerate(res.components[:5]):
         assert (c - series_component(B, j, h)).norm() <= 1e-12
+
+
+def _full_repr(res) -> str:
+    """Every field of a WoldResult at full precision (FinVec's repr elides)."""
+    vec = lambda v: (v.rank, v.items())
+    return repr((vec(res.limit_part), [vec(c) for c in res.components],
+                 res.reconstruction_residual, res.convergence_history,
+                 res.n_used, res.j_used, res.component_cross_max, res.flags))
+
+
+# the operators of the benchmark's shift-series workload, all conftest fixtures
+_SHIFT_SERIES = ("bergman_shift", "dirichlet_shift", "translation_power", "translation_exp",
+                 "unilateral_shift", "double_bilateral", "mixed_sum")
+
+
+def test_decompose_digest_pinned():
+    # bit-identity of decompose across engine changes: the sha256 of the
+    # full-precision results on two seeded vectors per diagonal-Gram fixture
+    diagonal = [(name, T) for name, T in ZOO if T.gram().is_diagonal()]
+    assert set(_SHIFT_SERIES) <= {name for name, _ in diagonal}
+    digest = hashlib.sha256()
+    for name, T in diagonal:
+        rng = np.random.default_rng(20170425)
+        for size, extent in ((3, 8), (4, 24)):
+            digest.update(_full_repr(decompose(T, rand_vec(T.lattice, rng, size, extent))).encode())
+    assert digest.hexdigest() == \
+        "2a59d31caa120c9fa773190193971f20350e1056bffd54361396e914501861d1"
+
+
+def test_series_settle_sees_amplitudes_underflow():
+    # T~ = 100 S*, T* = S*/100: the orbits of x_j under T* underflow to zero
+    # within the budget until j = 48, which a support-only test cannot see
+    res = decompose(0.01 * bilateral_shift(), unit(0) + 0.5 * unit(3))
+    assert res.j_used == 48
+    assert hashlib.sha256(_full_repr(res).encode()).hexdigest() == \
+        "4503b5ba9df7ae0a050b65facafdaf31cb4f9fb3ddc8b8a4842139a6bb0e49a7"
+
+
+def _settle_operators():
+    """Every fixture, its adjoint where that is left invertible, scaled shifts
+    whose orbits underflow, and a two-band operator whose supports grow."""
+    ops = []
+    for name, T in make_zoo_fixtures():
+        ops.append((name, T))
+        if lower_bound_estimate(T.adjoint(), 8) > 1e-3:
+            ops.append((name + "*", T.adjoint()))
+    S = unilateral_shift()
+    ops += [("0.01*bilateral", 0.01 * bilateral_shift()), ("1e-3*bergman", 1e-3 * bergman_shift()),
+            ("S+S^2/2", S + 0.5 * (S ** 2))]
+    return ops
+
+
+_SETTLE_OPS = _settle_operators()
+
+
+def _check_settle_tests(T, h, positions, end, chain_len):
+    """Both linear-time settle tests, at nondecreasing positions, against the walk."""
+    adjT = T.adjoint()
+    orbit = _Orbit(h, adjT.apply)
+    walked = h
+    for n in range(max(positions, default=0) + 1):
+        assert orbit.at(n) == walked
+        walked = adjT.apply(walked)
+    for n in positions:
+        assert orbit.settled(n, end) == _adjoint_orbit_settled(adjT, orbit.at(n), end - n)
+    # the series test, fed its loop's left-inverse iterates, then the T* orbit
+    # (whose supports re-enter the record) and then unrelated vectors
+    xs = [h]
+    for _ in range(chain_len):
+        xs.append(left_inverse_apply(T, xs[-1]))
+    for seq in (xs, orbit.items, orbit.items[::-1]):
+        settle = _SeriesSettle(adjT, end)
+        for j in positions:
+            if j < len(seq) and not seq[j].is_zero:
+                assert settle(seq[j], j) == _adjoint_orbit_settled(adjT, seq[j], end - j)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _SETTLE_OPS])
+def test_settle_record_matches_walk(name):
+    T = dict(_SETTLE_OPS)[name]
+    rng = np.random.default_rng(20170426)
+    for extent in (3, 12):
+        h = rand_vec(T.lattice, rng, size=4, extent=extent)
+        _check_settle_tests(T, h, range(25), 24, 12)
+    # amplitudes that underflow along the orbit of a contracting T*
+    _check_settle_tests(T, 1e-300 * h, range(25), 24, 0)
+
+
+@seed(20170427)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_settle_record_matches_walk_on_random_supports(data):
+    name, T = data.draw(st.sampled_from(_SETTLE_OPS))
+    support = data.draw(st.lists(st.sampled_from(T.lattice.window(10)), min_size=1,
+                                 max_size=5, unique=True))
+    # tiny amplitudes underflow along the orbit of a contracting T*
+    amps = data.draw(st.lists(st.sampled_from((1.0, -0.5j, 0.25 + 2j, 1e-300, 5e-324)),
+                              min_size=len(support), max_size=len(support)))
+    h = FinVec(dict(zip(support, amps)), rank=T.rank)
+    end = data.draw(st.integers(0, 40))
+    positions = sorted(data.draw(st.lists(st.integers(0, end), max_size=10)))
+    normal = all(abs(a) > 1e-200 for a in amps)  # left-inverse iterates stay solvable
+    _check_settle_tests(T, h, positions, end, 8 if normal else 0)
+
+
+def test_convergence_errors_name_phase_and_iteration(monkeypatch):
+    real = woldkit.wold.solve_gram
+    calls = []
+
+    def failing_at(k):
+        def solve(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == k:
+                raise NoConvergence("window exhausted", residual=0.5, window=7)
+            return real(*args, **kwargs)
+        return solve
+
+    # e3 under the Bergman shift: limit solves n = 1, 2, 3, then the series
+    for k, where in ((2, "limit phase, n=2"), (5, "series phase, j=1")):
+        calls.clear()
+        monkeypatch.setattr(woldkit.wold, "solve_gram", failing_at(k))
+        with pytest.raises(NoConvergence) as exc:
+            decompose(bergman_shift(), unit(3))
+        assert str(exc.value) == f"{where}: window exhausted"
+        assert (exc.value.residual, exc.value.window) == (0.5, 7)
 
 
 # ---------------------------------------------------------------------------

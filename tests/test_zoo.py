@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from woldkit.bandop import bergman, constant, dirichlet, identity, lower_bound_estimate, table
+from woldkit.bandop import (Lattice, Weight, bergman, constant, dirichlet, identity,
+                            lower_bound_estimate, table)
 from woldkit.seqspace import RankMismatch, unit
 from woldkit.zoo import (
     IncommensurateStep,
@@ -148,6 +149,23 @@ def test_tensor_pair_probes_each_weight_on_its_own_axis():
         tensor_pair(bergman(), constant(1.0), "int", "nat")
     with pytest.raises(ValueError, match="negative index -1"):
         tensor_pair(constant(1.0), dirichlet(), "nat", "int")
+
+
+@pytest.mark.parametrize("axis", ["nat", "int", 5])
+def test_probe_visits_the_window_in_graded_order(monkeypatch, axis):
+    # the probe generates Lattice.window(32)'s points without sorting them;
+    # the order decides which undefined index a build error names
+    seen = []
+    evaluate = Weight.evaluate
+
+    def recording(self, ix, lattice):
+        seen.append(ix)
+        return evaluate(self, ix, lattice)
+
+    monkeypatch.setattr(Weight, "evaluate", recording)
+    lat = Lattice((axis,))
+    weighted_shift(constant(1.0), 1, lat)
+    assert seen == lat.window(32)
 
 
 @pytest.mark.parametrize("factor", [1, 2])
