@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -60,7 +61,7 @@ class NoConvergence(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _tadd(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _tneg(a: tuple) -> tuple:
@@ -78,6 +79,24 @@ def _axis_bounds(a) -> tuple:
 def _verdict(cover: tuple[bool, bool]) -> bool | None:
     every, none = cover
     return False if none else (True if every else None)
+
+
+def _box_union(boxes: list[tuple], axis: int) -> list[tuple]:
+    """The points of a union of boxes (tuples of inclusive per-axis
+    intervals; empty ones add nothing), projected onto the axes from
+    ``axis`` on, in lexicographic order."""
+    if axis == len(boxes[0]):
+        return [()]
+    cuts = sorted({b[axis][0] for b in boxes} | {b[axis][1] + 1 for b in boxes})
+    out = []
+    for start, stop in zip(cuts, cuts[1:]):
+        # the boxes covering a coordinate change only at a cut, so the
+        # coordinates of one segment share one union over the later axes
+        active = [b for b in boxes if b[axis][0] <= start <= b[axis][1]]
+        if active:
+            tail = _box_union(active, axis + 1)
+            out += [(x,) + t for x in range(start, stop) for t in tail]
+    return out
 
 
 class Lattice:
@@ -145,20 +164,18 @@ class Lattice:
         """``len(self.window(extent))``, counted without enumerating."""
         return math.prod(len(self._axis_window(a, extent)) for a in self.axes)
 
-    def _axis_pad(self, a, guard: int) -> range:
-        if a == "nat" or a == "int":
-            return range(-guard, guard + 1)
-        return range(-(a - 1), a)
+    def neighbourhood(self, support: Iterable[tuple], guard: int) -> list[tuple]:
+        """Sorted lattice indices within sup-distance ``guard`` of the
+        in-lattice ``support``; finite axes are always covered whole.
 
-    def ball(self, center: tuple, guard: int) -> Iterable[tuple]:
-        """In-lattice indices within sup-distance ``guard`` of ``center``.
-
-        Finite axes are always padded over their whole range.
+        Each support entry spans a box of per-axis intervals clipped to the
+        lattice; the window is emitted from the merged intervals of the
+        boxes, without enumerating any box.
         """
-        for off in itertools.product(*(self._axis_pad(a, guard) for a in self.axes)):
-            ix = _tadd(center, off)
-            if self.contains(ix):
-                yield ix
+        boxes = {tuple((max(lo, x - guard), min(hi, x + guard)) if a in ("nat", "int")
+                       else (lo, hi) for x, a, (lo, hi) in zip(c, self.axes, self.bounds))
+                 for c in support}
+        return _box_union(list(boxes), 0) if boxes else []
 
     def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
         """Decide the mask ``k + off in lattice`` over the in-lattice ``k``
@@ -256,10 +273,13 @@ class UnionLattice:
     def window_size(self, extent: int) -> int:
         return self.left.window_size(extent) + self.right.window_size(extent)
 
-    def ball(self, center: tuple, guard: int) -> Iterable[tuple]:
-        tag = center[0]
-        for ix in self.parts[tag].ball(center[1:], guard):
-            yield (tag,) + ix
+    def neighbourhood(self, support: Iterable[tuple], guard: int) -> list[tuple]:
+        """Like :meth:`Lattice.neighbourhood`, per part (tag 0 sorts first)."""
+        by_tag = ([], [])
+        for ix in support:
+            by_tag[ix[0]].append(ix[1:])
+        return [(tag,) + ix for tag, part in enumerate(self.parts)
+                for ix in part.neighbourhood(by_tag[tag], guard)]
 
     def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
         """Like :meth:`Lattice.decide_shift`; axis 0 is the tag coordinate."""
@@ -819,20 +839,19 @@ def section(T: BandOp, cols: Sequence[tuple],
     :class:`NoConvergence` instead of allocating more than
     ``SECTION_BYTE_CAP`` bytes, and instead of returning a non-finite entry.
     """
+    lat = T.lattice
+    images = [[_tadd(c, off) for c in cols] for off, _ in T.bands]
     if rows is None:
-        images = {_tadd(c, off) for c in cols for off, _ in T.bands}
-        rows = sorted(ix for ix in images if T.lattice.contains(ix))
+        rows = sorted({ix for band in images for ix in band if lat.contains(ix)})
     _require_section_fits(len(rows), len(cols))
     pos = {ix: i for i, ix in enumerate(rows)}
     M = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        for off, w in T.bands:
-            i = pos.get(_tadd(c, off))
-            if i is None:
-                continue
-            val = w.evaluate(c, T.lattice)
-            if val != 0:
-                M[i, j] += val
+    # one write per band: distinct offsets send a column to distinct rows,
+    # so every cell is written at most once and holds exactly ``0 + value``
+    for (_, w), band in zip(T.bands, images):
+        hit = [j for j, ix in enumerate(band) if ix in pos]
+        if hit:
+            M[[pos[band[j]] for j in hit], hit] += [w.evaluate(cols[j], lat) for j in hit]
     if not np.isfinite(M.view(np.float64)).all():  # both parts, at half the cost
         raise NoConvergence(f"a {len(rows)}x{len(cols)} section has a non-finite entry: "
                             f"a weight overflows double precision", window=len(cols))
@@ -843,10 +862,7 @@ def _window_system(G: BandOp, v: FinVec, guard: int) -> tuple[list, np.ndarray, 
     """The guarded finite-section system of ``G x = v``: the window (sorted
     in-lattice indices within ``guard`` of the support of ``v``), the section
     of ``G`` on it and ``v`` as a right-hand side over it."""
-    pts: set[tuple] = set()
-    for s in v.support():
-        pts.update(G.lattice.ball(s, guard))
-    window = sorted(pts)
+    window = G.lattice.neighbourhood(v.support(), guard)
     M, _ = section(G, window, window)
     pos = {ix: i for i, ix in enumerate(window)}
     rhs = np.zeros(len(window), dtype=complex)

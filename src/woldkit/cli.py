@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -807,23 +808,30 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    try:
-        _check_flags(args)
-        return args.func(args)
-    except SpecError as e:
-        for msg in e.errors:
-            print(f"spec error: {msg}", file=sys.stderr)
-        return 1
-    except (NoConvergence, NoStrongConvergence, SeriesNotConverged,
-            InputNotInHInfinity) as e:
-        print(f"convergence error: {e}", file=sys.stderr)
-        return 2
-    except OverflowError as e:
-        print(f"overflow error: a value exceeds double precision: {e}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"spec error: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _check_flags(args)
+            code = args.func(args)
+        except SpecError as e:
+            for msg in e.errors:
+                print(f"spec error: {msg}", file=sys.stderr)
+            return 1
+        except (NoConvergence, NoStrongConvergence, SeriesNotConverged,
+                InputNotInHInfinity) as e:
+            print(f"convergence error: {e}", file=sys.stderr)
+            return 2
+        except OverflowError as e:
+            print(f"overflow error: a value exceeds double precision: {e}", file=sys.stderr)
+            return 2
+        except (OSError, UnicodeDecodeError) as e:
+            print(f"spec error: {e}", file=sys.stderr)
+            return 1
+    # an error exit keeps its one line; a report gets one line per distinct
+    # library warning, without the Python source location
+    for msg in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

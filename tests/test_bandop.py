@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -385,6 +386,53 @@ def _offset(draw, lat, reach):
                  for ax in range(lat.rank))
 
 
+def _ball_reference(lat, support, guard):
+    """Gram windows by brute force: the sorted union of per-entry balls, i.e.
+    every in-lattice index within sup-distance ``guard`` of a support entry,
+    with finite axes padded over their whole range."""
+    def ball(lat, c):
+        if isinstance(lat, UnionLattice):
+            return [(c[0],) + ix for ix in ball(lat.parts[c[0]], c[1:])]
+        pads = [range(-guard, guard + 1) if a in ("nat", "int") else range(-(a - 1), a)
+                for a in lat.axes]
+        shifted = (tuple(x + o for x, o in zip(c, off)) for off in itertools.product(*pads))
+        return [ix for ix in shifted if lat.contains(ix)]
+
+    pts = set()
+    for c in support:
+        pts.update(ball(lat, c))
+    return sorted(pts)
+
+
+@seed(20170428)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_neighbourhood_matches_union_of_balls(data):
+    # supports near the 'nat' edge and on negative 'int' coordinates, with
+    # guards small enough that boxes overlap, touch or stay apart
+    lat = data.draw(lattices())
+    guard = data.draw(st.integers(0, 3))
+    support = data.draw(st.lists(st.sampled_from(lat.window(4)), max_size=6))
+    assert lat.neighbourhood(support, guard) == _ball_reference(lat, support, guard)
+
+
+@pytest.mark.parametrize("lat, support, guard", [
+    (Lattice.nat(1), [(0,), (3,)], 1),            # boxes [0, 1] and [2, 4] touch
+    (Lattice.nat(1), [(0,), (4,)], 1),            # a gap of one index
+    (Lattice.integers(1), [(-5,), (-3,)], 1),     # overlapping, negative
+    (Lattice.nat(1), [(2,), (0,), (2,)], 0),      # guard 0, unsorted, repeated
+    (Lattice(("nat", 3)), [(0, 2), (3, 0)], 1),   # touching along the leading axis
+    (Lattice(("int", "nat")), [(-2, 0), (1, 3), (0, 1)], 1),
+    (Lattice(("nat", "int", 2)), [(1, -1, 0), (3, 1, 1)], 1),
+    (union(Lattice.integers(1), Lattice(("nat",))), [(1, 0), (0, -2), (1, 3)], 1),
+    (union(union(Lattice.nat(1), Lattice.integers(1)), union(Lattice((2,)), Lattice.nat(1))),
+     [(0, 1, -1), (1, 0, 1), (1, 1, 0)], 2),
+    (Lattice.nat(2), [], 3),
+])
+def test_neighbourhood_edge_cases(lat, support, guard):
+    assert lat.neighbourhood(support, guard) == _ball_reference(lat, support, guard)
+
+
 @seed(20170413)
 @settings(max_examples=300, deadline=None)
 @given(st.data())
@@ -519,6 +567,47 @@ def test_section_acts_exactly_on_its_columns(zoo_op, variant):
         got = M @ np.array([u[ix] for ix in cols])
         want = np.array([image[ix] for ix in rows])
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _section_reference(T, cols, rows=None):
+    """``section`` entry by entry: columns outside, bands inside."""
+    if rows is None:
+        images = {tuple(x + o for x, o in zip(c, off)) for c in cols for off, _ in T.bands}
+        rows = sorted(ix for ix in images if T.lattice.contains(ix))
+    pos = {ix: i for i, ix in enumerate(rows)}
+    M = np.zeros((len(rows), len(cols)), dtype=complex)
+    for j, c in enumerate(cols):
+        for off, w in T.bands:
+            i = pos.get(tuple(x + o for x, o in zip(c, off)))
+            if i is not None:
+                val = w.evaluate(c, T.lattice)
+                if val != 0:
+                    M[i, j] += val
+    return M, rows
+
+
+def _section_operators():
+    blocks = [quasinormal_block(np.array(BLOCK_2)), quasinormal_block(np.array(BLOCK_3))]
+    ops = [(name, T) for name, T in ZOO]
+    ops += [("block_2", blocks[0]), ("block_3", blocks[1]),
+            ("block_sum", direct_sum(blocks[0], quasinormal_block(np.array(BLOCK_2) + 1)))]
+    return [(f"{name}{suffix}", op) for name, T in ops
+            for suffix, op in (("", T), ("_gram", T.gram()), ("_complex_adjoint",
+                                                              (0.5 + 2j) * T.adjoint()))]
+
+
+_SECTION_OPS = _section_operators()
+
+
+@pytest.mark.parametrize("T", [T for _, T in _SECTION_OPS], ids=[name for name, _ in _SECTION_OPS])
+def test_section_bit_identical_to_entrywise_reference(T):
+    cols = T.lattice.window(5)
+    given = [ix for ix in T.lattice.window(6) if sum(map(abs, ix)) % 3]  # with holes
+    for args in ((cols,), (cols, cols), (cols, given)):
+        M, rows = section(T, *args)
+        ref, ref_rows = _section_reference(T, *args)
+        assert list(rows) == list(ref_rows)
+        assert M.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -241,15 +241,46 @@ def test_check_pair_product_closure(tmp_path):
     assert "double_commuting" in names and "product_closure" in names
 
 
-def test_check_gating_failure_exit_code(tmp_path):
-    # a weight that vanishes is not bounded below: left invertibility fails
-    with pytest.warns(UserWarning):
-        code, rep = run_cli(
-            tmp_path, "check",
-            '{"kind":"weighted_shift","weight":{"family":"table",'
-            '"values":[1,0],"default":1}}')
+def test_check_gating_failure_exit_code(tmp_path, capsys):
+    # a weight that vanishes is not bounded below: left invertibility fails,
+    # and the library's warning about it reaches stderr as one line
+    code, rep = run_cli(
+        tmp_path, "check",
+        '{"kind":"weighted_shift","weight":{"family":"table",'
+        '"values":[1,0],"default":1}}')
     assert code == 3
     assert rep["verdict"] == "fail"
+    assert capsys.readouterr().err == ("warning: shift weight is not bounded below on "
+                                       "the probe window; the operator is not left invertible\n")
+
+
+def test_library_warning_is_one_stderr_line(capsys):
+    code = main(["check", '{"kind":"quasinormal_block","L":[[1,0],[0,1]]}'])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["verdict"] == "pass"
+    lines = captured.err.splitlines()
+    assert lines == ["warning: smallest eigenvalue of L is <= 1; the block shift is not "
+                     "expansive and may be close to an isometry"]
+    assert "UserWarning" not in captured.err and ".py" not in captured.err
+
+
+def test_error_exit_keeps_its_one_line(capsys):
+    # building the block warns, then the vector is refused: only the error shows
+    code = main(["decompose", '{"kind":"quasinormal_block","L":[[1,0],[0,1]]}',
+                 "--vector", "[[0,5,1,0]]"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "spec error: vector: index (0, 5) lies outside Lattice(('nat', 2))\n"
+
+
+def test_warnings_repeat_on_every_call_once_each(capsys):
+    # each call reports its own warnings, whatever an earlier call showed
+    block = '{"kind":"quasinormal_block","L":[[1,0],[0,1]]}'
+    spec = f'{{"kind":"direct_sum","a":{block},"b":{block}}}'
+    for _ in range(2):
+        assert main(["check", spec]) in (0, 3)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: smallest eigenvalue")
 
 
 def test_check_full_quasinormal_block_finishes(tmp_path):

@@ -9,6 +9,7 @@ import woldkit.bandop
 import woldkit.wold
 from woldkit.bandop import (BandOp, GramSolveParams, NoConvergence, Weight, constant,
                             left_inverse_apply, lower_bound_estimate)
+from woldkit.classd import classd_residual, default_probes
 from woldkit.oracle import dense_section, oracle_project
 from woldkit.seqspace import FinVec, inner, unit, zero
 from woldkit.wold import (
@@ -33,6 +34,7 @@ from woldkit.zoo import (
     direct_sum,
     dirichlet_shift,
     embed_summand,
+    quasinormal_block,
     summand_part,
     unilateral_shift,
     weighted_shift,
@@ -426,6 +428,49 @@ def test_decompose_digest_pinned():
             digest.update(_full_repr(decompose(T, rand_vec(T.lattice, rng, size, extent))).encode())
     assert digest.hexdigest() == \
         "2a59d31caa120c9fa773190193971f20350e1056bffd54361396e914501861d1"
+
+
+# full Hermitian blocks: their Grams are not diagonal, so every solve below
+# goes through the guarded finite-section (windowed) path
+_L2 = np.array([[2.5, 0.3], [0.3, 2.8]])
+_L2B = np.array([[3.0, -0.2 + 0.1j], [-0.2 - 0.1j, 2.3]])
+_L3 = np.array([[2.4, 0.2 + 0.3j, -0.1j], [0.2 - 0.3j, 2.9, 0.25], [0.1j, 0.25, 2.6]])
+
+
+def _windowed_fixtures():
+    """Operators whose Gram is not diagonal: a real d=2 and a complex d=3
+    full block, a direct sum of two full blocks (union lattice) and the
+    two-band ``S + S^2/2``."""
+    S = unilateral_shift()
+    return [("block_real_2", quasinormal_block(_L2)),
+            ("block_complex_3", quasinormal_block(_L3)),
+            ("block_sum", direct_sum(quasinormal_block(_L2), quasinormal_block(_L2B))),
+            ("two_band", S + 0.5 * (S ** 2))]
+
+
+def test_windowed_digest_pinned():
+    # bit-identity of the windowed Gram path: the sha256 of decompose (blocks
+    # only; the two-band series loop is too slow for a unit test, so its
+    # left inverse is hashed instead), classd_residual, analytic_criterion,
+    # lower_bound_estimate and wandering_basis at full precision
+    vec = lambda v: repr((v.rank, v.items()))
+    digest = hashlib.sha256()
+    for name, T in _windowed_fixtures():
+        assert not T.gram().is_diagonal(), name
+        rng = np.random.default_rng(20170426)
+        h = rand_vec(T.lattice, rng, 3, 3)
+        if name == "two_band":
+            digest.update(vec(left_inverse_apply(T, h)).encode())
+        else:
+            digest.update(_full_repr(decompose(T, h)).encode())
+        probes = default_probes(T.lattice, n_basis=4, n_random=2, max_support=3,
+                                seed=7, extent=3)
+        digest.update(repr(classd_residual(T, n_max=3, probes=probes)).encode())
+        digest.update(repr(analytic_criterion(T, h, 2)).encode())
+        digest.update(repr(lower_bound_estimate(T, 6)).encode())
+        digest.update(repr([vec(b) for b in wandering_basis(T, 6)]).encode())
+    assert digest.hexdigest() == \
+        "b870f0382833a814b643c2e91470e4427019f83289d60ef31eb3c2156fd50a86"
 
 
 def test_series_settle_sees_amplitudes_underflow():
