@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from woldkit.zoo import (
     quasinormal_block,
     tensor_pair,
     unilateral_shift,
+    weighted_shift,
 )
 
 from conftest import ZOO, make_zoo_fixtures, rand_vec
@@ -586,11 +588,20 @@ def _section_reference(T, cols, rows=None):
     return M, rows
 
 
+def _zero_weight_shift():
+    """A shift whose weight vanishes at index 1 and from index 3 on; its
+    section keeps a row for every in-lattice image, zero-valued or not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # not left invertible, and warns so
+        return weighted_shift(table([1.0, 0.0, 2.0], 0.0), 1, "nat")
+
+
 def _section_operators():
     blocks = [quasinormal_block(np.array(BLOCK_2)), quasinormal_block(np.array(BLOCK_3))]
     ops = [(name, T) for name, T in ZOO]
     ops += [("block_2", blocks[0]), ("block_3", blocks[1]),
-            ("block_sum", direct_sum(blocks[0], quasinormal_block(np.array(BLOCK_2) + 1)))]
+            ("block_sum", direct_sum(blocks[0], quasinormal_block(np.array(BLOCK_2) + 1))),
+            ("zero_weight_shift", _zero_weight_shift())]
     return [(f"{name}{suffix}", op) for name, T in ops
             for suffix, op in (("", T), ("_gram", T.gram()), ("_complex_adjoint",
                                                               (0.5 + 2j) * T.adjoint()))]
@@ -755,6 +766,16 @@ def test_lower_bound_monotone_in_window():
         a = lower_bound_estimate(T, 8)
         b = lower_bound_estimate(T, 16)
         assert b <= a + 1e-12
+
+
+def test_lower_bound_zero_weight_shift():
+    # the vanishing weights keep their image rows: a 6x6 section on the
+    # window 0..5 with the zero columns 1, 3, 4, 5
+    T = _zero_weight_shift()
+    M, rows = section(T, T.lattice.window(5))
+    assert rows == [(k,) for k in range(1, 7)]
+    assert [j for j in range(6) if not M[:, j].any()] == [1, 3, 4, 5]
+    assert lower_bound_estimate(T, 5) == 0.0
 
 
 def test_lower_bound_invertible_bilateral():
