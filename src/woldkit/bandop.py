@@ -601,14 +601,42 @@ def power_ratio(beta: float, h: float, steps: int, axis: int = 0) -> Weight:
 # band operators
 # ---------------------------------------------------------------------------
 
+def _require_in_lattice(indices: Iterable[tuple], lattice) -> None:
+    for ix in indices:
+        if not lattice.contains(ix):
+            raise LatticeMismatch(f"vector entry at {ix} lies outside {lattice!r}")
+
+
+class _BandSteps(dict):
+    """One band's steps, each computed on its first lookup: an in-lattice
+    index ``ix`` maps to ``(ix + offset, weight(ix))``, or to None when the
+    image leaves the lattice.  A zero weight keeps its step (sections need
+    its row).  Only validated indices get in: looking up one outside the
+    lattice raises :class:`LatticeMismatch`."""
+
+    __slots__ = ("lattice", "off", "w")
+
+    def __init__(self, lattice, off: tuple, w: Weight):
+        super().__init__()
+        self.lattice, self.off, self.w = lattice, off, w
+
+    def __missing__(self, ix: tuple):
+        lat = self.lattice
+        _require_in_lattice((ix,), lat)
+        tgt = _tadd(ix, self.off)
+        step = self[ix] = (tgt, self.w.evaluate(ix, lat)) if lat.contains(tgt) else None
+        return step
+
+
 class BandOp:
     """Operator given by finitely many (offset, weight) bands on a lattice.
 
     Immutable, so its adjoint, Gram operator and powers are each derived
-    once, on first use, and kept on the instance.
+    once, on first use, and kept on the instance; so is each band's step
+    at each index visited (one :class:`_BandSteps` per band).
     """
 
-    __slots__ = ("lattice", "bands", "_adjoint", "_gram", "_powers")
+    __slots__ = ("lattice", "bands", "_adjoint", "_gram", "_powers", "_steps")
 
     def __init__(self, lattice, bands: Iterable[tuple]):
         merged: dict[tuple, Weight] = {}
@@ -623,6 +651,7 @@ class BandOp:
         self.lattice = lattice
         self.bands = tuple((off, w) for off, w in sorted(merged.items(), key=lambda kv: kv[0])
                            if not w.is_zero)
+        self._steps = tuple(_BandSteps(lattice, off, w) for off, w in self.bands)
         self._adjoint = None
         self._gram = None
         # T^2, T^3, ...; T itself is not stored, so the caches hold no cycle
@@ -651,17 +680,14 @@ class BandOp:
         if u.rank != self.rank:
             raise RankMismatch(f"vector rank {u.rank}, operator rank {self.rank}")
         items = u.items()
-        for ix, _ in items:
-            if not self.lattice.contains(ix):
-                raise LatticeMismatch(f"vector entry at {ix} lies outside {self.lattice!r}")
+        if not self.bands:
+            _require_in_lattice(u.support(), self.lattice)
         acc: dict[tuple, complex] = {}
-        for off, w in self.bands:
+        for steps in self._steps:
             for ix, amp in items:
-                tgt = _tadd(ix, off)
-                if not self.lattice.contains(tgt):
-                    continue
-                val = w.evaluate(ix, self.lattice)
-                if val != 0:
+                step = steps[ix]  # validates ix on first sight
+                if step is not None and step[1] != 0:
+                    tgt, val = step
                     acc[tgt] = acc.get(tgt, 0j) + val * amp
         return FinVec._wrap(acc, self.rank)
 
@@ -837,21 +863,21 @@ def section(T: BandOp, cols: Sequence[tuple],
     sorted, so ``M`` acts exactly on vectors supported in ``cols``; given
     ``rows``, images that land outside them are dropped.  Raises
     :class:`NoConvergence` instead of allocating more than
-    ``SECTION_BYTE_CAP`` bytes, and instead of returning a non-finite entry.
+    ``SECTION_BYTE_CAP`` bytes, and instead of returning a non-finite entry;
+    :class:`LatticeMismatch` for a column outside the lattice.
     """
-    lat = T.lattice
-    images = [[_tadd(c, off) for c in cols] for off, _ in T.bands]
+    steps = [[band[c] for c in cols] for band in T._steps]
     if rows is None:
-        rows = sorted({ix for band in images for ix in band if lat.contains(ix)})
+        rows = sorted({s[0] for band in steps for s in band if s is not None})
     _require_section_fits(len(rows), len(cols))
     pos = {ix: i for i, ix in enumerate(rows)}
     M = np.zeros((len(rows), len(cols)), dtype=complex)
     # one write per band: distinct offsets send a column to distinct rows,
     # so every cell is written at most once and holds exactly ``0 + value``
-    for (_, w), band in zip(T.bands, images):
-        hit = [j for j, ix in enumerate(band) if ix in pos]
+    for band in steps:
+        hit = [j for j, s in enumerate(band) if s is not None and s[0] in pos]
         if hit:
-            M[[pos[band[j]] for j in hit], hit] += [w.evaluate(cols[j], lat) for j in hit]
+            M[[pos[band[j][0]] for j in hit], hit] += [band[j][1] for j in hit]
     if not np.isfinite(M.view(np.float64)).all():  # both parts, at half the cost
         raise NoConvergence(f"a {len(rows)}x{len(cols)} section has a non-finite entry: "
                             f"a weight overflows double precision", window=len(cols))
@@ -878,11 +904,13 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
     Gram operator (never trusted from the dense solver) and satisfies
     ``|| T*T x - v || <= tol * ||v||``.  Raises :class:`NoConvergence` when
     the window's section would exceed ``SECTION_BYTE_CAP`` or the window
-    stops growing (finite axes) before the residual is certified.
+    stops growing (finite axes) before the residual is certified, and
+    :class:`LatticeMismatch` when ``v`` has an entry outside the lattice.
     """
     p = params or GramSolveParams()
     if v.rank != T.rank:
         raise RankMismatch(f"vector rank {v.rank}, operator rank {T.rank}")
+    _require_in_lattice(v.support(), T.lattice)
     if v.is_zero:
         return v
     G = T.gram()
@@ -896,11 +924,11 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         # exactly diagonal (every weighted shift lands here): divide entrywise
         if not G.bands:
             raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
-        w = G.bands[0][1]
+        (steps,) = G._steps
         entries = {}
         ok = True
         for ix, amp in v.items():
-            g = w.evaluate(ix, G.lattice)
+            g = steps[ix][1]
             if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real:
                 ok = False
                 break

@@ -32,7 +32,6 @@ from .bandop import (
     BandOp,
     GramSolveParams,
     NoConvergence,
-    _tadd,
     _window_system,
     left_inverse_apply,
     section,
@@ -183,9 +182,9 @@ class _SeriesSettle:
     def __call__(self, x: FinVec, j: int) -> bool:
         if len(self.adjT.bands) == 1:
             if self.orbit is None or self.orbit.at(j - self.j0) != x.support():
-                ((off, _),), lat = self.adjT.bands, self.adjT.lattice
+                (steps,) = self.adjT._steps
                 self.orbit, self.j0 = _Orbit(x.support(), lambda S: tuple(
-                    t for t in (_tadd(s, off) for s in S) if lat.contains(t))), j
+                    step[0] for step in map(steps.__getitem__, S) if step is not None)), j
             if not self.orbit.settled(j - self.j0, self.j_max - self.j0):
                 return False
         return _adjoint_orbit_settled(self.adjT, x, self.j_max - j)
@@ -259,9 +258,9 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     if G.is_diagonal() and G.bands:
         # the section on the support window is already diagonal, so its
         # eigendecomposition is the diagonal itself; no padding needed
-        w = G.bands[0][1]
+        (steps,) = G._steps
         items = v.items()
-        lam = np.array([w.evaluate(ix, G.lattice).real for ix, _ in items])
+        lam = np.array([steps[ix][1].real for ix, _ in items])
         floor = 1e-14 * float(lam.max())
         if lam.min() < floor:
             warnings.warn("Gram eigenvalue floor hit; operator is near the "

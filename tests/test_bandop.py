@@ -699,6 +699,37 @@ def test_solve_gram_raises_when_the_window_cannot_grow():
     assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
 
 
+def test_solve_gram_refuses_entries_outside_the_lattice():
+    B = bergman_shift()
+    outside = FinVec({(-1,): 1})
+    with pytest.raises(LatticeMismatch):
+        solve_gram(B, outside)
+    # the refused entry left no step behind in the Gram's memo
+    with pytest.raises(LatticeMismatch):
+        B.gram().apply(outside)
+    # warm steps at the in-lattice entries do not let the outside one through
+    warm = unit(0) + unit(3)
+    assert solve_gram(B, warm) == solve_gram(B, warm)
+    for mixed in (warm + outside, outside + warm):
+        with pytest.raises(LatticeMismatch):
+            solve_gram(B, mixed)
+        with pytest.raises(LatticeMismatch):
+            B.gram().apply(mixed)
+    # the windowed path and a band-less (zero) operator refuse it as well
+    S = unilateral_shift()
+    Z = 0 * identity(S.lattice)
+    for T in (S + 0.5 * identity(S.lattice), Z):
+        with pytest.raises(LatticeMismatch):
+            solve_gram(T, outside)
+    with pytest.raises(LatticeMismatch):
+        Z.apply(outside)
+
+
+def test_section_refuses_columns_outside_the_lattice():
+    with pytest.raises(LatticeMismatch):
+        section(bergman_shift(), [(0,), (-1,)])
+
+
 def test_left_inverse_bergman():
     B = bergman_shift()
     out = left_inverse_apply(B, unit(1))
@@ -779,7 +810,6 @@ def test_lower_bound_zero_weight_shift():
 
 
 def test_lower_bound_invertible_bilateral():
-    from woldkit.zoo import weighted_shift
     T = weighted_shift(constant(2.0), 1, "int")
     assert abs(lower_bound_estimate(T, 8) - 2.0) < 1e-12
 

@@ -375,6 +375,43 @@ def test_decompose_solves_once_per_series_term(monkeypatch):
     assert (len(calls), res.n_used, res.j_used) == (80, 41, 40)
 
 
+def _derived_operators(T):
+    """``T`` and every operator derived from it and kept in its caches."""
+    seen, todo = {}, [T]
+    while todo:
+        op = todo.pop()
+        if id(op) not in seen:
+            seen[id(op)] = op
+            todo += [d for d in (op._adjoint, op._gram, *op._powers) if d is not None]
+    return list(seen.values())
+
+
+def test_decompose_computes_each_band_step_once(monkeypatch):
+    evaluated, missed = [], []
+    real_evaluate = Weight.evaluate
+    real_missing = woldkit.bandop._BandSteps.__missing__
+
+    def evaluate(self, ix, lattice):
+        evaluated.append(ix)
+        return real_evaluate(self, ix, lattice)
+
+    def missing(self, ix):
+        missed.append((id(self), ix))
+        return real_missing(self, ix)
+
+    monkeypatch.setattr(Weight, "evaluate", evaluate)
+    monkeypatch.setattr(woldkit.bandop._BandSteps, "__missing__", missing)
+    B, h = bergman_shift(), unit(0) + unit(40)
+    first = decompose(B, h)
+    n_evaluated = len(evaluated)
+    assert n_evaluated > 0
+    assert decompose(B, h) == first
+    assert len(evaluated) == n_evaluated  # the warm operator evaluates nothing new
+    # one stored step per distinct (band, index) pair visited, each computed once
+    steps = [band for op in _derived_operators(B) for band in op._steps]
+    assert sum(map(len, steps)) == len(set(missed)) == len(missed)
+
+
 def test_derived_operators_make_no_reference_cycle():
     gc.collect()
     gc.disable()
