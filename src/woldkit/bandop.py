@@ -26,7 +26,6 @@ stops the window from growing.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -76,9 +75,9 @@ def _axis_bounds(a) -> tuple:
     return 0, a - 1
 
 
-def _verdict(cover: tuple[bool, bool]) -> bool | None:
-    every, none = cover
-    return False if none else (True if every else None)
+def _graded(pts: Iterable[tuple]) -> list[tuple]:
+    """Indices sorted by sum of absolute coordinates, then lexicographically."""
+    return sorted(pts, key=lambda ix: (sum(abs(c) for c in ix), ix))
 
 
 def _box_union(boxes: list[tuple], axis: int) -> list[tuple]:
@@ -143,12 +142,11 @@ class Lattice:
                 return False
         return True
 
-    def _axis_window(self, a, extent: int) -> range:
-        if a == "nat":
-            return range(0, extent + 1)
-        if a == "int":
-            return range(-extent, extent + 1)
-        return range(0, a)
+    def _box(self, centre: tuple, guard: int) -> tuple:
+        """Per-axis inclusive intervals within ``guard`` of ``centre``, clipped
+        to the lattice; a finite axis is always covered whole."""
+        return tuple((max(lo, x - guard), min(hi, x + guard)) if a in ("nat", "int")
+                     else (lo, hi) for x, a, (lo, hi) in zip(centre, self.axes, self.bounds))
 
     def window(self, extent: int) -> list[tuple]:
         """All lattice indices with coordinates within ``extent``; graded order.
@@ -157,12 +155,11 @@ class Lattice:
         full range for finite axes.  Sorted by sum of absolute coordinates,
         then lexicographically.
         """
-        pts = itertools.product(*(self._axis_window(a, extent) for a in self.axes))
-        return sorted(pts, key=lambda ix: (sum(abs(c) for c in ix), ix))
+        return _graded(_box_union([self._box((0,) * self.rank, extent)], 0))
 
     def window_size(self, extent: int) -> int:
         """``len(self.window(extent))``, counted without enumerating."""
-        return math.prod(len(self._axis_window(a, extent)) for a in self.axes)
+        return math.prod(max(0, hi - lo + 1) for lo, hi in self._box((0,) * self.rank, extent))
 
     def neighbourhood(self, support: Iterable[tuple], guard: int) -> list[tuple]:
         """Sorted lattice indices within sup-distance ``guard`` of the
@@ -172,9 +169,7 @@ class Lattice:
         lattice; the window is emitted from the merged intervals of the
         boxes, without enumerating any box.
         """
-        boxes = {tuple((max(lo, x - guard), min(hi, x + guard)) if a in ("nat", "int")
-                       else (lo, hi) for x, a, (lo, hi) in zip(c, self.axes, self.bounds))
-                 for c in support}
+        boxes = {self._box(c, guard) for c in support}
         return _box_union(list(boxes), 0) if boxes else []
 
     def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
@@ -184,7 +179,8 @@ class Lattice:
         True when it holds for every such ``k``, False when for none (also
         when no ``k`` satisfies the selectors), None when it depends on ``k``.
         """
-        return _verdict(self.shift_cover(dict(selects), off))
+        every, none = self.shift_cover(dict(selects), off)
+        return False if none else (True if every else None)
 
     def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
         """``(every, none)``: whether ``k + off`` lies in the lattice for every
@@ -222,9 +218,6 @@ class Lattice:
             elif a == "int":
                 m = min(m, extent - abs(c))
         return m
-
-    def describe(self) -> dict:
-        return {"kind": "grid", "axes": list(self.axes)}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.axes == other.axes
@@ -266,9 +259,9 @@ class UnionLattice:
         return self.parts[ix[0]].contains(ix[1:])
 
     def window(self, extent: int) -> list[tuple]:
-        pts = [(0,) + ix for ix in self.left.window(extent)]
-        pts += [(1,) + ix for ix in self.right.window(extent)]
-        return sorted(pts, key=lambda ix: (sum(abs(c) for c in ix), ix))
+        # each part's own window: a nested union covers every one of its tags
+        return _graded((tag,) + ix for tag, part in enumerate(self.parts)
+                       for ix in part.window(extent))
 
     def window_size(self, extent: int) -> int:
         return self.left.window_size(extent) + self.right.window_size(extent)
@@ -281,9 +274,8 @@ class UnionLattice:
         return [(tag,) + ix for tag, part in enumerate(self.parts)
                 for ix in part.neighbourhood(by_tag[tag], guard)]
 
-    def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
-        """Like :meth:`Lattice.decide_shift`; axis 0 is the tag coordinate."""
-        return _verdict(self.shift_cover(dict(selects), off))
+    # decided from this class's shift_cover; axis 0 is the tag coordinate
+    decide_shift = Lattice.decide_shift
 
     def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
         """Like :meth:`Lattice.shift_cover`, recursing into the selected parts.
@@ -307,9 +299,6 @@ class UnionLattice:
 
     def edge_margin(self, ix: tuple, extent: int) -> int:
         return self.parts[ix[0]].edge_margin(ix[1:], extent)
-
-    def describe(self) -> dict:
-        return {"kind": "union", "left": self.left.describe(), "right": self.right.describe()}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, UnionLattice)
@@ -636,7 +625,7 @@ class BandOp:
     at each index visited (one :class:`_BandSteps` per band).
     """
 
-    __slots__ = ("lattice", "bands", "_adjoint", "_gram", "_powers", "_steps")
+    __slots__ = ("lattice", "rank", "bands", "_adjoint", "_gram", "_powers", "_steps")
 
     def __init__(self, lattice, bands: Iterable[tuple]):
         merged: dict[tuple, Weight] = {}
@@ -649,6 +638,7 @@ class BandOp:
             else:
                 merged[off] = w
         self.lattice = lattice
+        self.rank = lattice.rank
         self.bands = tuple((off, w) for off, w in sorted(merged.items(), key=lambda kv: kv[0])
                            if not w.is_zero)
         self._steps = tuple(_BandSteps(lattice, off, w) for off, w in self.bands)
@@ -656,10 +646,6 @@ class BandOp:
         self._gram = None
         # T^2, T^3, ...; T itself is not stored, so the caches hold no cycle
         self._powers = []
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.rank
 
     @property
     def offsets(self) -> tuple:
@@ -690,9 +676,6 @@ class BandOp:
                     tgt, val = step
                     acc[tgt] = acc.get(tgt, 0j) + val * amp
         return FinVec._wrap(acc, self.rank)
-
-    def __call__(self, u: FinVec) -> FinVec:
-        return self.apply(u)
 
     # -- algebra ------------------------------------------------------------
     def adjoint(self) -> "BandOp":
@@ -838,8 +821,9 @@ class GramSolveParams:
             return self.guard
         return 16 * max(1, T.max_band_reach())
 
-    def tightened(self, factor: float = 10.0) -> "GramSolveParams":
-        return GramSolveParams(self.guard, self.tol / factor)
+    def tightened(self) -> "GramSolveParams":
+        """The same guard at a tenfold tighter tolerance."""
+        return GramSolveParams(self.guard, self.tol / 10.0)
 
 
 def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:

@@ -82,6 +82,15 @@ def default_probes(lattice, n_basis: int = 21, n_random: int = 8,
     return probes
 
 
+def _worst_ratio(probes: list[FinVec], residual) -> float:
+    """Largest ``||residual(v)|| / ||v||`` over the nonzero probes (0.0 if none)."""
+    worst = 0.0
+    for v in probes:
+        if not v.is_zero:
+            worst = max(worst, residual(v).norm() / v.norm())
+    return worst
+
+
 def isometry_residual(T: BandOp, window: int = 16, tolerance: float = 1e-13,
                       params: GramSolveParams | None = None) -> CheckReport:
     """Deviation of ``T*T`` from the identity on window basis vectors.
@@ -93,12 +102,9 @@ def isometry_residual(T: BandOp, window: int = 16, tolerance: float = 1e-13,
     p = params or GramSolveParams()
     G = T.gram()
     adj = T.adjoint()
-    gram_res = 0.0
-    li_res = 0.0
-    basis = [unit(ix) for ix in T.lattice.window(window)]
-    for e in basis:
-        gram_res = max(gram_res, (G.apply(e) - e).norm())
-        li_res = max(li_res, (left_inverse_apply(T, e, p) - adj.apply(e)).norm())
+    basis = [unit(ix) for ix in T.lattice.window(window)]  # each of norm 1.0
+    gram_res = _worst_ratio(basis, lambda e: G.apply(e) - e)
+    li_res = _worst_ratio(basis, lambda e: left_inverse_apply(T, e, p) - adj.apply(e))
     return CheckReport(
         name="isometry",
         residual=gram_res,
@@ -114,12 +120,7 @@ def quasinormal_residual(T: BandOp, probes: list[FinVec] | None = None,
     """Residual of the commutation of T with its Gram operator on probes."""
     probes = probes if probes is not None else default_probes(T.lattice)
     G = T.gram()
-    res = 0.0
-    for v in probes:
-        if v.is_zero:
-            continue
-        d = G.apply(T.apply(v)) - T.apply(G.apply(v))
-        res = max(res, d.norm() / v.norm())
+    res = _worst_ratio(probes, lambda v: G.apply(T.apply(v)) - T.apply(G.apply(v)))
     return CheckReport("quasinormal", res, tolerance, len(probes))
 
 
@@ -161,14 +162,8 @@ def double_commuting_residual(T1: BandOp, T2: BandOp,
         raise ValueError("operators live on different lattices")
     probes = probes if probes is not None else default_probes(T1.lattice)
     adj2 = T2.adjoint()
-    r_comm = 0.0
-    r_star = 0.0
-    for v in probes:
-        if v.is_zero:
-            continue
-        vn = v.norm()
-        r_comm = max(r_comm, (T1.apply(T2.apply(v)) - T2.apply(T1.apply(v))).norm() / vn)
-        r_star = max(r_star, (T1.apply(adj2.apply(v)) - adj2.apply(T1.apply(v))).norm() / vn)
+    r_comm = _worst_ratio(probes, lambda v: T1.apply(T2.apply(v)) - T2.apply(T1.apply(v)))
+    r_star = _worst_ratio(probes, lambda v: T1.apply(adj2.apply(v)) - adj2.apply(T1.apply(v)))
     return CheckReport(
         name="double_commuting",
         residual=max(r_comm, r_star),
@@ -200,13 +195,8 @@ def product_closure_check(T1: BandOp, T2: BandOp, n_max: int = 8,
     dc = double_commuting_residual(T1, T2, probes)
     prod_classd = classd_residual(prod, n_max, probes, p, tolerance)
 
-    r_factor = 0.0
-    for v in probes:
-        if v.is_zero:
-            continue
-        lhs = left_inverse_apply(prod, v, p)
-        rhs = left_inverse_apply(T1, left_inverse_apply(T2, v, p), p)
-        r_factor = max(r_factor, (lhs - rhs).norm() / v.norm())
+    r_factor = _worst_ratio(probes, lambda v: left_inverse_apply(prod, v, p)
+                            - left_inverse_apply(T1, left_inverse_apply(T2, v, p), p))
 
     notes = []
     if not factor1.passed or not factor2.passed:

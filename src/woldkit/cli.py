@@ -16,12 +16,14 @@ report to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -41,6 +43,7 @@ from .bandop import (
 )
 from .classd import (
     CheckReport,
+    _worst_ratio,
     classd_residual,
     default_probes,
     double_commuting_residual,
@@ -53,19 +56,19 @@ from .oracle import (
     WindowTooLarge,
     dense_section,
     oracle_decompose,
+    oracle_fourfold,
     oracle_left_inverse,
-    oracle_limit_project,
 )
 from .seqspace import FinVec
 from .wold import (
     InputNotInHInfinity,
     NoStrongConvergence,
     SeriesNotConverged,
-    WoldResult,
     decompose,
 )
-from .wold2d import FourfoldResult, PART_TAGS, fourfold
+from .wold2d import PART_TAGS, fourfold
 from .zoo import (
+    HERMITIAN_TOL,
     PhiFamily,
     direct_sum,
     identity_on,
@@ -99,19 +102,25 @@ class OpSpec:
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         for key, val in sorted(self.params.items()):
-            out[key] = _jsonable_param(val)
+            out[key] = _jsonable(val)
         return out
 
 
-def _jsonable_param(val):
+def _jsonable(val):
+    """A spec parameter or a result as JSON data: vectors as literals, other
+    dataclasses (results) as dicts of their fields."""
     if isinstance(val, OpSpec):
         return val.to_dict()
+    if isinstance(val, FinVec):
+        return vector_to_literal(val)
+    if dataclasses.is_dataclass(val):
+        return {f.name: _jsonable(getattr(val, f.name)) for f in dataclasses.fields(val)}
     if isinstance(val, complex):
         return val.real if val.imag == 0 else [val.real, val.imag]
     if isinstance(val, (list, tuple)):
-        return [_jsonable_param(v) for v in val]
+        return [_jsonable(v) for v in val]
     if isinstance(val, dict):
-        return {k: _jsonable_param(v) for k, v in sorted(val.items())}
+        return {k: _jsonable(v) for k, v in sorted(val.items())}
     return val
 
 
@@ -193,7 +202,7 @@ def _parse_matrix(obj, path, errors):
                           for j, v in enumerate(row)))
     L = np.array(rows, dtype=complex)
     scale = max(1.0, float(np.abs(L).max()))
-    if float(np.abs(L - L.conj().T).max()) > 1e-12 * scale:
+    if float(np.abs(L - L.conj().T).max()) > HERMITIAN_TOL * scale:
         errors.append(f"{path}: matrix must be Hermitian")
         return tuple(rows)
     eigs = np.linalg.eigvalsh(L)
@@ -474,29 +483,6 @@ def vector_to_literal(v: FinVec) -> list:
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _wold_result_dict(res: WoldResult) -> dict:
-    return {
-        "limit_part": vector_to_literal(res.limit_part),
-        "components": [vector_to_literal(c) for c in res.components],
-        "reconstruction_residual": res.reconstruction_residual,
-        "convergence_history": list(res.convergence_history),
-        "n_used": res.n_used,
-        "j_used": res.j_used,
-        "component_cross_max": res.component_cross_max,
-        "flags": list(res.flags),
-    }
-
-
-def _fourfold_result_dict(res: FourfoldResult) -> dict:
-    return {
-        "parts": {tag: vector_to_literal(res.parts[tag]) for tag in PART_TAGS},
-        "residual": res.residual,
-        "cross_terms": res.cross_terms,
-        "double_commuting": res.double_commuting,
-        "flags": list(res.flags),
-    }
-
-
 def _check_dict(report: CheckReport, informational: bool) -> dict:
     out = report.to_dict()
     out["informational"] = informational
@@ -527,6 +513,14 @@ def _emit(report: dict, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _finish(report: dict, ok: bool, args) -> int:
+    """Record the verdict, write the report and return the exit code: 0
+    when every gating verdict passed, 3 when one failed."""
+    report["verdict"] = "pass" if ok else "fail"
+    _emit(report, args.out)
+    return 0 if ok else 3
 
 
 def _read_source(source: str) -> str:
@@ -591,104 +585,92 @@ def _cmd_check(args) -> int:
     built = build_operator(spec)
     report = _base_report("check", spec, args)
     report["params"]["window"] = args.window
-    checks: list[dict] = []
+    T = built[0] if isinstance(built, tuple) else built
+    probes = default_probes(T.lattice, seed=args.seed)
+    p = GramSolveParams(guard=args.guard)
 
     if isinstance(built, tuple):
-        T1, T2 = built
-        probes = default_probes(T1.lattice, seed=args.seed)
-        p = GramSolveParams(guard=args.guard)
         tol = args.tol if args.tol is not None else 1e-9
-        dc = double_commuting_residual(T1, T2, probes, tolerance=1e-10)
-        closure = product_closure_check(T1, T2, probes=probes, params=p, tolerance=tol)
-        checks.append(_check_dict(dc, informational=False))
-        checks.append(_check_dict(closure, informational=False))
-        gating = [dc, closure]
+        checks = [  # (report, informational)
+            (double_commuting_residual(*built, probes, tolerance=1e-10), False),
+            (product_closure_check(*built, probes=probes, params=p, tolerance=tol), False)]
     else:
-        T = built
-        probes = default_probes(T.lattice, seed=args.seed)
-        p = GramSolveParams(guard=args.guard)
         tol = args.tol if args.tol is not None else 1e-10
-        lb_report = _left_invertibility(T, args.window)
-        iso = isometry_residual(T, window=args.window, params=p)
-        quasi = quasinormal_residual(T, probes)
-        cd = classd_residual(T, n_max=8, probes=probes, params=p, tolerance=tol)
-        checks.append(_check_dict(lb_report, informational=False))
-        checks.append(_check_dict(iso, informational=True))
-        checks.append(_check_dict(quasi, informational=True))
-        checks.append(_check_dict(cd, informational=False))
-        gating = [lb_report, cd]
-
+        checks = [
+            (_left_invertibility(T, args.window), False),
+            (isometry_residual(T, window=args.window, params=p), True),
+            (quasinormal_residual(T, probes), True),
+            (classd_residual(T, n_max=8, probes=probes, params=p, tolerance=tol), False)]
         if args.oracle:
-            report["oracle"] = _oracle_check(T, probes, args)
+            report["oracle"] = _oracle_check(T, probes, p)
 
-    report["checks"] = checks
-    ok = all(c.passed for c in gating)
-    report["verdict"] = "pass" if ok else "fail"
-    _emit(report, args.out)
-    return 0 if ok else 3
+    report["checks"] = [_check_dict(c, info) for c, info in checks]
+    return _finish(report, all(c.passed for c, info in checks if not info), args)
 
 
-def _oracle_check(T: BandOp, probes, args) -> dict:
+def _oracle_check(T: BandOp, probes, p: GramSolveParams) -> dict:
     extent = _oracle_extent(probes, depth=2, reach=T.max_band_reach()) + 8
-    p = GramSolveParams(guard=args.guard)
-    worst = 0.0
-    compared = 0
     try:
         D = dense_section(T, extent)
-        for v in probes:
-            if v.is_zero:
-                continue
-            band = left_inverse_apply(T, v, p)
-            dense = oracle_left_inverse(D, v)
-            worst = max(worst, (band - dense).norm() / v.norm())
-            compared += 1
+        worst = _worst_ratio(probes, lambda v: left_inverse_apply(T, v, p)
+                             - oracle_left_inverse(D, v))
     except (WindowTooLarge, RankDeficientSection) as e:
         # an operator that is not left invertible has no left inverse to compare
         return {"skipped": str(e)}
-    return {"window": extent, "compared": compared, "max_rel_delta": worst}
+    return {"window": extent, "compared": sum(not v.is_zero for v in probes),
+            "max_rel_delta": worst}
+
+
+def _vector_prelude(args, spec: OpSpec, lattice):
+    """What decompose and fourfold share: the vector, the tolerance (default
+    1e-10), the Gram solve parameters and the report so far."""
+    v = _read_vector(args.vector, lattice)
+    tol = args.tol if args.tol is not None else 1e-10
+    report = _base_report(args.command, spec, args)
+    report["params"]["tol"] = tol
+    report["vector"] = vector_to_literal(v)
+    return v, tol, GramSolveParams(guard=args.guard, tol=tol), report
+
+
+def _oracle_vectors(v: FinVec, extent: int, engine, dense) -> dict:
+    """The oracle block of decompose and fourfold: the largest distance
+    between the engine's vectors and those ``dense()`` computes on the dense
+    window, paired in order (a missing one counts as zero), or why the
+    comparison was skipped."""
+    try:
+        replica = dense()
+    except WindowTooLarge as e:
+        return {"skipped": str(e)}
+    zero = FinVec((), rank=v.rank)
+    delta = max((a - b).norm() for a, b in zip_longest(engine, replica, fillvalue=zero))
+    return {"window": extent, "max_abs_delta": delta,
+            "max_rel_delta": delta / max(v.norm(), 1e-300)}
 
 
 def _cmd_decompose(args) -> int:
     spec = parse_spec(_read_source(args.spec))
     T = _single(spec, "decompose")
-    v = _read_vector(args.vector, T.lattice)
-    tol = args.tol if args.tol is not None else 1e-10
-    p = GramSolveParams(guard=args.guard, tol=tol)
-    report = _base_report("decompose", spec, args)
-    report["params"]["tol"] = tol
-    report["vector"] = vector_to_literal(v)
+    v, tol, p, report = _vector_prelude(args, spec, T.lattice)
     gate = _left_invertibility(T, DECOMPOSE_GATE_WINDOW)
     report["left_invertibility"] = _check_dict(gate, informational=False)
     if not gate.passed:
         # without a left inverse there is no decomposition to compute
         report["decomposition"] = None
-        report["verdict"] = "fail"
-        _emit(report, args.out)
-        return 3
+        return _finish(report, False, args)
     res = decompose(T, v, p, n_max=args.n_max, j_max=args.j_max)
-    report["decomposition"] = _wold_result_dict(res)
+    report["decomposition"] = _jsonable(res)
     ok = res.reconstruction_residual <= tol * max(v.norm(), 1e-300)
 
     if args.oracle:
-        depth = res.n_used + res.j_used + 2
-        extent = _oracle_extent([v], depth, T.max_band_reach())
-        try:
-            D = dense_section(T, extent)
-            ores = oracle_decompose(D, v, n_max=args.n_max, j_max=args.j_max, tol=tol)
-            delta = (res.limit_part - ores.limit_part).norm()
-            for i in range(max(len(res.components), len(ores.components))):
-                a = res.components[i] if i < len(res.components) else res.limit_part * 0
-                b = ores.components[i] if i < len(ores.components) else a * 0
-                delta = max(delta, (a - b).norm())
-            report["oracle"] = {"window": extent,
-                                "max_abs_delta": delta,
-                                "max_rel_delta": delta / max(v.norm(), 1e-300)}
-        except WindowTooLarge as e:
-            report["oracle"] = {"skipped": str(e)}
+        extent = _oracle_extent([v], res.n_used + res.j_used + 2, T.max_band_reach())
 
-    report["verdict"] = "pass" if ok else "fail"
-    _emit(report, args.out)
-    return 0 if ok else 3
+        def dense():
+            o = oracle_decompose(dense_section(T, extent), v, n_max=args.n_max,
+                                 j_max=args.j_max, tol=tol)
+            return (o.limit_part, *o.components)
+        report["oracle"] = _oracle_vectors(v, extent, (res.limit_part, *res.components), dense)
+
+    return _finish(report, ok, args)
 
 
 def _cmd_fourfold(args) -> int:
@@ -697,42 +679,24 @@ def _cmd_fourfold(args) -> int:
     if not isinstance(built, tuple):
         raise SpecError(["fourfold needs a pair spec (kind 'pair' or 'tensor_pair')"])
     T1, T2 = built
-    v = _read_vector(args.vector, T1.lattice)
-    tol = args.tol if args.tol is not None else 1e-10
-    p = GramSolveParams(guard=args.guard, tol=tol)
+    v, tol, p, report = _vector_prelude(args, spec, T1.lattice)
     res = fourfold(T1, T2, v, p, n_max=args.n_max)
-    report = _base_report("fourfold", spec, args)
-    report["params"]["tol"] = tol
-    report["vector"] = vector_to_literal(v)
-    report["fourfold"] = _fourfold_result_dict(res)
+    report["fourfold"] = _jsonable(res)
     hn = max(v.norm(), 1e-300)
     ok = res.residual <= tol * hn and res.cross_terms <= tol * hn * hn
 
     if args.oracle:
-        depth = 2 * args.n_max
-        extent = _oracle_extent([v], min(depth, 24),
+        extent = _oracle_extent([v], min(2 * args.n_max, 24),
                                 max(T1.max_band_reach(), T2.max_band_reach()))
-        try:
-            D1 = dense_section(T1, extent)
-            D2 = dense_section(T2, extent)
-            q2h, _ = oracle_limit_project(D2, v, n_max=args.n_max, tol=tol / 10)
-            q1h, _ = oracle_limit_project(D1, v, n_max=args.n_max, tol=tol / 10)
-            inf_inf, _ = oracle_limit_project(D1, q2h, n_max=args.n_max, tol=tol)
-            inf_s, _ = oracle_limit_project(D1, v - q2h, n_max=args.n_max, tol=tol)
-            s_inf, _ = oracle_limit_project(D2, v - q1h, n_max=args.n_max, tol=tol)
-            s_s = v - q1h - q2h + inf_inf
-            dense_parts = {"inf_inf": inf_inf, "inf_s": inf_s,
-                           "s_inf": s_inf, "s_s": s_s}
-            delta = max((res.parts[tag] - dense_parts[tag]).norm() for tag in PART_TAGS)
-            report["oracle"] = {"window": extent,
-                                "max_abs_delta": delta,
-                                "max_rel_delta": delta / hn}
-        except WindowTooLarge as e:
-            report["oracle"] = {"skipped": str(e)}
 
-    report["verdict"] = "pass" if ok else "fail"
-    _emit(report, args.out)
-    return 0 if ok else 3
+        def dense():
+            parts = oracle_fourfold(dense_section(T1, extent), dense_section(T2, extent), v,
+                                    n_max=args.n_max, tol=tol)
+            return [parts[tag] for tag in PART_TAGS]
+        report["oracle"] = _oracle_vectors(v, extent, [res.parts[tag] for tag in PART_TAGS],
+                                           dense)
+
+    return _finish(report, ok, args)
 
 
 def _cmd_zoo(args) -> int:
@@ -768,8 +732,17 @@ def _add_common(sp) -> None:
     sp.add_argument("--out", default=None, help="report file (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a :class:`SpecError`, so it ends in exit 1
+    with one line like every input error; argparse itself prints the usage
+    and exits 2, the code of a convergence failure."""
+
+    def error(self, message):
+        raise SpecError([message])
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="woldkit",
         description="Left-invertibility diagnostics and Wold-type decompositions "
                     "for band operators on sequence lattices.",
@@ -807,10 +780,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            args = make_parser().parse_args(argv)
             _check_flags(args)
             code = args.func(args)
         except SpecError as e:

@@ -261,6 +261,22 @@ def oracle_decompose(D: DenseSection, v: FinVec, n_max: int = 64,
     )
 
 
+def oracle_fourfold(D1: DenseSection, D2: DenseSection, v: FinVec, n_max: int = 64,
+                    tol: float = 1e-12) -> dict:
+    """Dense replica of the fourfold split of ``v`` under a pair, by part tag.
+
+    The same identity as the engine's: the inner limits at a tenfold
+    tighter tolerance, the fourth part from ``I = sum of the four parts``.
+    """
+    q2h, _ = oracle_limit_project(D2, v, n_max=n_max, tol=tol / 10)
+    q1h, _ = oracle_limit_project(D1, v, n_max=n_max, tol=tol / 10)
+    inf_inf, _ = oracle_limit_project(D1, q2h, n_max=n_max, tol=tol)
+    inf_s, _ = oracle_limit_project(D1, v - q2h, n_max=n_max, tol=tol)
+    s_inf, _ = oracle_limit_project(D2, v - q1h, n_max=n_max, tol=tol)
+    return {"inf_inf": inf_inf, "inf_s": inf_s, "s_inf": s_inf,
+            "s_s": v - q1h - q2h + inf_inf}
+
+
 def oracle_null_basis(D: DenseSection, tol: float = 1e-10) -> list[FinVec]:
     """Orthonormal null space of the dense adjoint section (defect vectors)."""
     ns = scipy.linalg.null_space(D.matrix.conj().T)

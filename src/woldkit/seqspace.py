@@ -13,7 +13,7 @@ the second: ``inner(u, v) = sum_k u[k] * conj(v[k])``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class RankMismatch(ValueError):
@@ -85,9 +85,6 @@ class FinVec:
     def items(self) -> list[tuple[tuple, complex]]:
         """Entries as a list sorted by index (deterministic iteration order)."""
         return sorted(self._entries.items())
-
-    def get(self, ix, default: complex = 0j) -> complex:
-        return self._entries.get(as_index(ix), default)
 
     def __getitem__(self, ix) -> complex:
         return self._entries.get(as_index(ix), 0j)
@@ -212,3 +209,13 @@ def orthonormalize(vs: Iterable[FinVec], tol: float = 1e-10) -> list[FinVec]:
         if nw >= tol * scale:
             basis.append((1.0 / nw) * w)
     return basis
+
+
+def max_cross(vs: Sequence[FinVec]) -> float:
+    """Largest ``|<vs[i], vs[k]>|`` over the pairs ``i < k`` (0.0 for fewer
+    than two vectors): how far the vectors are from pairwise orthogonal."""
+    cross = 0.0
+    for i, u in enumerate(vs):
+        for w in vs[i + 1:]:
+            cross = max(cross, abs(u.inner(w)))
+    return cross

@@ -37,7 +37,7 @@ from .bandop import (
     section,
     solve_gram,
 )
-from .seqspace import FinVec
+from .seqspace import FinVec, max_cross
 
 
 class NoStrongConvergence(RuntimeError):
@@ -261,21 +261,16 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
         (steps,) = G._steps
         items = v.items()
         lam = np.array([steps[ix][1].real for ix, _ in items])
-        floor = 1e-14 * float(lam.max())
-        if lam.min() < floor:
-            warnings.warn("Gram eigenvalue floor hit; operator is near the "
-                          "left-invertibility boundary", stacklevel=2)
-            lam = np.maximum(lam, floor)
-        amps = np.array([amp for _, amp in items])
-        return float(np.linalg.norm(amps / np.sqrt(lam)))
-    _, M, rhs = _window_system(G, v, p.effective_guard(Tn))
-    lam, U = np.linalg.eigh(M)
-    floor = 1e-14 * float(lam[-1])
-    if lam[0] < floor:
+        y = np.array([amp for _, amp in items])
+    else:
+        _, M, rhs = _window_system(G, v, p.effective_guard(Tn))
+        lam, U = np.linalg.eigh(M)
+        y = U.conj().T @ rhs
+    floor = 1e-14 * float(lam.max())
+    if lam.min() < floor:
         warnings.warn("Gram eigenvalue floor hit; operator is near the "
                       "left-invertibility boundary", stacklevel=2)
         lam = np.maximum(lam, floor)
-    y = U.conj().T @ rhs
     return float(np.linalg.norm(y / np.sqrt(lam)))
 
 
@@ -396,11 +391,7 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     if recon > 100.0 * p.tol * hn:
         flags.append(f"reconstruction residual {recon:.3e} exceeds budget")
 
-    cross = 0.0
-    for i in range(len(comps)):
-        for k in range(i + 1, len(comps)):
-            cross = max(cross, abs(comps[i].inner(comps[k])))
-    cross /= hn * hn
+    cross = max_cross(comps) / (hn * hn)
     if cross > 1e-10:
         flags.append(f"components not pairwise orthogonal: max cross term {cross:.3e}")
 

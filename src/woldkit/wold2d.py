@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 from .bandop import BandOp, GramSolveParams
 from .classd import default_probes, double_commuting_residual
-from .seqspace import FinVec
+from .seqspace import FinVec, max_cross
 from .wold import shift_limit_project
 
 PART_TAGS = ("inf_inf", "inf_s", "s_inf", "s_s")
+DC_TOLERANCE = 1e-10  # a larger double-commuting residual is flagged
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,6 @@ class FourfoldResult:
     double_commuting: float
     flags: tuple
 
-    def part(self, tag: str) -> FinVec:
-        return self.parts[tag]
-
 
 def q_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
               n_max: int = 64) -> FinVec:
@@ -46,8 +44,7 @@ def q_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
 
 
 def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
-             params: GramSolveParams | None = None, n_max: int = 64,
-             dc_tolerance: float = 1e-10) -> FourfoldResult:
+             params: GramSolveParams | None = None, n_max: int = 64) -> FourfoldResult:
     """Split ``h`` into its four limit/series parts under the pair.
 
     The pair is expected to double-commute; this is measured on a probe set
@@ -63,15 +60,15 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
 
     dc = double_commuting_residual(
         T1, T2, probes=default_probes(T1.lattice, n_basis=9, n_random=4))
-    if dc.residual > dc_tolerance:
-        flags.append(f"pair is not double-commuting at {dc_tolerance:.1e} "
+    if dc.residual > DC_TOLERANCE:
+        flags.append(f"pair is not double-commuting at {DC_TOLERANCE:.1e} "
                      f"(residual {dc.residual:.3e}); decomposition may not hold")
 
     if h.is_zero:
         parts = {tag: h for tag in PART_TAGS}
         return FourfoldResult(parts, 0.0, 0.0, dc.residual, tuple(flags))
 
-    p_inner = p.tightened(10.0)
+    p_inner = p.tightened()
     q2h = q_project(T2, h, p_inner, n_max)
     q1h = q_project(T1, h, p_inner, n_max)
     inf_inf = q_project(T1, q2h, p, n_max)
@@ -83,10 +80,6 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
     acc = inf_inf + inf_s + s_inf + s_s
     residual = (h - acc).norm()
 
-    cross = 0.0
-    vals = [parts[tag] for tag in PART_TAGS]
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            cross = max(cross, abs(vals[i].inner(vals[j])))
+    cross = max_cross([parts[tag] for tag in PART_TAGS])
 
     return FourfoldResult(parts, residual, cross, dc.residual, tuple(flags))

@@ -28,6 +28,10 @@ from .bandop import (
 )
 from .seqspace import FinVec, RankMismatch
 
+# largest |L - L*| entry, relative to max(1, largest |L| entry), that a
+# quasinormal block accepts as Hermitian
+HERMITIAN_TOL = 1e-12
+
 
 class IncommensurateStep(ValueError):
     """The translation step is not an integer multiple of the grid spacing."""
@@ -169,7 +173,7 @@ def weighted_translation(phi: PhiFamily, t: float, h: float) -> BandOp:
     return weighted_shift(w, s, "nat")
 
 
-def quasinormal_block(L, hermitian_tol: float = 1e-12) -> BandOp:
+def quasinormal_block(L) -> BandOp:
     """Block shift on pairs (position, coordinate): ``(k_0, k_1, ...) -> (0, L k_0, L k_1, ...)``.
 
     ``L`` must be a Hermitian positive-definite d x d matrix; its entries
@@ -184,7 +188,7 @@ def quasinormal_block(L, hermitian_tol: float = 1e-12) -> BandOp:
         raise ValueError("L must be a square matrix")
     d = L.shape[0]
     scale = max(1.0, float(np.abs(L).max()))
-    if float(np.abs(L - L.conj().T).max()) > hermitian_tol * scale:
+    if float(np.abs(L - L.conj().T).max()) > HERMITIAN_TOL * scale:
         raise ValueError("L must be Hermitian")
     eigs = np.linalg.eigvalsh(L)
     if eigs.min() <= 0:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 import woldkit
 from woldkit.bandop import SECTION_BYTE_CAP, Lattice, NoConvergence, section
+from woldkit.classd import DEFAULT_PROBE_SEED, default_probes
 from woldkit.cli import (
     SpecError,
     build_operator,
@@ -19,6 +22,7 @@ from woldkit.cli import (
     vector_to_literal,
 )
 from woldkit.seqspace import FinVec, unit
+from woldkit.zoo import bergman_shift
 
 from conftest import ZOO
 
@@ -515,6 +519,10 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
     ["decompose", _BERGMAN, "--vector", "[[0,NaN,0]]"],
     ["check", _TENSOR_BERGMAN_INT],
     ["fourfold", _TENSOR_BERGMAN_INT.replace(',"part":1', ""), "--vector", "[[0,0,1,0]]"],
+    ["check", _BERGMAN, "--window", "abc"],
+    ["check", _BERGMAN, "--bogus"],
+    ["decompose", _BERGMAN],
+    [],
 ], ids=["window-0", "guard-neg", "tol-neg", "tol-nan", "tol-inf", "seed-neg", "n-max-0",
         "j-max-neg", "tol-0", "vector-off-lattice", "vector-bad-json",
         "pair-vector-off-lattice", "spec-is-directory", "spec-not-utf8",
@@ -522,7 +530,8 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
         "t-over-h-overflows", "factor-nan", "L-nan", "beta-nan", "beta-2000-overflows-at-build",
         "alpha-1e308-overflows-at-build", "table-default-nan", "value-infinity",
         "value-minus-infinity", "value-1e400", "value-400-digits", "value-5000-digits",
-        "vector-nan", "tensor-bergman-on-int-axis", "tensor-bergman-on-int-axis-fourfold"])
+        "vector-nan", "tensor-bergman-on-int-axis", "tensor-bergman-on-int-axis-fourfold",
+        "window-not-int", "unknown-flag", "vector-missing", "no-command"])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
     binary = tmp_path / "spec.bin"
     binary.write_bytes(b"\xd0\xff\x00")
@@ -605,3 +614,49 @@ def test_console_entry_point(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["verdict"] == "pass"
     assert rep["schema_version"] == 1
+
+
+def test_check_oracle_compares_bergman_left_inverse(tmp_path):
+    code, rep = run_cli(tmp_path, "check", _BERGMAN, "--oracle")
+    assert code == 0
+    probes = default_probes(bergman_shift().lattice, seed=DEFAULT_PROBE_SEED)
+    assert rep["oracle"]["compared"] == sum(not v.is_zero for v in probes)
+    assert rep["oracle"]["max_rel_delta"] <= 1e-12
+
+
+def test_module_entry_point_usage_errors():
+    env = {**os.environ, "PYTHONPATH": str(Path(woldkit.__file__).resolve().parents[1])}
+    run = partial(subprocess.run, capture_output=True, text=True, env=env)
+    proc = run([sys.executable, "-m", "woldkit", "zoo", "list"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["command"] == "zoo list"
+    proc = run([sys.executable, "-m", "woldkit", "check", _BERGMAN, "--bogus"])
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("spec error: ")
+
+
+# argv of the pinned CLI runs: every command, both pair and single checks,
+# each oracle, the zoo listing and one gating failure (exit 3)
+_PINNED_RUNS = [
+    ["check", _BERGMAN],
+    ["check", _BERGMAN, "--oracle"],
+    ["check", _TENSOR],
+    ["check", '{"kind":"adjoint","child":' + _BERGMAN + '}'],
+    ["decompose", _BERGMAN, "--vector", "[[0,1,0],[3,0.5,-0.25]]"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1,0],[3,0.5,-0.25]]", "--oracle"],
+    ["fourfold", _TENSOR, "--vector", "[[0,0,1,0],[1,2,0,1]]"],
+    ["fourfold", _TENSOR, "--vector", "[[0,0,1,0],[1,2,0,1]]", "--oracle", "--n-max", "4"],
+    ["zoo", "list"],
+]
+
+
+def test_cli_reports_digest_pinned(capsys):
+    # bit-identity of the CLI's output across refactors: the sha256 of
+    # argv, exit code, stdout and stderr of each pinned run
+    digest = hashlib.sha256()
+    for argv in _PINNED_RUNS:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == \
+        "b4d263139815c6f4ff6fe682310981a8a1e1a795e88a08f2df8429ce35f9ee07"

@@ -8,6 +8,7 @@ from woldkit.seqspace import (
     FinVec,
     RankMismatch,
     inner,
+    max_cross,
     norm,
     orthonormalize,
     unit,
@@ -76,6 +77,15 @@ def test_arithmetic():
     assert (u - u).is_zero
     assert (-u)[(0,)] == -1.0
     assert (u / 2)[(1,)] == 1.0
+
+
+def test_max_cross_is_the_largest_pairwise_inner_product():
+    u, v, w = unit(0), unit(0) + 2j * unit(1), unit(2)
+    assert max_cross([]) == max_cross([u]) == 0.0
+    assert max_cross([u, w]) == 0.0
+    # [u, v, w] pairs to |<u, v>| = 1 and zeros; a repeated v to |<v, v>| = 5
+    assert max_cross([u, v, w]) == 1.0
+    assert max_cross([v, w, v]) == abs(v.inner(v)) == 5.0
 
 
 def test_orthonormalize_duplicate_dropped():
