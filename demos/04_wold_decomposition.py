@@ -7,8 +7,9 @@ splits orthogonally as
 
 where P projects onto the intersection of the ranges of all powers of T
 (the invertible-like part) and P0 onto the defect space.  The engine
-iterates the range projections to their strong limit, truncates the series
-when it provably vanishes, and certifies the reconstruction.
+iterates the range projections P_n to their strong limit; the series term
+j is P_j h - P_{j+1} h, so the series has one term per step of that loop,
+and each step certifies it against T^j P0 (T~)^j h (power_residual).
 
     python3 demos/04_wold_decomposition.py
 """
@@ -40,8 +41,9 @@ print("== Bergman shift on a random vector ==")
 rng = np.random.default_rng(42)
 h = FinVec({(k,): complex(a) for k, a in enumerate(rng.standard_normal(8))})
 res = decompose(bergman_shift(), h)
-print("series terms used:", res.j_used + 1, " limit part is zero:",
+print("series terms (one per limit step):", res.j_used + 1, " limit part is zero:",
       res.limit_part.is_zero)
+print("power identity residual:", res.power_residual)
 print("component norms:", [round(c.norm(), 6) for c in res.components])
 print("max pairwise component overlap:", res.component_cross_max)
 print("reconstruction residual:", res.reconstruction_residual)

@@ -52,6 +52,8 @@ delta = (res.limit_part - ores.limit_part).norm()
 for a, b in zip(res.components, ores.components):
     delta = max(delta, (a - b).norm())
 print("decomposition delta:      ", delta)
+# the engine's terms are range-projection deltas, one per limit step; the
+# oracle sums the series T^j P0 (T~)^j h term by term with its own stopping rule
 print("series lengths agree:     ", res.j_used == ores.j_used)
 print("reconstruction residuals: ", res.reconstruction_residual,
       "vs", ores.reconstruction_residual)

@@ -205,6 +205,12 @@ class Lattice:
                 none = True
         return every, none
 
+    def depth(self, ix: tuple) -> int:
+        """Distance from ``ix`` to the farthest lattice boundary along a
+        bounded axis (0 when every axis is 'int')."""
+        return max((d for c, (lo, hi) in zip(ix, self.bounds) for d in (c - lo, hi - c)
+                    if d != math.inf), default=0)
+
     def edge_margin(self, ix: tuple, extent: int) -> int:
         """Distance from ``ix`` to the truncation edge of ``window(extent)``.
 
@@ -296,6 +302,9 @@ class UnionLattice:
             e, n = self.parts[tag].shift_cover(rest, off[1:])
             every, none = every and e, none and n
         return every, none
+
+    def depth(self, ix: tuple) -> int:
+        return self.parts[ix[0]].depth(ix[1:])
 
     def edge_margin(self, ix: tuple, extent: int) -> int:
         return self.parts[ix[0]].edge_margin(ix[1:], extent)

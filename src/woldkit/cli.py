@@ -22,7 +22,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import zip_longest
 from typing import Callable
 
@@ -499,7 +499,6 @@ def _base_report(command: str, spec: OpSpec | None, args) -> dict:
             "tol": args.tol,
             "guard": args.guard,
             "n_max": args.n_max,
-            "j_max": args.j_max,
             "seed": args.seed,
             "oracle": bool(args.oracle),
         },
@@ -535,6 +534,9 @@ def _read_vector(source: str, lattice) -> FinVec:
     outside = [ix for ix in v.support() if not lattice.contains(ix)]
     if outside:
         raise SpecError([f"vector: index {ix} lies outside {lattice!r}" for ix in outside])
+    if not math.isfinite(v.norm()):
+        # every pass rule `residual <= tol * norm` would hold vacuously
+        raise SpecError(["vector: its norm overflows double precision"])
     return v
 
 
@@ -550,7 +552,7 @@ def _oracle_extent(vectors, depth: int, reach: int) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-_INT_FLAG_FLOORS = {"window": 1, "guard": 0, "n_max": 1, "j_max": 0, "seed": 0}
+_INT_FLAG_FLOORS = {"window": 1, "guard": 0, "n_max": 1, "seed": 0}
 
 
 def _check_flags(args) -> None:
@@ -594,6 +596,8 @@ def _cmd_check(args) -> int:
         checks = [  # (report, informational)
             (double_commuting_residual(*built, probes, tolerance=1e-10), False),
             (product_closure_check(*built, probes=probes, params=p, tolerance=tol), False)]
+        if args.oracle:
+            report["oracle"] = {"skipped": "no dense replica of the pair checks"}
     else:
         tol = args.tol if args.tol is not None else 1e-10
         checks = [
@@ -657,16 +661,16 @@ def _cmd_decompose(args) -> int:
         # without a left inverse there is no decomposition to compute
         report["decomposition"] = None
         return _finish(report, False, args)
-    res = decompose(T, v, p, n_max=args.n_max, j_max=args.j_max)
+    res = decompose(T, v, p, n_max=args.n_max)
     report["decomposition"] = _jsonable(res)
-    ok = res.reconstruction_residual <= tol * max(v.norm(), 1e-300)
+    ok = (res.reconstruction_residual <= tol * max(v.norm(), 1e-300)
+          and res.power_residual <= tol)
 
     if args.oracle:
         extent = _oracle_extent([v], res.n_used + res.j_used + 2, T.max_band_reach())
 
         def dense():
-            o = oracle_decompose(dense_section(T, extent), v, n_max=args.n_max,
-                                 j_max=args.j_max, tol=tol)
+            o = oracle_decompose(dense_section(T, extent), v, n_max=args.n_max, tol=tol)
             return (o.limit_part, *o.components)
         report["oracle"] = _oracle_vectors(v, extent, (res.limit_part, *res.components), dense)
 
@@ -686,7 +690,9 @@ def _cmd_fourfold(args) -> int:
     ok = res.residual <= tol * hn and res.cross_terms <= tol * hn * hn
 
     if args.oracle:
-        extent = _oracle_extent([v], min(2 * args.n_max, 24),
+        # each part nests two strong limits, so the dense window takes twice
+        # the longest limit the engine ran
+        extent = _oracle_extent([v], 2 * max(res.limit_iterations) + 2,
                                 max(T1.max_band_reach(), T2.max_band_reach()))
 
         def dense():
@@ -723,8 +729,6 @@ def _add_common(sp) -> None:
                     help="initial Gram-solve window padding (default: derived)")
     sp.add_argument("--n-max", dest="n_max", type=int, default=64,
                     help="cap on projection iterations (default 64)")
-    sp.add_argument("--j-max", dest="j_max", type=int, default=256,
-                    help="cap on series terms (default 256)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"probe seed recorded in the report (default {DEFAULT_SEED})")
     sp.add_argument("--oracle", action="store_true",
@@ -779,11 +783,14 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = cache(make_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            args = make_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
             _check_flags(args)
             code = args.func(args)
         except SpecError as e:

@@ -202,11 +202,13 @@ def oracle_limit_project(D: DenseSection, v: FinVec, n_max: int = 64,
 
 def oracle_decompose(D: DenseSection, v: FinVec, n_max: int = 64,
                      j_max: int = 256, tol: float = 1e-12) -> WoldResult:
-    """Dense replica of the full decomposition pipeline."""
+    """Dense decomposition with the components summed as the series
+    ``T^j P0 (T~)^j h`` itself, so it checks the engine's range-projection
+    deltas independently; it measures no power identity (NaN)."""
     arr = vec_to_array(D, v)
     hn = float(np.linalg.norm(arr))
     if hn == 0.0:
-        return WoldResult(v, (), 0.0, (), 0, 0, 0.0, ())
+        return WoldResult(v, (), 0.0, (), 0, 0, 0.0, 0.0, ())
     limit_vec, history = oracle_limit_project(D, v, n_max=n_max, tol=tol)
     limit = vec_to_array(D, limit_vec)
 
@@ -257,6 +259,7 @@ def oracle_decompose(D: DenseSection, v: FinVec, n_max: int = 64,
         n_used=len(history),
         j_used=j_used,
         component_cross_max=cross,
+        power_residual=math.nan,
         flags=(),
     )
 

@@ -6,22 +6,24 @@ the engine computes:
 * the defect projection ``P0 = I - T T~`` onto ``ker T*``,
 * the nested range projections ``P_n`` onto ``T^n H``,
 * their strong limit ``P`` (projection onto the intersection of all ranges),
-* the series components ``T^j P0 (T~)^j h`` whose sum with ``P h``
+* the series components ``P_j h - P_{j+1} h``, whose sum with ``P h``
   reconstructs ``h``,
 * an orthonormal basis of the defect space, and
-* certificates: reconstruction residual, pairwise component orthogonality,
-  convergence history, and a surjectivity witness on the limit subspace.
+* certificates: the power identity residual, reconstruction residual,
+  pairwise component orthogonality, convergence history, and a
+  surjectivity witness on the limit subspace.
 
 ``P_n`` is always computed as ``T^n (T^n)~`` (through the Gram operator of
 ``T^n``), which is an orthogonal projection for every left-invertible T.
-The identity ``(T^n)~ = (T~)^n`` that makes the plain iterate agree with it
-is a property of the operator, checked separately by :mod:`woldkit.classd`;
-``decompose`` flags a disagreement instead of assuming it.
+Under the identity ``(T^n)~ = (T~)^n`` (power compatibility, the hypothesis
+of the paper's decomposition, checked as an operator property by
+:mod:`woldkit.classd`) the component ``P_j h - P_{j+1} h`` equals the
+paper's ``T^j P0 (T~)^j h``.  ``decompose`` measures that identity on ``h``
+at every step and flags a disagreement instead of assuming it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +41,8 @@ from .bandop import (
 )
 from .seqspace import FinVec, max_cross
 
+ORBIT_SCAN_CAP = 4096  # the plateau test never scans the orbit of T* further
+
 
 class NoStrongConvergence(RuntimeError):
     """The nested-projection iterates did not settle within the iteration cap."""
@@ -51,7 +55,8 @@ class NoStrongConvergence(RuntimeError):
 
 
 class SeriesNotConverged(RuntimeError):
-    """The defect series did not become negligible within the term cap."""
+    """The defect series did not become negligible within the term cap (the
+    dense oracle's series loop; the engine's series ends with its limit loop)."""
 
     def __init__(self, j_max: int, tail_norm: float):
         super().__init__(f"defect series still carries norm {tail_norm:.3e} "
@@ -75,8 +80,11 @@ class InputNotInHInfinity(ValueError):
 class WoldResult:
     """Outcome of a decomposition ``h = limit_part + sum(components)``.
 
-    ``components[j]`` approximates ``T^j P0 (T~)^j h``; the convergence
-    history holds ``||P_n h - P_{n+1} h||`` per step of the limit iteration.
+    ``components[j]`` is ``P_j h - P_{j+1} h``, so the convergence history
+    ``||P_n h - P_{n+1} h||`` holds the component norms.  ``power_residual``
+    is ``max_n ||T^n ((T~)^n h - (T^n)~ h)|| / ||h||``, which bounds how far
+    the components are from the paper's ``T^j P0 (T~)^j h``.  The dense
+    oracle sums that series itself and records NaN there.
     """
 
     limit_part: FinVec
@@ -86,31 +94,26 @@ class WoldResult:
     n_used: int
     j_used: int
     component_cross_max: float
+    power_residual: float
     flags: tuple
 
 
 def defect_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None) -> FinVec:
     """Project onto the defect space: ``h - T (T~ h)``, certified in ``ker T*``."""
-    return _defect_and_pullback(T, h, params or GramSolveParams())[0]
-
-
-def _defect_and_pullback(T: BandOp, h: FinVec, p: GramSolveParams) -> tuple[FinVec, FinVec]:
-    """``(h - T (T~ h), T~ h)``: the certified defect projection together with
-    the left-inverse image it was built from, which the series loop reuses."""
+    p = params or GramSolveParams()
     if h.is_zero:
-        return h, h
+        return h
     adj_h = T.adjoint().apply(h)
     if adj_h.is_zero:
-        return h, adj_h
-    x = solve_gram(T, adj_h, p)
-    d = h - T.apply(x)
+        return h
+    d = h - T.apply(solve_gram(T, adj_h, p))
     cert = T.adjoint().apply(d).norm()
     bound = 4.0 * p.tol * max(h.norm(), adj_h.norm())
     if cert > bound:
         raise NoConvergence(
             f"defect certificate ||T* d|| = {cert:.3e} exceeds {bound:.3e}",
             residual=cert)
-    return d, x
+    return d
 
 
 def nested_project(T: BandOp, n: int, h: FinVec, params: GramSolveParams | None = None) -> FinVec:
@@ -122,29 +125,6 @@ def nested_project(T: BandOp, n: int, h: FinVec, params: GramSolveParams | None 
     Tn = T ** n
     x = left_inverse_apply(Tn, h, params)
     return Tn.apply(x)
-
-
-def _adjoint_orbit_settled(adjT: BandOp, w: FinVec, budget: int) -> bool:
-    """True when repeated adjoint application never shrinks the support of w.
-
-    A support entry vanishing under T* is the structural event behind a
-    later drop of the range projections: the pulled-back vector acquires a
-    defect component one step earlier.  A basis vector far up a shift
-    lattice keeps ``P_1 h = ... = P_k h = h`` before collapsing, and a
-    surviving invertible component can mask a dying one, so a small-delta
-    plateau is only trusted once the forward orbit (computed with exact band
-    arithmetic, no solves) shows no further losses within the budget.
-
-    The reference walk: the two loops' linear-time tests below agree with
-    it, and the series loop still calls it where they cannot decide.
-    """
-    size = len(w)
-    for _ in range(budget):
-        w = adjT.apply(w)
-        if len(w) < size:
-            return False
-        size = len(w)
-    return True
 
 
 class _Orbit:
@@ -160,7 +140,14 @@ class _Orbit:
 
     def settled(self, p: int, end: int) -> bool:
         """No drop of ``len`` at ``p+1 .. end``, for ``p`` nondecreasing between
-        calls: ``p+1 .. _k-1`` hold none, so each position is scanned once."""
+        calls: ``p+1 .. _k-1`` hold none, so each position is scanned once.
+
+        A support entry vanishing under T* is the structural event behind a
+        later drop of the range projections, so on the orbit of ``T*`` this
+        says whether a plateau of small deltas can still be transient: a
+        basis vector far up a shift lattice keeps ``P_1 h = ... = P_k h = h``
+        before collapsing, and a surviving invertible component can mask a
+        dying one."""
         k = max(p + 1, self._k)
         while k <= end and len(self.at(k)) >= len(self.items[k - 1]):
             k += 1
@@ -168,71 +155,59 @@ class _Orbit:
         return k > end
 
 
-class _SeriesSettle:
-    """``_adjoint_orbit_settled(adjT, x_j, j_max - j)`` for nondecreasing j.
-    A single band maps indices injectively, so ``supp (T*)^k x`` lies in the
-    support-only orbit (sorted index tuples, as a shift keeps their order,
-    started at ``supp x_j0`` and kept while entry ``j - j0`` is ``supp x_j``):
-    a drop there within the budget proves the walk False.  Only a level
-    orbit runs the walk, which alone sees amplitudes underflow."""
+def _range_projections(T: BandOp, h: FinVec, p: GramSolveParams, n_max: int):
+    """The limit loop: yields ``(n, T^n, x_n, P_n h, ||P_{n-1} h - P_n h||)``
+    with ``x_n = (T^n)~ h`` and ``P_n h = T^n x_n``, for nonzero ``h``.
 
-    def __init__(self, adjT: BandOp, j_max: int):
-        self.adjT, self.j_max, self.orbit, self.j0 = adjT, j_max, None, 0
-
-    def __call__(self, x: FinVec, j: int) -> bool:
-        if len(self.adjT.bands) == 1:
-            if self.orbit is None or self.orbit.at(j - self.j0) != x.support():
-                (steps,) = self.adjT._steps
-                self.orbit, self.j0 = _Orbit(x.support(), lambda S: tuple(
-                    step[0] for step in map(steps.__getitem__, S) if step is not None)), j
-            if not self.orbit.settled(j - self.j0, self.j_max - self.j0):
-                return False
-        return _adjoint_orbit_settled(self.adjT, x, self.j_max - j)
-
-
-def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
-                        n_max: int = 64) -> tuple[FinVec, tuple]:
-    """Strong limit of the range projections applied to ``h``.
-
-    Iterates ``P_n h`` and stops when the adjoint iterate ``(T*)^n h``
-    vanishes exactly (the norms are nonincreasing, so the limit is then
-    exactly zero) or when three consecutive deltas fall below
-    ``tol * ||h||`` and a forward scan of the adjoint iterate cannot prove
-    the plateau transient.  Returns the final iterate and the delta history;
-    raises :class:`NoStrongConvergence` at the iteration cap.
+    Stops after the step where the adjoint iterate ``(T*)^n h`` vanishes
+    exactly (the norms are nonincreasing, so ``x_n`` and the limit are then
+    exactly zero), or after three consecutive deltas at most ``tol * ||h||``
+    once the adjoint orbit (exact band arithmetic, no solves) shows no later
+    support loss.  An entry ``d`` steps from a lattice boundary can first
+    vanish at step ``d + 1``, also past ``n_max``, so the orbit is scanned
+    that far; beyond :data:`ORBIT_SCAN_CAP` no plateau is trusted.  Raises
+    :class:`NoStrongConvergence` at the iteration cap.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    p = params or GramSolveParams()
-    if h.is_zero:
-        return h, ()
     hn = h.norm()
-    adjT = T.adjoint()
-    prev = h
-    history: list[float] = []
-    consec = 0
-    orbit = _Orbit(h, adjT.apply)  # (T*)^n h, maintained without solves
+    orbit = _Orbit(h, T.adjoint().apply)  # (T*)^n h, maintained without solves
+    end = max(n_max, 1 + max(map(T.lattice.depth, h.support())))
+    scannable = end <= max(n_max, ORBIT_SCAN_CAP)
+    prev, consec = h, 0
     for n in range(1, n_max + 1):
         Tn = T ** n
         w = orbit.at(n)
         if w.is_zero:
-            history.append(prev.norm())
-            return FinVec((), rank=h.rank), tuple(history)
+            yield n, Tn, w, w, prev.norm()
+            return
         try:
             x = solve_gram(Tn, w, p)
         except NoConvergence as e:
             raise NoConvergence(f"limit phase, n={n}: {e}", e.residual, e.window) from e
         cur = Tn.apply(x)
         delta = (prev - cur).norm()
-        history.append(delta)
-        if delta <= p.tol * hn:
-            consec += 1
-            if consec >= 3 and orbit.settled(n, n_max):
-                return cur, tuple(history)
-        else:
-            consec = 0
+        yield n, Tn, x, cur, delta
+        consec = consec + 1 if delta <= p.tol * hn else 0
+        if consec >= 3 and scannable and orbit.settled(n, end):
+            return
         prev = cur
-    raise NoStrongConvergence(n_max, history[-1])
+    raise NoStrongConvergence(n_max, delta)
+
+
+def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
+                        n_max: int = 64) -> tuple[FinVec, tuple]:
+    """Strong limit of the range projections applied to ``h``: the last
+    iterate of the limit loop (:func:`_range_projections` states when it
+    stops) and the delta history.  Raises :class:`NoStrongConvergence` at
+    the iteration cap.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if h.is_zero:
+        return h, ()
+    history = []
+    for _, _, _, limit, delta in _range_projections(T, h, params or GramSolveParams(), n_max):
+        history.append(delta)
+    return limit, tuple(history)
 
 
 def analytic_criterion(T: BandOp, h: FinVec, n: int,
@@ -330,61 +305,54 @@ def series_component(T: BandOp, j: int, h: FinVec,
 
 
 def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
-              n_max: int = 64, j_max: int = 256) -> WoldResult:
+              n_max: int = 64) -> WoldResult:
     """Split ``h`` into its limit part and defect-series components.
 
-    Truncates the series after three consecutive negligible components, or
-    exactly when the left-inverse iterate of ``h`` vanishes (for shifts the
-    tail is then exactly zero).  The reconstruction residual, the pairwise
-    orthogonality of the components, and the agreement of the limit with the
-    plain left-inverse power iterate are measured and recorded.
+    One pass of the limit loop: step ``n`` solves ``x_n = (T^n)~ h``, forms
+    ``P_n h = T^n x_n`` and records the component ``P_{n-1} h - P_n h``.  The
+    loop stops when ``(T*)^n h`` vanishes exactly, or after three negligible
+    deltas once the adjoint orbit of ``h`` shows no later support loss.
+
+    Each step also advances the left-inverse chain ``y_n = T~ y_{n-1}`` (one
+    certified solve) and measures the power identity residual
+    ``||T^n (y_n - x_n)|| / ||h||``; its maximum over the steps is
+    ``power_residual``, flagged with its ``n`` above ``100 * tol``.  A chain
+    that vanishes ends the series exactly, which is flagged too.  The
+    reconstruction residual and the pairwise orthogonality of the
+    components are measured and recorded.
     """
     p = params or GramSolveParams()
     if h.is_zero:
-        return WoldResult(h, (), 0.0, (), 0, 0, 0.0, ())
+        return WoldResult(h, (), 0.0, (), 0, 0, 0.0, 0.0, ())
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     hn = h.norm()
-    flags: list[str] = []
-
-    limit, history = shift_limit_project(T, h, p, n_max=n_max)
-    n_used = len(history)
-
+    adjT = T.adjoint()
     comps: list[FinVec] = []
-    settled = _SeriesSettle(T.adjoint(), j_max)
-    iterates = [h]  # (T~)^j h, each solved once and reused by the drift check
-    x = h
-    consec = 0
-    terminated = False
-    j_used = 0
-    for j in range(j_max + 1):
-        if j > 0 and x.is_zero:
-            terminated = True
-            j_used = j - 1
-            flags.append("series terminated exactly: left-inverse iterate vanished")
-            break
+    history: list[float] = []
+    prev = y = h  # P_{n-1} h and y_{n-1} = (T~)^{n-1} h
+    power, power_n = 0.0, 0
+    for n, Tn, x, cur, delta in _range_projections(T, h, p, n_max):
+        comps.append(prev - cur)
+        history.append(delta)
+        w = adjT.apply(y)
         try:
-            d, pulled = _defect_and_pullback(T, x, p)
+            y = w if w.is_zero else solve_gram(T, w, p)
         except NoConvergence as e:
-            raise NoConvergence(f"series phase, j={j}: {e}", e.residual, e.window) from e
-        iterates.append(pulled)
-        c = d
-        for _ in range(j):
-            c = T.apply(c)
-        comps.append(c)
-        j_used = j
-        if c.norm() <= p.tol * hn:
-            consec += 1
-            # a run of negligible components is only trusted once the
-            # iterate's forward orbit shows no more structural losses
-            if consec >= 3 and settled(x, j):
-                terminated = True
-                break
-        else:
-            consec = 0
-        x = pulled
-    if not terminated:
-        raise SeriesNotConverged(j_max, comps[-1].norm() if comps else math.inf)
+            raise NoConvergence(f"left-inverse chain, n={n}: {e}", e.residual, e.window) from e
+        r = Tn.apply(y - x).norm() / hn
+        if r > power:
+            power, power_n = r, n
+        prev = cur
 
-    acc = limit
+    flags: list[str] = []
+    if y.is_zero:
+        flags.append("series terminated exactly: left-inverse iterate vanished")
+    if power > 100.0 * p.tol:
+        flags.append(f"power identity residual {power:.3e} at n={power_n}: "
+                     f"(T~)^n h is not (T^n)~ h")
+
+    acc = prev
     for c in comps:
         acc = acc + c
     recon = (h - acc).norm()
@@ -395,26 +363,8 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     if cross > 1e-10:
         flags.append(f"components not pairwise orthogonal: max cross term {cross:.3e}")
 
-    # compare the projection-based limit with the plain left-inverse power
-    # iterate; they agree exactly when powers of the left inverse are left
-    # inverses of powers, which classd checks as a property
-    y = h
-    for k in range(1, n_used + 1):
-        if y.is_zero:
-            break
-        y = iterates[k] if k < len(iterates) else left_inverse_apply(T, y, p)
-    alt = y
-    for _ in range(n_used):
-        if alt.is_zero:
-            break
-        alt = T.apply(alt)
-    drift = (alt - limit).norm()
-    if drift > 100.0 * p.tol * hn:
-        flags.append(f"left-inverse power iterate deviates from projection "
-                     f"limit by {drift:.3e}")
-
-    return WoldResult(limit, tuple(comps), recon, history, n_used, j_used,
-                      cross, tuple(flags))
+    return WoldResult(prev, tuple(comps), recon, tuple(history), len(history),
+                      len(comps) - 1, cross, power, tuple(flags))
 
 
 def reducing_residual(T: BandOp, h: FinVec, n: int,

@@ -27,12 +27,17 @@ DC_TOLERANCE = 1e-10  # a larger double-commuting residual is flagged
 
 @dataclass(frozen=True)
 class FourfoldResult:
-    """Four orthogonal parts of a vector under a double-commuting pair."""
+    """Four orthogonal parts of a vector under a double-commuting pair.
+
+    ``limit_iterations`` holds the iteration counts of the five strong
+    limits (``Q2 h``, ``Q1 h``, then those of the ``inf_inf``, ``inf_s`` and
+    ``s_inf`` parts)."""
 
     parts: dict
     residual: float
     cross_terms: float
     double_commuting: float
+    limit_iterations: tuple
     flags: tuple
 
 
@@ -66,15 +71,16 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
 
     if h.is_zero:
         parts = {tag: h for tag in PART_TAGS}
-        return FourfoldResult(parts, 0.0, 0.0, dc.residual, tuple(flags))
+        return FourfoldResult(parts, 0.0, 0.0, dc.residual, (0,) * 5, tuple(flags))
 
     p_inner = p.tightened()
-    q2h = q_project(T2, h, p_inner, n_max)
-    q1h = q_project(T1, h, p_inner, n_max)
-    inf_inf = q_project(T1, q2h, p, n_max)
-    inf_s = q_project(T1, h - q2h, p, n_max)
-    s_inf = q_project(T2, h - q1h, p, n_max)
+    q2h, h2 = shift_limit_project(T2, h, p_inner, n_max)
+    q1h, h1 = shift_limit_project(T1, h, p_inner, n_max)
+    inf_inf, h11 = shift_limit_project(T1, q2h, p, n_max)
+    inf_s, h1s = shift_limit_project(T1, h - q2h, p, n_max)
+    s_inf, hs2 = shift_limit_project(T2, h - q1h, p, n_max)
     s_s = h - q1h - q2h + inf_inf
+    iterations = tuple(map(len, (h2, h1, h11, h1s, hs2)))
 
     parts = {"inf_inf": inf_inf, "inf_s": inf_s, "s_inf": s_inf, "s_s": s_s}
     acc = inf_inf + inf_s + s_inf + s_s
@@ -82,4 +88,4 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
 
     cross = max_cross([parts[tag] for tag in PART_TAGS])
 
-    return FourfoldResult(parts, residual, cross, dc.residual, tuple(flags))
+    return FourfoldResult(parts, residual, cross, dc.residual, iterations, tuple(flags))

@@ -54,6 +54,15 @@ def test_lattice_contains():
     assert not u.contains((1, -4)) and not u.contains((2, 0))
 
 
+def test_lattice_depth():
+    # distance to the farthest boundary along a bounded axis
+    assert Lattice.nat(1).depth((7,)) == 7
+    assert Lattice.integers(1).depth((-7,)) == 0
+    assert Lattice(("nat", 5, "int")).depth((2, 1, 9)) == 3
+    u = union(Lattice.integers(1), Lattice.nat(1))
+    assert (u.depth((0, 4)), u.depth((1, 4))) == (0, 4)
+
+
 def test_lattice_windows():
     assert Lattice.nat(1).window(3) == [(0,), (1,), (2,), (3,)]
     assert Lattice.integers(1).window(1) == [(0,), (-1,), (1,)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -344,6 +345,28 @@ def test_decompose_convergence_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_decompose_spike_past_the_cap_does_not_pass(tmp_path):
+    # e100 looks settled for the 64 default iterations, but the series owns it
+    code, rep = run_cli(tmp_path, "decompose", _BERGMAN, "--vector", "[[0,1,0],[100,1,0]]")
+    assert code == 2 and rep is None
+    code, rep = run_cli(tmp_path, "decompose", _BERGMAN, "--vector", "[[0,1,0],[100,1,0]]",
+                        "--n-max", "128")
+    assert code == 0
+    assert rep["decomposition"]["j_used"] == 100
+
+
+def test_decompose_pass_rule_needs_the_power_identity(tmp_path, monkeypatch):
+    # a reconstruction that holds does not pass when (T~)^n h is not (T^n)~ h
+    res = woldkit.decompose(bergman_shift(), unit(0))
+    assert res.reconstruction_residual == 0.0 and res.power_residual <= 1e-10
+    monkeypatch.setattr(woldkit.cli, "decompose", lambda *a, **k: dataclasses.replace(
+        res, power_residual=0.25))
+    code, rep = run_cli(tmp_path, "decompose", _BERGMAN, "--vector", "[[0,1,0]]")
+    assert code == 3
+    assert rep["verdict"] == "fail"
+    assert rep["decomposition"]["power_residual"] == 0.25
+
+
 def test_decompose_oracle_flag(tmp_path):
     code, rep = run_cli(tmp_path, "decompose", '{"kind":"bergman_shift"}',
                         "--vector", "[[0,1,0],[4,0,-1]]", "--oracle")
@@ -461,6 +484,24 @@ def test_fourfold_command(tmp_path):
     assert rep["oracle"]["max_rel_delta"] <= 1e-9
 
 
+def test_fourfold_oracle_window_follows_the_engine(tmp_path):
+    # the dense window is sized from the limit iterations the engine ran,
+    # not from --n-max (64 here), so the oracle run stays quick
+    code, rep = run_cli(tmp_path, "fourfold", _TENSOR,
+                        "--vector", "[[0,0,1,0],[1,2,0,1]]", "--oracle")
+    assert code == 0
+    iterations = rep["fourfold"]["limit_iterations"]
+    assert len(iterations) == 5 and max(iterations) <= 4
+    assert rep["oracle"]["window"] == 2 + 2 * max(iterations) + 2 + 4
+    assert rep["oracle"]["max_rel_delta"] <= 1e-9
+
+
+def test_check_pair_oracle_says_it_compared_nothing(tmp_path):
+    code, rep = run_cli(tmp_path, "check", _TENSOR, "--oracle")
+    assert code == 0
+    assert rep["oracle"] == {"skipped": "no dense replica of the pair checks"}
+
+
 def test_fourfold_requires_pair(tmp_path):
     code = main(["fourfold", '{"kind":"bergman_shift"}', "--vector", "[[0,1,0]]"])
     assert code == 1
@@ -494,7 +535,6 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
     ["check", _BERGMAN, "--tol", "inf"],
     ["check", _BERGMAN, "--seed", "-5"],
     ["decompose", _BERGMAN, "--vector", "[[0,1,0]]", "--n-max", "0"],
-    ["decompose", _BERGMAN, "--vector", "[[0,1,0]]", "--j-max", "-1"],
     ["decompose", _BERGMAN, "--vector", "[[0,1,0]]", "--tol", "0"],
     ["decompose", _BERGMAN, "--vector", "[[-1,1,0]]"],
     ["decompose", _BERGMAN, "--vector", "[[0,1,0]"],
@@ -517,6 +557,8 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
     ["check", _shift('{"family":"constant","value":1' + "0" * 400 + '}')],
     ["check", _shift('{"family":"constant","value":1' + "0" * 5000 + '}')],
     ["decompose", _BERGMAN, "--vector", "[[0,NaN,0]]"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1e200,0]]"],
+    ["fourfold", _TENSOR, "--vector", "[[0,0,1e200,0]]"],
     ["check", _TENSOR_BERGMAN_INT],
     ["fourfold", _TENSOR_BERGMAN_INT.replace(',"part":1', ""), "--vector", "[[0,0,1,0]]"],
     ["check", _BERGMAN, "--window", "abc"],
@@ -524,13 +566,14 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
     ["decompose", _BERGMAN],
     [],
 ], ids=["window-0", "guard-neg", "tol-neg", "tol-nan", "tol-inf", "seed-neg", "n-max-0",
-        "j-max-neg", "tol-0", "vector-off-lattice", "vector-bad-json",
+        "tol-0", "vector-off-lattice", "vector-bad-json",
         "pair-vector-off-lattice", "spec-is-directory", "spec-not-utf8",
         "pair-two-lattices-check", "pair-two-lattices-fourfold", "t-infinity",
         "t-over-h-overflows", "factor-nan", "L-nan", "beta-nan", "beta-2000-overflows-at-build",
         "alpha-1e308-overflows-at-build", "table-default-nan", "value-infinity",
         "value-minus-infinity", "value-1e400", "value-400-digits", "value-5000-digits",
-        "vector-nan", "tensor-bergman-on-int-axis", "tensor-bergman-on-int-axis-fourfold",
+        "vector-nan", "vector-norm-overflows", "pair-vector-norm-overflows",
+        "tensor-bergman-on-int-axis", "tensor-bergman-on-int-axis-fourfold",
         "window-not-int", "unknown-flag", "vector-missing", "no-command"])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
     binary = tmp_path / "spec.bin"
@@ -659,4 +702,4 @@ def test_cli_reports_digest_pinned(capsys):
         out, err = capsys.readouterr()
         digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == \
-        "b4d263139815c6f4ff6fe682310981a8a1e1a795e88a08f2df8429ce35f9ee07"
+        "de9c6a16763ea8699074d61f14681b9c6191af1cbe71dc41f415bc2cd896af83"
