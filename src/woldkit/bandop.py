@@ -21,7 +21,10 @@ operator is not band.  It is applied per vector by guarded finite-section
 solves whose residual is always re-measured with the exact band arithmetic;
 the window is enlarged (guard doubling) until the requested tolerance is
 certified, the section would exceed ``SECTION_BYTE_CAP`` or the lattice
-stops the window from growing.
+stops the window from growing.  A Gram operator keeps the Cholesky factors of
+its ``FACTOR_CACHE`` most recently solved windows, each kept only when it
+fits in ``SECTION_BYTE_CAP // 64`` bytes, so repeated windows are factored
+once; that retains at most 32 MiB per Gram operator.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .seqspace import FinVec, RankMismatch
 
 _BIG = 10 ** 9  # sentinel distance for axes without a truncation edge
 SECTION_BYTE_CAP = 512 * 2 ** 20  # largest dense complex section ever allocated
+FACTOR_CACHE = 4  # Cholesky factors of recent windows kept per Gram operator
 
 
 class LatticeMismatch(ValueError):
@@ -631,10 +635,12 @@ class BandOp:
 
     Immutable, so its adjoint, Gram operator and powers are each derived
     once, on first use, and kept on the instance; so is each band's step
-    at each index visited (one :class:`_BandSteps` per band).
+    at each index visited (one :class:`_BandSteps` per band), and, on a
+    Gram operator, the Cholesky factors of its recent solve windows.
     """
 
-    __slots__ = ("lattice", "rank", "bands", "_adjoint", "_gram", "_powers", "_steps")
+    __slots__ = ("lattice", "rank", "bands", "_adjoint", "_gram", "_powers", "_steps",
+                 "_factors")
 
     def __init__(self, lattice, bands: Iterable[tuple]):
         merged: dict[tuple, Weight] = {}
@@ -655,6 +661,7 @@ class BandOp:
         self._gram = None
         # T^2, T^3, ...; T itself is not stored, so the caches hold no cycle
         self._powers = []
+        self._factors = None  # window -> Cholesky factor, least recent first
 
     @property
     def offsets(self) -> tuple:
@@ -812,8 +819,9 @@ class GramSolveParams:
 
     ``guard`` is the initial window padding around the right-hand side
     support (``None`` derives 16x the band reach of the operator), ``tol``
-    the certified relative residual.  Memory is bounded by
-    ``SECTION_BYTE_CAP`` alone.
+    the certified relative residual.  No section exceeds
+    ``SECTION_BYTE_CAP``; each Gram operator retains at most ``FACTOR_CACHE``
+    Cholesky factors of at most ``SECTION_BYTE_CAP // 64`` bytes each.
     """
 
     guard: int | None = None
@@ -877,17 +885,40 @@ def section(T: BandOp, cols: Sequence[tuple],
     return M, rows
 
 
-def _window_system(G: BandOp, v: FinVec, guard: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """The guarded finite-section system of ``G x = v``: the window (sorted
-    in-lattice indices within ``guard`` of the support of ``v``), the section
-    of ``G`` on it and ``v`` as a right-hand side over it."""
+def _window_rhs(G: BandOp, v: FinVec, guard: int) -> tuple[list, np.ndarray]:
+    """The window of the guarded finite-section system of ``G x = v`` (the
+    sorted in-lattice indices within ``guard`` of the support of ``v``) and
+    ``v`` as a right-hand side over it."""
     window = G.lattice.neighbourhood(v.support(), guard)
-    M, _ = section(G, window, window)
     pos = {ix: i for i, ix in enumerate(window)}
     rhs = np.zeros(len(window), dtype=complex)
     for ix, amp in v.items():
         rhs[pos[ix]] = amp
-    return window, M, rhs
+    return window, rhs
+
+
+def _gram_factor(G: BandOp, window: list) -> tuple:
+    """Cholesky factor of the section of ``G`` on ``window``.
+
+    ``G`` is immutable, so the factor of a window never changes: the
+    ``FACTOR_CACHE`` most recently used ones are kept on ``G`` (least
+    recent evicted first), each only if it fits in ``SECTION_BYTE_CAP // 64``
+    bytes.  A failed factorization is not kept, so it fails again alike.
+    """
+    if G._factors is None:
+        G._factors = {}
+    key = tuple(window)
+    cf = G._factors.pop(key, None)
+    if cf is None:
+        M, _ = section(G, window, window)
+        # section() refuses non-finite entries
+        cf = scipy.linalg.cho_factor(M, check_finite=False)
+        if cf[0].nbytes > SECTION_BYTE_CAP // 64:
+            return cf
+        if len(G._factors) >= FACTOR_CACHE:
+            del G._factors[next(iter(G._factors))]
+    G._factors[key] = cf
+    return cf
 
 
 def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> FinVec:
@@ -937,11 +968,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
     last_residual = math.inf
     window = None
     while True:
-        try:
-            grown, M, rhs = _window_system(G, v, guard)
-        except NoConvergence as e:
-            raise NoConvergence(f"{e}; residual {last_residual:.3e}",
-                                residual=last_residual, window=e.window) from None
+        grown, rhs = _window_rhs(G, v, guard)
         if grown == window:
             # a window the lattice stops from growing only repeats its solve
             raise NoConvergence(
@@ -950,9 +977,11 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
                 residual=last_residual, window=len(window))
         window = grown
         try:
-            # section() refuses non-finite entries and v has a finite norm
-            cf = scipy.linalg.cho_factor(M, check_finite=False)
-            sol = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+            cf = _gram_factor(G, window)
+            sol = scipy.linalg.cho_solve(cf, rhs, check_finite=False)  # v has a finite norm
+        except NoConvergence as e:
+            raise NoConvergence(f"{e}; residual {last_residual:.3e}",
+                                residual=last_residual, window=e.window) from None
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             raise NoConvergence(
                 "Gram section is not positive definite (operator near-singular?)",

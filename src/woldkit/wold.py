@@ -34,7 +34,7 @@ from .bandop import (
     BandOp,
     GramSolveParams,
     NoConvergence,
-    _window_system,
+    _window_rhs,
     left_inverse_apply,
     section,
     solve_gram,
@@ -238,7 +238,8 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
         lam = np.array([steps[ix][1].real for ix, _ in items])
         y = np.array([amp for _, amp in items])
     else:
-        _, M, rhs = _window_system(G, v, p.effective_guard(Tn))
+        window, rhs = _window_rhs(G, v, p.effective_guard(Tn))
+        M, _ = section(G, window, window)
         lam, U = np.linalg.eigh(M)
         y = U.conj().T @ rhs
     floor = 1e-14 * float(lam.max())

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings, strategies as st
 
 from woldkit import bandop
@@ -25,6 +26,7 @@ from woldkit.bandop import (
     table,
     union,
 )
+from woldkit.classd import isometry_residual
 from woldkit.oracle import dense_section
 from woldkit.seqspace import FinVec, RankMismatch, unit, zero
 from woldkit.zoo import (
@@ -706,6 +708,73 @@ def test_solve_gram_raises_when_the_window_cannot_grow():
         solve_gram(T, unit(0), GramSolveParams(tol=1e-15))
     assert exc.value.window == 2
     assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
+
+
+def test_gram_factor_cache_factors_each_window_once(monkeypatch):
+    # unit vectors of one position share a window: each section is
+    # factored once, and the solves agree bit for bit with solves on a
+    # freshly built operator, whose cache is cold
+    real, seen = scipy.linalg.cho_factor, []
+
+    def counting(M, *args, **kwargs):
+        seen.append(M.tobytes())
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    Q = quasinormal_block(BLOCK_2)
+    report = isometry_residual(Q)
+    assert report.probes_used == 34
+    assert 0 < len(seen) == len(set(seen)) < report.probes_used
+    assert len(Q.gram()._factors) <= bandop.FACTOR_CACHE
+    for ix in Q.lattice.window(4):
+        warm = left_inverse_apply(Q, unit(ix))
+        cold = left_inverse_apply(quasinormal_block(BLOCK_2), unit(ix))
+        assert warm.items() == cold.items()
+    # the diagonal path never creates a cache
+    B = bergman_shift()
+    solve_gram(B, unit(0) + unit(3))
+    assert B.gram()._factors is None
+
+
+def test_gram_factor_cache_keeps_the_most_recent_windows():
+    S = unilateral_shift()
+    T = S + 0.5 * identity(S.lattice)
+    G = T.gram()
+    p = GramSolveParams(tol=1e-4)  # certified on the first window, of guard 16
+    windows = [G.lattice.neighbourhood([(40 * k,)], 16) for k in range(6)]
+    for k in range(5):
+        solve_gram(T, unit(40 * k), p)
+    assert list(G._factors) == [tuple(w) for w in windows[1:5]]
+    solve_gram(T, unit(40), p)  # a hit moves its window to the most recent end
+    solve_gram(T, unit(200), p)
+    assert list(G._factors) == [tuple(w) for w in (windows[3], windows[4], windows[1],
+                                                   windows[5])]
+
+
+def test_gram_factor_cache_skips_large_factors(monkeypatch):
+    # factors of more than cap // 64 bytes (10x10 complex entries here) are
+    # used but not kept; guard doubling 2, 4, 8, 16 solves windows of 3, 5,
+    # 9 and 17 ordinals
+    monkeypatch.setattr(bandop, "SECTION_BYTE_CAP", 64 * 16 * 10 * 10)
+    S = unilateral_shift()
+    T = S + 0.5 * identity(S.lattice)
+    p = GramSolveParams(guard=2, tol=1e-4)
+    x = solve_gram(T, unit(0), p)
+    assert len(x) == 17
+    assert [len(w) for w in T.gram()._factors] == [3, 5, 9]
+    assert solve_gram(T, unit(0), p) == x  # re-factors the 17-ordinal window
+
+
+def test_gram_factor_failure_repeats_alike():
+    # S S* annihilates e0, so the windowed section around it is singular
+    T = unilateral_shift().adjoint()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NoConvergence, match="not positive definite") as exc:
+            solve_gram(T, unit(0))
+        errors.append((str(exc.value), exc.value.window, exc.value.residual))
+    assert errors[0] == errors[1]
+    assert T.gram()._factors == {}
 
 
 def test_solve_gram_refuses_entries_outside_the_lattice():
