@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -1010,6 +1011,14 @@ def lower_bound_estimate(T: BandOp, window: int) -> float:
     nonincreasing in the window size.  Raises :class:`NoConvergence`, before
     enumerating the window, when even a square section on it would exceed
     ``SECTION_BYTE_CAP``.
+
+    Since ``M`` keeps every image row, ``M^H M`` is the section of the Gram
+    operator ``T*T`` on the window.  When that operator is diagonal (every
+    weighted shift), the value is read off it exactly, without a section or
+    an SVD, as ``sqrt(min_k ||T e_k||^2)`` over the window.  The SVD of the
+    section still decides whenever one of those entries is not finite, not
+    real or below ``sys.float_info.min``: the square can overflow or
+    underflow where ``||T e_k||`` does not, and a zero weight gives 0.0.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -1017,7 +1026,19 @@ def lower_bound_estimate(T: BandOp, window: int) -> float:
         return 0.0
     n = T.lattice.window_size(window)
     _require_section_fits(n, n)
-    M, _ = section(T, T.lattice.window(window))
+    cols = T.lattice.window(window)
+    G = T.gram()
+    if G.is_diagonal() and G.bands:
+        (steps,) = G._steps
+        least = math.inf
+        for ix in cols:
+            g = steps[ix][1]
+            if not (sys.float_info.min <= g.real < math.inf) or abs(g.imag) > 1e-14 * g.real:
+                break
+            least = min(least, g.real)
+        else:
+            return math.sqrt(least)
+    M, _ = section(T, cols)
     if M.shape[0] < M.shape[1]:
         return 0.0
     sv = np.linalg.svd(M, compute_uv=False)

@@ -81,7 +81,7 @@ from .zoo import (
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0x5EED
 LOWER_BOUND_FLOOR = 1e-8
-DECOMPOSE_GATE_WINDOW = 16  # the lower-bound window of decompose's gate
+GATE_WINDOW = 16  # the lower-bound window of the decompose and pair gates
 
 
 class SpecError(ValueError):
@@ -582,6 +582,15 @@ def _left_invertibility(T: BandOp, window: int) -> CheckReport:
     )
 
 
+def _gate_pair(report: dict, pair) -> bool:
+    """Gate both factors of a pair as decompose gates its operator, record
+    the gates in factor order as ``left_invertibility``, and tell whether
+    both passed."""
+    gates = [_left_invertibility(T, GATE_WINDOW) for T in pair]
+    report["left_invertibility"] = [_check_dict(g, informational=False) for g in gates]
+    return all(g.passed for g in gates)
+
+
 def _cmd_check(args) -> int:
     spec = parse_spec(_read_source(args.spec))
     built = build_operator(spec)
@@ -591,7 +600,9 @@ def _cmd_check(args) -> int:
     probes = default_probes(T.lattice, seed=args.seed)
     p = GramSolveParams(guard=args.guard)
 
+    gated = True
     if isinstance(built, tuple):
+        gated = _gate_pair(report, built)
         tol = args.tol if args.tol is not None else 1e-9
         checks = [  # (report, informational)
             (double_commuting_residual(*built, probes, tolerance=1e-10), False),
@@ -609,7 +620,7 @@ def _cmd_check(args) -> int:
             report["oracle"] = _oracle_check(T, probes, p)
 
     report["checks"] = [_check_dict(c, info) for c, info in checks]
-    return _finish(report, all(c.passed for c, info in checks if not info), args)
+    return _finish(report, gated and all(c.passed for c, info in checks if not info), args)
 
 
 def _oracle_check(T: BandOp, probes, p: GramSolveParams) -> dict:
@@ -655,7 +666,7 @@ def _cmd_decompose(args) -> int:
     spec = parse_spec(_read_source(args.spec))
     T = _single(spec, "decompose")
     v, tol, p, report = _vector_prelude(args, spec, T.lattice)
-    gate = _left_invertibility(T, DECOMPOSE_GATE_WINDOW)
+    gate = _left_invertibility(T, GATE_WINDOW)
     report["left_invertibility"] = _check_dict(gate, informational=False)
     if not gate.passed:
         # without a left inverse there is no decomposition to compute
@@ -684,6 +695,9 @@ def _cmd_fourfold(args) -> int:
         raise SpecError(["fourfold needs a pair spec (kind 'pair' or 'tensor_pair')"])
     T1, T2 = built
     v, tol, p, report = _vector_prelude(args, spec, T1.lattice)
+    if not _gate_pair(report, built):
+        report["fourfold"] = None
+        return _finish(report, False, args)
     res = fourfold(T1, T2, v, p, n_max=args.n_max)
     report["fourfold"] = _jsonable(res)
     hn = max(v.norm(), 1e-300)

@@ -892,6 +892,47 @@ def test_lower_bound_invertible_bilateral():
     assert abs(lower_bound_estimate(T, 8) - 2.0) < 1e-12
 
 
+_DIAGONAL_GRAM_ZOO = [(name, T) for name, T in ZOO if T.gram().is_diagonal()]
+
+
+@pytest.mark.parametrize("window", [4, 8, 16])
+@pytest.mark.parametrize("name,T", _DIAGONAL_GRAM_ZOO, ids=[n for n, _ in _DIAGONAL_GRAM_ZOO])
+def test_lower_bound_from_gram_diagonal_matches_svd(name, T, window):
+    M, _ = section(T, T.lattice.window(window))
+    sv = np.linalg.svd(M, compute_uv=False)[-1]
+    assert abs(lower_bound_estimate(T, window) - sv) <= 1e-12 * sv
+
+
+def test_lower_bound_from_gram_diagonal_needs_no_section_or_svd(monkeypatch):
+    expected = {name: lower_bound_estimate(T, 16) for name, T in _DIAGONAL_GRAM_ZOO}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the diagonal path sections or factors")
+    monkeypatch.setattr(bandop, "section", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    # fresh operators, so no memo of the calls above helps
+    for name, T in make_zoo_fixtures():
+        if name in expected:
+            assert lower_bound_estimate(T, 16) == expected[name], name
+
+
+@pytest.mark.parametrize("x", [1e200, 1e-200, 3e-162])
+def test_lower_bound_gram_diagonal_out_of_range_falls_back_to_svd(x):
+    # the weight x at index 0 has a finite norm, its square is inf, 0 or
+    # subnormal: the SVD of the section decides, exactly as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a weight 1e-200 warns on the probe
+        T = weighted_shift(table([x], 1.0), 1, "nat")
+    assert lower_bound_estimate(T, 16) == min(x, 1.0)
+
+
+def test_lower_bound_overflowing_weight_is_refused():
+    A = weighted_shift(constant(1e200), 1, "nat")
+    assert lower_bound_estimate(A, 16) == 1e200
+    with pytest.raises(NoConvergence, match="a weight overflows double precision"):
+        lower_bound_estimate(A @ A, 16)  # weight and Gram diagonal 1e400
+
+
 def _assert_public_form(out: FinVec) -> None:
     """``out`` is exactly what the validating public constructor builds."""
     assert out == FinVec(dict(out._entries), rank=out.rank)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -391,6 +392,51 @@ def test_decompose_refuses_operator_without_left_inverse(tmp_path, spec, oracle)
     assert rep["decomposition"] is None
 
 
+def _pair_with(spec, at):
+    factors = [_BERGMAN, _BERGMAN]
+    factors[at] = spec
+    return '{"kind":"pair","first":' + factors[0] + ',"second":' + factors[1] + '}'
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+@pytest.mark.parametrize("at", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("spec", _NO_LEFT_INVERSE, ids=["zero", "bergman-adjoint"])
+def test_fourfold_refuses_pair_with_factor_without_left_inverse(tmp_path, spec, at, oracle):
+    code, rep = run_cli(tmp_path, "fourfold", _pair_with(spec, at), "--vector", "[[0,1,0]]",
+                        *oracle)
+    assert code == 3
+    assert rep["verdict"] == "fail"
+    gates = rep["left_invertibility"]
+    assert [g["verdict"] for g in gates] == ["fail" if i == at else "pass" for i in range(2)]
+    assert [g["window"] for g in gates] == [16, 16]
+    assert rep["fourfold"] is None
+    assert "oracle" not in rep
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("spec", _NO_LEFT_INVERSE, ids=["zero", "bergman-adjoint"])
+def test_check_pair_gates_both_factors(tmp_path, spec, at):
+    code, rep = run_cli(tmp_path, "check", _pair_with(spec, at))
+    assert code == 3
+    assert rep["verdict"] == "fail"
+    gates = rep["left_invertibility"]
+    assert [g["verdict"] for g in gates] == ["fail" if i == at else "pass" for i in range(2)]
+
+
+@pytest.mark.parametrize("command,extra",
+                         [("check", ()), ("fourfold", ("--vector", "[[0,0,1,0]]"))])
+def test_pair_commands_record_passing_gates_in_factor_order(tmp_path, command, extra):
+    spec = ('{"kind":"tensor_pair","w1":{"family":"bergman"},'
+            '"w2":{"family":"constant","value":1},"lattice2":"int"}')
+    code, rep = run_cli(tmp_path, command, spec, *extra)
+    assert code == 0
+    gates = rep["left_invertibility"]
+    assert [g["verdict"] for g in gates] == ["pass", "pass"]
+    # the Bergman factor on the first axis, the constant one on the second
+    assert gates[0]["details"]["lower_bound"] == math.sqrt(0.5)
+    assert gates[1]["details"]["lower_bound"] == 1.0
+
+
 def _one(value=1.0):
     return {"family": "constant", "value": value}
 
@@ -702,4 +748,4 @@ def test_cli_reports_digest_pinned(capsys):
         out, err = capsys.readouterr()
         digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == \
-        "de9c6a16763ea8699074d61f14681b9c6191af1cbe71dc41f415bc2cd896af83"
+        "b995d8349e0d327296d28c1964635c52c52d716c5ca88269b411d73c6bf225d6"

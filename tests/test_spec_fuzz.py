@@ -6,7 +6,8 @@ then mutated: a field dropped, an unknown field added, a value of the wrong
 type, a non-finite or extreme number, a pair where one operator belongs, or
 a lattice swapped.  Whatever comes out, parsing and building may only raise
 ``SpecError``, and ``woldkit check`` must end in a documented exit code with
-a message instead of a traceback.
+a message instead of a traceback.  Pair specs, some with a factor scaled by
+0, go through ``woldkit fourfold`` with seeded vectors the same way.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import copy
 import io
 import json
 import math
+import random
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
@@ -187,6 +189,79 @@ def test_check_ends_in_an_exit_code_never_a_traceback(spec):
         assert errors is None
         report = json.loads(out.getvalue())
         assert report["verdict"] == ("pass" if code == 0 else "fail")
+
+
+_AMPLITUDES = [1.0, -0.5, 0.25, 2.0, 1e-300, 1e300]
+
+
+@st.composite
+def pair_specs(draw):
+    """Pair specs: a tensor_pair, a ``pair`` of two single nodes, or a
+    ``pair`` of a node and that node scaled by 0 (in either order), each
+    mutated as above; also whether the spec holds such an unmutated zero
+    factor."""
+    shape = draw(st.sampled_from(["tensor", "any-two", "zero-factor"]))
+    if shape == "tensor":
+        spec = draw(nodes(0).filter(lambda obj: obj["kind"] == "tensor_pair")
+                    .map(lambda obj: {k: v for k, v in obj.items() if k != "part"}))
+    else:
+        first = draw(nodes(1, single=True))
+        second = draw(nodes(1, single=True)) if shape == "any-two" else \
+            {"kind": "scale", "factor": 0, "child": copy.deepcopy(first)}
+        if draw(st.booleans()):
+            first, second = second, first
+        spec = {"kind": "pair", "first": first, "second": second}
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_mutated(spec)), False
+    return spec, shape == "zero-factor"
+
+
+def _seeded_vector(spec: dict, vseed: int) -> list:
+    """Up to three records on the first factor's lattice, chosen by
+    ``vseed``; a record at the origin when the spec does not build."""
+    rng = random.Random(vseed)
+    try:
+        built = build_operator(parse_spec(json.dumps(spec)))
+    except SpecError:
+        return [[0, 1.0, 0.0]]
+    lattice = (built[0] if isinstance(built, tuple) else built).lattice
+    pool = lattice.window(2)
+    picks = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+    return [[*ix, rng.choice(_AMPLITUDES), rng.choice(_AMPLITUDES)] for ix in picks]
+
+
+@seed(20170422)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(pair_specs(), st.integers(0, 2 ** 16))
+def test_fourfold_ends_in_an_exit_code_never_a_traceback(drawn, vseed):
+    spec, zero_factor = drawn
+    text = json.dumps(spec)
+    errors = _spec_errors(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["fourfold", text, "--vector", json.dumps(_seeded_vector(spec, vseed)),
+                     "--n-max", "8"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        if errors:
+            assert lines == [f"spec error: {e}" for e in errors]
+        else:  # the vector's or a single operator's one line
+            assert len(lines) == 1 and lines[0].startswith("spec error: ")
+    elif code == 2:
+        assert len(lines) == 1
+    else:
+        assert errors is None
+        assert all(line.startswith("warning: ") for line in lines)
+        report = json.loads(out.getvalue())
+        assert report["verdict"] == ("pass" if code == 0 else "fail")
+        gated_out = any(g["verdict"] == "fail" for g in report["left_invertibility"])
+        assert (report["fourfold"] is None) == gated_out
+        assert code == 3 or not gated_out
+    if zero_factor and errors is None:  # gated out, unless the vector is refused first
+        assert code == 3 or lines == ["spec error: vector: its norm overflows double precision"]
 
 
 def test_zoo_list_prints_every_registry_kind():
