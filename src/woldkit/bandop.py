@@ -625,7 +625,8 @@ class _BandSteps(dict):
 
     def __missing__(self, ix: tuple):
         lat = self.lattice
-        _require_in_lattice((ix,), lat)
+        if not lat.contains(ix):
+            raise LatticeMismatch(f"vector entry at {ix} lies outside {lat!r}")
         tgt = _tadd(ix, self.off)
         step = self[ix] = (tgt, self.w.evaluate(ix, lat)) if lat.contains(tgt) else None
         return step
@@ -848,6 +849,28 @@ def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
     return (G.apply(x) - v).norm()
 
 
+def _diagonal_solve(G: BandOp, v: FinVec) -> tuple[FinVec, float] | None:
+    """``x = G^{-1} v`` entrywise for an exactly diagonal, nonzero ``G``,
+    with its residual ``||G x - v||``; None when a diagonal entry of ``G``
+    on the support of ``v`` is not positive real.
+
+    The residual is measured in the same loop: each entry is the one
+    ``G.apply(x) - v`` holds, by the same complex operations (an exactly
+    zero ``x_k`` or ``g x_k`` leaves ``-v_k``, up to the sign of a zero),
+    and ``fsum`` is exact, so this equals :func:`_gram_residual` bit for bit.
+    """
+    (steps,) = G._steps
+    entries, terms = {}, []
+    for ix, amp in v.items():
+        g = steps[ix][1]
+        if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real:
+            return None
+        xk = entries[ix] = complex(amp.real / g.real, amp.imag / g.real)
+        d = ((0j + g * xk) - amp) if xk != 0 else -amp
+        terms.append(d.real * d.real + d.imag * d.imag)
+    return FinVec._wrap(entries, v.rank), math.sqrt(math.fsum(terms))
+
+
 def _require_section_fits(nrows: int, ncols: int) -> None:
     nbytes = nrows * ncols * 16
     if nbytes > SECTION_BYTE_CAP:
@@ -949,20 +972,9 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         # exactly diagonal (every weighted shift lands here): divide entrywise
         if not G.bands:
             raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
-        (steps,) = G._steps
-        entries = {}
-        ok = True
-        for ix, amp in v.items():
-            g = steps[ix][1]
-            if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real:
-                ok = False
-                break
-            entries[ix] = complex(amp.real / g.real, amp.imag / g.real)
-        if ok:
-            x = FinVec._wrap(entries, v.rank)
-            r = _gram_residual(G, x, v)
-            if r <= p.tol * vn:
-                return x
+        solved = _diagonal_solve(G, v)
+        if solved is not None and solved[1] <= p.tol * vn:
+            return solved[0]
         # fall through to the windowed solve on pathological diagonals
 
     guard = p.effective_guard(T)

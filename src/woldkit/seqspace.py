@@ -64,9 +64,13 @@ class FinVec:
     @classmethod
     def _wrap(cls, data: dict, rank: int) -> "FinVec":
         """Trusted constructor: ``data`` maps int tuples of length ``rank``
-        to Python ``complex`` already, so only exact zeros are dropped."""
+        to Python ``complex`` already, so only exact zeros are dropped.
+
+        The vector takes ownership of ``data``: callers pass a dict they
+        built for it and never touch again.  It is copied only when it holds
+        an exact zero, to drop those entries (NaN entries are kept)."""
         v = cls.__new__(cls)
-        v._entries = {ix: a for ix, a in data.items() if a != 0}
+        v._entries = {ix: a for ix, a in data.items() if a != 0} if 0 in data.values() else data
         v._rank = rank
         return v
 
@@ -142,17 +146,7 @@ class FinVec:
         """<self, other>, linear in self and conjugate-linear in other."""
         if other._rank != self._rank:
             raise RankMismatch(f"rank {self._rank} vs {other._rank}")
-        if len(self._entries) <= len(other._entries):
-            small, big, swap = self._entries, other._entries, False
-        else:
-            small, big, swap = other._entries, self._entries, True
-        acc = 0j
-        for ix in sorted(small):
-            b = big.get(ix)
-            if b is not None:
-                a = small[ix]
-                acc += (a * b.conjugate()) if not swap else (b * a.conjugate())
-        return acc
+        return _inner(self._entries, other._entries)
 
     def norm_sq(self) -> float:
         """Squared norm, accumulated in real arithmetic (no imaginary residue)."""
@@ -160,6 +154,24 @@ class FinVec:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
+
+
+def _inner(u: dict, w: dict, ukeys: list | None = None, wkeys: list | None = None) -> complex:
+    """``sum_k u[k] * conj(w[k])``, accumulated over the sorted keys of the
+    smaller dict (``u`` on a tie).  ``ukeys`` and ``wkeys``, when given, are
+    ``sorted(u)`` and ``sorted(w)``, computed once by a caller that pairs a
+    vector with many others."""
+    if len(u) <= len(w):
+        small, big, keys, swap = u, w, ukeys, False
+    else:
+        small, big, keys, swap = w, u, wkeys, True
+    acc = 0j
+    for ix in sorted(small) if keys is None else keys:
+        b = big.get(ix)
+        if b is not None:
+            a = small[ix]
+            acc += (a * b.conjugate()) if not swap else (b * a.conjugate())
+    return acc
 
 
 def unit(ix, rank: int | None = None) -> FinVec:
@@ -214,8 +226,13 @@ def orthonormalize(vs: Iterable[FinVec], tol: float = 1e-10) -> list[FinVec]:
 def max_cross(vs: Sequence[FinVec]) -> float:
     """Largest ``|<vs[i], vs[k]>|`` over the pairs ``i < k`` (0.0 for fewer
     than two vectors): how far the vectors are from pairwise orthogonal."""
+    for u in vs[1:]:
+        if u._rank != vs[0]._rank:
+            raise RankMismatch(f"rank {vs[0]._rank} vs {u._rank}")
+    entries = [v._entries for v in vs]
+    keys = [sorted(e) for e in entries]  # each vector sorted once, not once per pair
     cross = 0.0
-    for i, u in enumerate(vs):
-        for w in vs[i + 1:]:
-            cross = max(cross, abs(u.inner(w)))
+    for i, u in enumerate(entries):
+        for k in range(i + 1, len(entries)):
+            cross = max(cross, abs(_inner(u, entries[k], keys[i], keys[k])))
     return cross

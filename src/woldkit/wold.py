@@ -156,8 +156,9 @@ class _Orbit:
 
 
 def _range_projections(T: BandOp, h: FinVec, p: GramSolveParams, n_max: int):
-    """The limit loop: yields ``(n, T^n, x_n, P_n h, ||P_{n-1} h - P_n h||)``
-    with ``x_n = (T^n)~ h`` and ``P_n h = T^n x_n``, for nonzero ``h``.
+    """The limit loop: yields ``(n, T^n, x_n, P_n h, c_n, ||c_n||)`` with
+    ``x_n = (T^n)~ h``, ``P_n h = T^n x_n`` and the component
+    ``c_n = P_{n-1} h - P_n h``, for nonzero ``h``.
 
     Stops after the step where the adjoint iterate ``(T*)^n h`` vanishes
     exactly (the norms are nonincreasing, so ``x_n`` and the limit are then
@@ -177,15 +178,16 @@ def _range_projections(T: BandOp, h: FinVec, p: GramSolveParams, n_max: int):
         Tn = T ** n
         w = orbit.at(n)
         if w.is_zero:
-            yield n, Tn, w, w, prev.norm()
+            yield n, Tn, w, w, prev, prev.norm()
             return
         try:
             x = solve_gram(Tn, w, p)
         except NoConvergence as e:
             raise NoConvergence(f"limit phase, n={n}: {e}", e.residual, e.window) from e
         cur = Tn.apply(x)
-        delta = (prev - cur).norm()
-        yield n, Tn, x, cur, delta
+        comp = prev - cur
+        delta = comp.norm()
+        yield n, Tn, x, cur, comp, delta
         consec = consec + 1 if delta <= p.tol * hn else 0
         if consec >= 3 and scannable and orbit.settled(n, end):
             return
@@ -205,7 +207,7 @@ def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = N
     if h.is_zero:
         return h, ()
     history = []
-    for _, _, _, limit, delta in _range_projections(T, h, params or GramSolveParams(), n_max):
+    for _, _, _, limit, _, delta in _range_projections(T, h, params or GramSolveParams(), n_max):
         history.append(delta)
     return limit, tuple(history)
 
@@ -333,8 +335,8 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     history: list[float] = []
     prev = y = h  # P_{n-1} h and y_{n-1} = (T~)^{n-1} h
     power, power_n = 0.0, 0
-    for n, Tn, x, cur, delta in _range_projections(T, h, p, n_max):
-        comps.append(prev - cur)
+    for n, Tn, x, cur, comp, delta in _range_projections(T, h, p, n_max):
+        comps.append(comp)
         history.append(delta)
         w = adjT.apply(y)
         try:

@@ -952,9 +952,95 @@ def test_trusted_outputs_equal_public_constructor():
         for out in (T.apply(u), T.adjoint().apply(u), u + v, u - v, u - u, 2.5j * u,
                     u * np.float64(0.5), 0 * u, -u, u / 3):
             _assert_public_form(out)
+            # _wrap owns the dict it is given, so no output may share an operand's
+            assert out._entries is not u._entries and out._entries is not v._entries
         _assert_public_form(solve_gram(T, u))  # diagonal Gram: entrywise path
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
     assert not T.gram().is_diagonal()
     _assert_public_form(solve_gram(T, unit(0) + 1j * unit(3)))  # windowed path
 
+
+# ---------------------------------------------------------------------------
+# the diagonal Gram solve measures its residual in its own loop
+# ---------------------------------------------------------------------------
+
+def _extreme_vec(lattice, rng, size: int, extent: int = 8) -> FinVec:
+    """``rand_vec`` with each amplitude scaled by a seeded pick that
+    includes 1e300, 1e-300 and the smallest subnormal."""
+    scales = (1.0, -0.5j, 1e300, 1e-300, 5e-324)
+    v = rand_vec(lattice, rng, size=size, extent=extent)
+    return FinVec({ix: a * scales[int(rng.integers(len(scales)))] for ix, a in v.items()},
+                  rank=lattice.rank)
+
+
+@pytest.mark.parametrize("name,T", _DIAGONAL_GRAM_ZOO, ids=[n for n, _ in _DIAGONAL_GRAM_ZOO])
+def test_diagonal_solve_residual_is_the_band_gram_residual(name, T):
+    rng = np.random.default_rng(20170420)
+    for n in (1, 2, 3):
+        G = (T ** n).gram()
+        assert G.is_diagonal()
+        for size in (1, 3, 6):
+            v = _extreme_vec(T.lattice, rng, size)
+            x, r = bandop._diagonal_solve(G, v)
+            assert r.hex() == bandop._gram_residual(G, x, v).hex(), (n, v)
+
+
+_EXTREME_DIAGONAL = (2.0, 0.3, 1e308, 1e-308, 5e-324, 0.0, -1.0, 1 + 1j,
+                     complex(3.0, 1e-15), complex(3.0, -1e-13), math.inf,
+                     complex(math.inf, math.nan), math.nan)
+
+
+def test_diagonal_solve_residual_on_extreme_table_diagonals():
+    # G need not be a Gram here: huge, subnormal, zero and complex values
+    # reach the entrywise step, which either refuses or certifies as before
+    w = table(_EXTREME_DIAGONAL, 1.0)
+    G = BandOp(Lattice.nat(), [((0,), w)])
+    rng = np.random.default_rng(20170421)
+    solved = refused = 0
+    for _ in range(300):
+        v = _extreme_vec(G.lattice, rng, int(rng.integers(1, 5)), len(_EXTREME_DIAGONAL) - 1)
+        gs = [w.evaluate(ix, G.lattice) for ix in v.support()]
+        out = bandop._diagonal_solve(G, v)
+        assert (out is None) == any(not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real
+                                    for g in gs)
+        if out is None:
+            refused += 1
+            continue
+        solved += 1
+        x, r = out
+        assert r.hex() == bandop._gram_residual(G, x, v).hex(), v
+    assert solved > 30 and refused > 30
+
+
+def _outcome(make_T, v) -> tuple:
+    """What ``solve_gram`` does on a fresh operator: the solution bit for bit,
+    or the exception with its message."""
+    try:
+        x = solve_gram(make_T(), v)
+    except NoConvergence as e:
+        return type(e).__name__, str(e)
+    return tuple((ix, a.real.hex(), a.imag.hex()) for ix, a in x.items())
+
+
+@pytest.mark.parametrize("x", [1e200, 1e154, 3e-162, 1e-170, 0.0, 1 + 1j])
+def test_solve_gram_falls_through_to_the_windowed_path_as_before(monkeypatch, x):
+    lat = Lattice((12,))  # a finite axis: a windowed solve stops growing fast
+
+    def shift():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small weights warn on the probe
+            return weighted_shift(table([2.0, x, 0.5], 1.0), 1, lat)
+
+    makers = (shift, lambda: BandOp(lat, [((0,), table([x, 2.0, x], 1.0))]))
+    vectors = (unit(1), FinVec({(0,): 1.0, (1,): 0.5j, (2,): -1e-300}),
+               FinVec({(1,): 1e300}), FinVec({(1,): 1e-300, (5,): 1.0}), unit(11))
+    inline = [_outcome(m, v) for m in makers for v in vectors]
+
+    def measured_by_apply(G, v, solve=bandop._diagonal_solve):
+        # the residual as it was measured before: apply G, subtract v
+        out = solve(G, v)
+        return out and (out[0], bandop._gram_residual(G, out[0], v))
+
+    monkeypatch.setattr(bandop, "_diagonal_solve", measured_by_apply)
+    assert [_outcome(m, v) for m in makers for v in vectors] == inline

@@ -144,3 +144,94 @@ def test_norm_scaling(du, alpha):
     lhs = norm(alpha * u)
     rhs = abs(alpha) * norm(u)
     assert abs(lhs - rhs) <= 1e-14 * max(1.0, rhs)
+
+
+def _bits(c: complex) -> tuple:
+    """Both parts exactly: signed zeros differ, every NaN reads 'nan'."""
+    return c.real.hex(), c.imag.hex()
+
+
+def _pairwise_inner(u: FinVec, w: FinVec) -> complex:
+    """The documented order: ``u[k] * conj(w[k])`` summed over the sorted
+    support of the vector with fewer entries, ``u``'s on a tie."""
+    small = u if len(u) <= len(w) else w
+    acc = 0j
+    for ix in small.support():
+        if ix in u._entries and ix in w._entries:
+            acc += u[ix] * w[ix].conjugate()
+    return acc
+
+
+def _pairwise_cross(vs) -> float:
+    cross = 0.0
+    for i, u in enumerate(vs):
+        for w in vs[i + 1:]:
+            cross = max(cross, abs(_pairwise_inner(u, w)))
+    return cross
+
+
+_SPECIAL_AMPS = (1.0, -0.5j, 3 + 4j, complex(-0.0, 1.0), complex(2.0, -0.0),
+                 complex(-0.0, -2.0), math.inf, complex(1.0, -math.inf), math.nan,
+                 complex(0.0, math.nan), 1e300, 1e-300)
+
+
+def _special_vec(rng, size: int, lo: int = 0, hi: int = 12) -> FinVec:
+    """Entries at shuffled indices (so insertion order is not sorted order),
+    a third of them special amplitudes, the rest inexact random ones."""
+    keys = rng.choice(np.arange(lo, hi), size=min(size, hi - lo), replace=False)
+    return FinVec({(int(k),): _SPECIAL_AMPS[int(rng.integers(len(_SPECIAL_AMPS)))]
+                   if rng.random() < 1 / 3 else complex(*rng.standard_normal(2))
+                   for k in keys}, rank=1)
+
+
+def test_inner_and_max_cross_match_the_pairwise_definition_bit_for_bit():
+    rng = np.random.default_rng(20170419)
+    empty = zero(1)
+    u, w = _special_vec(rng, 3, 0, 6), _special_vec(rng, 5, 0, 6)  # overlapping
+    disjoint = _special_vec(rng, 4, 20, 30)
+    fixed = [(u, w), (w, u), (u, u), (u, disjoint), (disjoint, u), (empty, u), (u, empty),
+             (empty, empty)]
+    seen_branches = set()
+    for a, b in fixed + [(_special_vec(rng, int(rng.integers(0, 7))),
+                          _special_vec(rng, int(rng.integers(0, 7)))) for _ in range(400)]:
+        assert _bits(a.inner(b)) == _bits(_pairwise_inner(a, b))
+        seen_branches.add((len(a) <= len(b), len(a) == len(b)))
+    assert seen_branches == {(True, True), (True, False), (False, False)}
+    for _ in range(200):
+        vs = [_special_vec(rng, int(rng.integers(0, 6)), 0, 8)
+              for _ in range(int(rng.integers(0, 7)))]
+        assert max_cross(vs).hex() == _pairwise_cross(vs).hex()
+    assert max_cross([empty, u, empty]) == 0.0
+
+
+def test_max_cross_nan_term_never_raises_the_max():
+    nan_vec = FinVec({(0,): math.nan, (1,): 1.0})
+    assert math.isnan(nan_vec.inner(unit(0)).real)
+    assert max_cross([nan_vec, unit(0)]) == 0.0
+    # a NaN pair before and after a finite one leaves the finite maximum
+    three = 3 * unit(1)
+    assert max_cross([unit(0), nan_vec, three]) == 3.0
+    assert max_cross([nan_vec, unit(0), three]) == 3.0
+
+
+def test_max_cross_rank_mismatch_raises():
+    with pytest.raises(RankMismatch):
+        max_cross([unit(0), unit((0, 0))])
+
+
+def test_wrap_drops_only_exact_zeros_and_owns_its_dict():
+    zeros = {(1,): 0j, (2,): -0j, (3,): complex(-0.0, 0.0), (4,): complex(0.0, -0.0)}
+    nans = {(5,): complex(math.nan, 0.0), (6,): complex(0.0, math.nan)}
+    data = {(0,): 1 + 2j, **zeros, **nans}
+    v = FinVec._wrap(data, 1)
+    assert v.support() == ((0,), (5,), (6,))
+    assert all(math.isnan(abs(v[ix])) for ix in nans)
+    assert len(data) == 7  # a dict holding zeros is copied, never pruned in place
+    clean = {(0,): 1 + 2j, (5,): complex(math.nan, 0.0)}
+    assert FinVec._wrap(clean, 1)._entries is clean  # taken over, not copied
+
+
+def test_vector_arithmetic_never_shares_entries_with_an_operand():
+    u, z = unit(0) + 2j * unit(3), zero(1)
+    for out in (u + z, z + u, u - z, z - u, u * 1, 1 * u, u / 1, -u, u + u, u - (-u)):
+        assert out._entries is not u._entries and out._entries is not z._entries
