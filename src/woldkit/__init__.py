@@ -51,7 +51,6 @@ from .seqspace import (
 from .wold import (
     InputNotInHInfinity,
     NoStrongConvergence,
-    SeriesNotConverged,
     WoldResult,
     analytic_criterion,
     decompose,
@@ -63,6 +62,7 @@ from .wold import (
     surjectivity_witness,
     wandering_basis,
 )
+from .oracle import SeriesNotConverged
 from .wold2d import FourfoldResult, fourfold, q_project
 from .zoo import (
     IncommensurateStep,

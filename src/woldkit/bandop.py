@@ -281,7 +281,8 @@ class UnionLattice:
         """Like :meth:`Lattice.neighbourhood`, per part (tag 0 sorts first)."""
         by_tag = ([], [])
         for ix in support:
-            by_tag[ix[0]].append(ix[1:])
+            if ix[0] in (0, 1):  # another tag lies in no part
+                by_tag[ix[0]].append(ix[1:])
         return [(tag,) + ix for tag, part in enumerate(self.parts)
                 for ix in part.neighbourhood(by_tag[tag], guard)]
 
@@ -912,11 +913,13 @@ def section(T: BandOp, cols: Sequence[tuple],
 def _window_rhs(G: BandOp, v: FinVec, guard: int) -> tuple[list, np.ndarray]:
     """The window of the guarded finite-section system of ``G x = v`` (the
     sorted in-lattice indices within ``guard`` of the support of ``v``) and
-    ``v`` as a right-hand side over it."""
+    ``v`` as a right-hand side over it, refusing an entry outside the lattice."""
     window = G.lattice.neighbourhood(v.support(), guard)
     pos = {ix: i for i, ix in enumerate(window)}
     rhs = np.zeros(len(window), dtype=complex)
     for ix, amp in v.items():
+        if ix not in pos:
+            raise LatticeMismatch(f"vector entry at {ix} lies outside {G.lattice!r}")
         rhs[pos[ix]] = amp
     return window, rhs
 
@@ -958,7 +961,6 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
     p = params or GramSolveParams()
     if v.rank != T.rank:
         raise RankMismatch(f"vector rank {v.rank}, operator rank {T.rank}")
-    _require_in_lattice(v.support(), T.lattice)
     if v.is_zero:
         return v
     G = T.gram()
@@ -971,6 +973,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
     if G.is_diagonal():
         # exactly diagonal (every weighted shift lands here): divide entrywise
         if not G.bands:
+            _require_in_lattice(v.support(), T.lattice)  # no band step checks v
             raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
         solved = _diagonal_solve(G, v)
         if solved is not None and solved[1] <= p.tol * vn:

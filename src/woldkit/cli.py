@@ -53,6 +53,7 @@ from .classd import (
 )
 from .oracle import (
     RankDeficientSection,
+    SeriesNotConverged,
     WindowTooLarge,
     dense_section,
     oracle_decompose,
@@ -63,14 +64,14 @@ from .seqspace import FinVec
 from .wold import (
     InputNotInHInfinity,
     NoStrongConvergence,
-    SeriesNotConverged,
     decompose,
 )
-from .wold2d import PART_TAGS, fourfold
+from .wold2d import DC_TOLERANCE, PART_TAGS, fourfold
 from .zoo import (
-    HERMITIAN_TOL,
     PhiFamily,
+    block_least_eigenvalue,
     direct_sum,
+    grid_step,
     identity_on,
     quasinormal_block,
     tensor_pair,
@@ -200,15 +201,10 @@ def _parse_matrix(obj, path, errors):
             return None
         rows.append(tuple(_as_complex(v, f"{path}[{i}][{j}]", errors) or 0j
                           for j, v in enumerate(row)))
-    L = np.array(rows, dtype=complex)
-    scale = max(1.0, float(np.abs(L).max()))
-    if float(np.abs(L - L.conj().T).max()) > HERMITIAN_TOL * scale:
-        errors.append(f"{path}: matrix must be Hermitian")
-        return tuple(rows)
-    eigs = np.linalg.eigvalsh(L)
-    if eigs.min() <= 0:
-        errors.append(f"{path}: matrix must be positive definite "
-                      f"(smallest eigenvalue {eigs.min():.3e})")
+    try:
+        block_least_eigenvalue(np.array(rows, dtype=complex))
+    except ValueError as e:
+        errors.append(f"{path}: {e}")
     return tuple(rows)
 
 
@@ -240,7 +236,10 @@ def _parse_form(registry, tag, obj, path, errors, what, unknown):
         if key in obj or absent is not _OMIT:
             params[key] = parse(obj.get(key, absent), f"{path}.{key}", errors)
     if form.validate is not None:
-        form.validate(params, path, errors)
+        try:
+            form.validate(params)
+        except ValueError as e:
+            errors.append(f"{path}: {e}")
     return name, params
 
 
@@ -265,7 +264,7 @@ def _parse_node(obj, path, errors):
 @dataclass(frozen=True)
 class Form:
     """One spec form: its summary, its fields besides the tag, a builder
-    ``params -> value`` and an optional check across fields."""
+    ``params -> value`` and an optional check across fields (raises ValueError)."""
 
     summary: str
     required: tuple
@@ -323,15 +322,6 @@ def _single(spec: OpSpec, what: str) -> BandOp:
     return built
 
 
-def _commensurate(params, path, errors):
-    t, h = params["t"], params["h"]
-    if t and h:
-        s = t / h
-        if not math.isfinite(s) or abs(s - round(s)) > 1e-9 * max(1.0, abs(s)) or round(s) < 1:
-            errors.append(f"{path}: translation step t/h = {s} is not a positive "
-                          f"integer (incommensurate grid)")
-
-
 def _b_tensor_pair(p):
     T1, T2 = tensor_pair(_weight(p["w1"]), _weight(p["w2"]), p["lattice1"], p["lattice2"])
     if "part" in p:
@@ -368,7 +358,7 @@ KINDS = {
         ("phi", "t", "h"), (),
         lambda p: weighted_translation(PHI_FAMILIES[p["phi"]["kind"]].build(p["phi"]),
                                        p["t"], p["h"]),
-        _commensurate),
+        lambda p: p["t"] and p["h"] and grid_step(p["t"], p["h"])),
     "quasinormal_block": Form(
         "block shift (k_0, k_1, ...) -> (0, L k_0, L k_1, ...), L Hermitian PD",
         ("L",), (), lambda p: quasinormal_block(np.array(p["L"], dtype=complex))),
@@ -605,7 +595,7 @@ def _cmd_check(args) -> int:
         gated = _gate_pair(report, built)
         tol = args.tol if args.tol is not None else 1e-9
         checks = [  # (report, informational)
-            (double_commuting_residual(*built, probes, tolerance=1e-10), False),
+            (double_commuting_residual(*built, probes, tolerance=DC_TOLERANCE), False),
             (product_closure_check(*built, probes=probes, params=p, tolerance=tol), False)]
         if args.oracle:
             report["oracle"] = {"skipped": "no dense replica of the pair checks"}

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .bandop import BandOp, _tadd
 from .seqspace import FinVec
-from .wold import NoStrongConvergence, SeriesNotConverged, WoldResult
+from .wold import NoStrongConvergence, WoldResult
 
 DEFAULT_MAX_ORDINALS = 4096
 
@@ -34,6 +34,16 @@ class WindowTooLarge(ValueError):
 
 class RankDeficientSection(ValueError):
     """The dense section lost column rank away from the truncation edge."""
+
+
+class SeriesNotConverged(RuntimeError):
+    """The dense series loop did not become negligible within its term cap."""
+
+    def __init__(self, j_max: int, tail_norm: float):
+        super().__init__(f"defect series still carries norm {tail_norm:.3e} "
+                         f"at term cap j_max={j_max}")
+        self.j_max = j_max
+        self.tail_norm = tail_norm
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ def max_cross(vs: Sequence[FinVec]) -> float:
     for u in vs[1:]:
         if u._rank != vs[0]._rank:
             raise RankMismatch(f"rank {vs[0]._rank} vs {u._rank}")
-    entries = [v._entries for v in vs]
+    entries = [v._entries for v in vs if v._entries]  # an empty one adds only abs(0j)
     keys = [sorted(e) for e in entries]  # each vector sorted once, not once per pair
     cross = 0.0
     for i, u in enumerate(entries):

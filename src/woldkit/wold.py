@@ -54,17 +54,6 @@ class NoStrongConvergence(RuntimeError):
         self.last_delta = last_delta
 
 
-class SeriesNotConverged(RuntimeError):
-    """The defect series did not become negligible within the term cap (the
-    dense oracle's series loop; the engine's series ends with its limit loop)."""
-
-    def __init__(self, j_max: int, tail_norm: float):
-        super().__init__(f"defect series still carries norm {tail_norm:.3e} "
-                         f"at term cap j_max={j_max}")
-        self.j_max = j_max
-        self.tail_norm = tail_norm
-
-
 class InputNotInHInfinity(ValueError):
     """A vector assumed to lie in the limit subspace does not (at tolerance)."""
 
@@ -232,18 +221,11 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     if v.is_zero:
         return 0.0
     G = Tn.gram()
-    if G.is_diagonal() and G.bands:
-        # the section on the support window is already diagonal, so its
-        # eigendecomposition is the diagonal itself; no padding needed
-        (steps,) = G._steps
-        items = v.items()
-        lam = np.array([steps[ix][1].real for ix, _ in items])
-        y = np.array([amp for _, amp in items])
-    else:
-        window, rhs = _window_rhs(G, v, p.effective_guard(Tn))
-        M, _ = section(G, window, window)
-        lam, U = np.linalg.eigh(M)
-        y = U.conj().T @ rhs
+    # a diagonal section needs no padding: entries off v's support add nothing
+    window, rhs = _window_rhs(G, v, 0 if G.is_diagonal() else p.effective_guard(Tn))
+    M, _ = section(G, window, window)
+    lam, U = np.linalg.eigh(M)
+    y = U.conj().T @ rhs
     floor = 1e-14 * float(lam.max())
     if lam.min() < floor:
         warnings.warn("Gram eigenvalue floor hit; operator is near the "

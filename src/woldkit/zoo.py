@@ -37,7 +37,8 @@ class IncommensurateStep(ValueError):
     """The translation step is not an integer multiple of the grid spacing."""
 
     def __init__(self, t: float, h: float):
-        super().__init__(f"translation step t={t} is not an integer multiple of grid spacing h={h}")
+        super().__init__(f"translation step t/h = {t / h} is not a positive integer "
+                         f"(incommensurate grid)")
         self.t = t
         self.h = h
 
@@ -140,6 +141,14 @@ class PhiFamily:
         return f"PhiFamily({self.kind!r}, {self.params!r})"
 
 
+def grid_step(t: float, h: float) -> int:
+    """``t / h`` (t, h > 0) if a positive integer up to a relative 1e-9, else IncommensurateStep."""
+    s = t / h
+    if not np.isfinite(s) or round(s) < 1 or abs(s - round(s)) > 1e-9 * max(1.0, s):
+        raise IncommensurateStep(t, h)
+    return round(s)
+
+
 def weighted_translation(phi: PhiFamily, t: float, h: float) -> BandOp:
     """Grid discretization of translation by ``t`` with envelope ratio weights.
 
@@ -149,10 +158,7 @@ def weighted_translation(phi: PhiFamily, t: float, h: float) -> BandOp:
     """
     if t <= 0 or h <= 0:
         raise ValueError("t and h must be positive")
-    s_real = t / h
-    s = int(round(s_real))
-    if s < 1 or abs(s_real - s) > 1e-9 * max(1.0, abs(s_real)):
-        raise IncommensurateStep(t, h)
+    s = grid_step(t, h)
     if phi.kind == "exp":
         (alpha,) = phi.params
         with np.errstate(over="raise"):  # an infinite weight makes no operator
@@ -173,6 +179,19 @@ def weighted_translation(phi: PhiFamily, t: float, h: float) -> BandOp:
     return weighted_shift(w, s, "nat")
 
 
+def block_least_eigenvalue(L: np.ndarray) -> float:
+    """Least eigenvalue of a finite, Hermitian (to ``HERMITIAN_TOL``), positive-definite matrix."""
+    if not np.isfinite(L).all():
+        raise ValueError("matrix entries must be finite")
+    scale = max(1.0, float(np.abs(L).max()))
+    if float(np.abs(L - L.conj().T).max()) > HERMITIAN_TOL * scale:
+        raise ValueError("matrix must be Hermitian")
+    least = float(np.linalg.eigvalsh(L).min())
+    if least <= 0:
+        raise ValueError(f"matrix must be positive definite (smallest eigenvalue {least:.3e})")
+    return least
+
+
 def quasinormal_block(L) -> BandOp:
     """Block shift on pairs (position, coordinate): ``(k_0, k_1, ...) -> (0, L k_0, L k_1, ...)``.
 
@@ -187,15 +206,10 @@ def quasinormal_block(L) -> BandOp:
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be a square matrix")
     d = L.shape[0]
-    scale = max(1.0, float(np.abs(L).max()))
-    if float(np.abs(L - L.conj().T).max()) > HERMITIAN_TOL * scale:
-        raise ValueError("L must be Hermitian")
-    eigs = np.linalg.eigvalsh(L)
-    if eigs.min() <= 0:
-        raise ValueError(f"L must be positive definite (smallest eigenvalue {eigs.min():.3e})")
+    least = block_least_eigenvalue(L)
     if d < 2:
         warnings.warn("block dimension 1 degenerates to a scalar weighted shift", stacklevel=2)
-    if eigs.min() <= 1:
+    if least <= 1:
         warnings.warn("smallest eigenvalue of L is <= 1; the block shift is not "
                       "expansive and may be close to an isometry", stacklevel=2)
     lat = Lattice(("nat", d))

@@ -801,6 +801,23 @@ def test_solve_gram_refuses_entries_outside_the_lattice():
             solve_gram(T, outside)
     with pytest.raises(LatticeMismatch):
         Z.apply(outside)
+    with pytest.raises(NoConvergence, match="identically zero"):
+        solve_gram(Z, unit(0))
+    # union lattices: tags outside {0, 1}, on a windowed Gram (a sum of full
+    # blocks), a diagonal one (a sum of shifts) and a diagonal one whose zero
+    # entry sends the solve on to the window after the in-lattice entry
+    block_sum = direct_sum(quasinormal_block(np.array([[2.5, 0.3], [0.3, 2.8]])),
+                           quasinormal_block(np.array([[3.0, 0.2j], [-0.2j, 2.3]])))
+    mixed_sum = direct_sum(weighted_shift(constant(1.0), 1, "int"), S)
+    with pytest.warns(UserWarning, match="not bounded below"):
+        zero_first = direct_sum(weighted_shift(table([0.0], 1.0)), S)
+    for T, inside in ((block_sum, (0, 0, 1)), (mixed_sum, (1, 3)), (zero_first, (0, 0))):
+        coords = inside[1:]
+        for tag in (2, -1):
+            off = FinVec({(tag,) + coords: 1.0})
+            for v in (off, off + unit(inside)):
+                with pytest.raises(LatticeMismatch):
+                    solve_gram(T, v)
 
 
 def test_section_refuses_columns_outside_the_lattice():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import woldkit
 from woldkit.bandop import Lattice, constant, identity, left_inverse_apply, table
 from woldkit.classd import default_probes
 from woldkit.oracle import (
     RankDeficientSection,
+    SeriesNotConverged,
     WindowTooLarge,
     dense_section,
     guard_ok,
@@ -168,6 +170,15 @@ def test_oracle_limit_transient_plateau():
     ores = oracle_decompose(D, unit(5))
     assert ores.limit_part.is_zero
     assert (ores.components[5] - unit(5)).norm() <= 1e-10
+
+
+def test_oracle_series_term_cap_raises():
+    # e_0 + ... + e_9 has a unit component at each of its first ten terms
+    h = FinVec({(k,): 1.0 for k in range(10)})
+    with pytest.raises(SeriesNotConverged, match="j_max=3") as exc:
+        oracle_decompose(dense_section(unilateral_shift(), 30), h, j_max=3)
+    assert (exc.value.j_max, exc.value.tail_norm) == (3, 1.0)
+    assert woldkit.SeriesNotConverged is SeriesNotConverged
 
 
 def test_oracle_null_basis_step_shift():

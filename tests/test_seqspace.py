@@ -201,6 +201,11 @@ def test_inner_and_max_cross_match_the_pairwise_definition_bit_for_bit():
         vs = [_special_vec(rng, int(rng.integers(0, 6)), 0, 8)
               for _ in range(int(rng.integers(0, 7)))]
         assert max_cross(vs).hex() == _pairwise_cross(vs).hex()
+    # empty vectors first, in the middle, last and next to a NaN entry
+    nan_vec = FinVec({(0,): math.nan, (1,): 1.0})
+    for vs in ([empty, u, w], [u, empty, w], [u, w, empty], [empty, nan_vec, w],
+               [nan_vec, empty, u], [u, nan_vec, empty], [empty, empty, u, empty, w]):
+        assert max_cross(vs).hex() == _pairwise_cross(vs).hex()
     assert max_cross([empty, u, empty]) == 0.0
 
 
@@ -215,8 +220,9 @@ def test_max_cross_nan_term_never_raises_the_max():
 
 
 def test_max_cross_rank_mismatch_raises():
-    with pytest.raises(RankMismatch):
-        max_cross([unit(0), unit((0, 0))])
+    for vs in ([unit(0), unit((0, 0))], [unit(0), zero(2)], [zero(1), unit((0, 0))]):
+        with pytest.raises(RankMismatch):
+            max_cross(vs)
 
 
 def test_wrap_drops_only_exact_zeros_and_owns_its_dict():

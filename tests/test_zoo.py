@@ -72,8 +72,10 @@ def test_weighted_translation_trivial_envelope_is_plain_shift():
 
 
 def test_weighted_translation_incommensurate():
-    with pytest.raises(IncommensurateStep):
-        weighted_translation(PhiFamily.exp(1.0), 1.0, 0.4)
+    # an infinite t/h is refused as a step, not left to overflow int()
+    for t, h in ((1.0, 0.4), (1e300, 1e-300), (math.inf, 1.0), (1e-300, 1e300)):
+        with pytest.raises(IncommensurateStep):
+            weighted_translation(PhiFamily.exp(1.0), t, h)
 
 
 def test_weighted_translation_power_weights():
@@ -114,6 +116,9 @@ def test_quasinormal_block_validation():
         quasinormal_block(np.diag([1.0, -2.0]))
     with pytest.warns(UserWarning, match="dimension 1"):
         quasinormal_block(np.array([[2.0]]))
+    for bad in (math.inf, math.nan, complex(2.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            quasinormal_block(np.array([[bad, 0.0], [0.0, 2.0]]))
 
 
 def test_quasinormal_block_full_matrix():
