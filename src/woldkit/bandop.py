@@ -17,14 +17,14 @@ entries.
 
 The inverse Gram factor needed by the canonical left inverse
 ``(T* T)^{-1} T*`` is never formed as an operator: the inverse of a band
-operator is not band.  It is applied per vector by guarded finite-section
-solves whose residual is always re-measured with the exact band arithmetic;
-the window is enlarged (guard doubling) until the requested tolerance is
-certified, the section would exceed ``SECTION_BYTE_CAP`` or the lattice
-stops the window from growing.  A Gram operator keeps the Cholesky factors of
-its ``FACTOR_CACHE`` most recently solved windows, each kept only when it
-fits in ``SECTION_BYTE_CAP // 64`` bytes, so repeated windows are factored
-once; that retains at most 32 MiB per Gram operator.
+operator is not band.  It is applied per vector, and each solve re-measures
+its residual with the exact band arithmetic.  A diagonal Gram operator is
+divided out entrywise or the solve is refused; any other is solved on guarded
+finite sections, enlarged (guard doubling) until the tolerance is certified,
+the section would exceed ``SECTION_BYTE_CAP`` or the lattice stops the window
+from growing.  Such a Gram operator keeps the Cholesky factors of its
+``FACTOR_CACHE`` most recent windows, each only if it fits in
+``SECTION_BYTE_CAP // 64`` bytes: at most 32 MiB per Gram operator.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class LatticeMismatch(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A finite section would exceed ``SECTION_BYTE_CAP``, or a guarded Gram
+    """A finite section would exceed ``SECTION_BYTE_CAP``, a guarded Gram
     solve ran out of window (that cap, or a window that cannot grow) before
-    certifying its residual."""
+    certifying its residual, or a diagonal Gram solve was refused."""
 
     def __init__(self, message: str, residual: float = math.inf, window: int = 0):
         super().__init__(message)
@@ -177,16 +177,6 @@ class Lattice:
         boxes = {self._box(c, guard) for c in support}
         return _box_union(list(boxes), 0) if boxes else []
 
-    def decide_shift(self, selects: Iterable, off: tuple) -> bool | None:
-        """Decide the mask ``k + off in lattice`` over the in-lattice ``k``
-        satisfying the coordinate selectors (``(axis, value)`` pairs).
-
-        True when it holds for every such ``k``, False when for none (also
-        when no ``k`` satisfies the selectors), None when it depends on ``k``.
-        """
-        every, none = self.shift_cover(dict(selects), off)
-        return False if none else (True if every else None)
-
     def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
         """``(every, none)``: whether ``k + off`` lies in the lattice for every
         / for no in-lattice ``k`` whose coordinates satisfy ``selects``
@@ -285,9 +275,6 @@ class UnionLattice:
                 by_tag[ix[0]].append(ix[1:])
         return [(tag,) + ix for tag, part in enumerate(self.parts)
                 for ix in part.neighbourhood(by_tag[tag], guard)]
-
-    # decided from this class's shift_cover; axis 0 is the tag coordinate
-    decide_shift = Lattice.decide_shift
 
     def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
         """Like :meth:`Lattice.shift_cover`, recursing into the selected parts.
@@ -642,8 +629,8 @@ class BandOp:
     Gram operator, the Cholesky factors of its recent solve windows.
     """
 
-    __slots__ = ("lattice", "rank", "bands", "_adjoint", "_gram", "_powers", "_steps",
-                 "_factors")
+    __slots__ = ("lattice", "rank", "bands", "_diagonal", "_adjoint", "_gram", "_powers",
+                 "_steps", "_factors")
 
     def __init__(self, lattice, bands: Iterable[tuple]):
         merged: dict[tuple, Weight] = {}
@@ -659,6 +646,7 @@ class BandOp:
         self.rank = lattice.rank
         self.bands = tuple((off, w) for off, w in sorted(merged.items(), key=lambda kv: kv[0])
                            if not w.is_zero)
+        self._diagonal = not any(any(off) for off, _ in self.bands)
         self._steps = tuple(_BandSteps(lattice, off, w) for off, w in self.bands)
         self._adjoint = None
         self._gram = None
@@ -677,8 +665,7 @@ class BandOp:
         return reach
 
     def is_diagonal(self) -> bool:
-        zero = (0,) * self.rank
-        return all(off == zero for off, _ in self.bands)
+        return self._diagonal
 
     # -- action -------------------------------------------------------------
     def apply(self, u: FinVec) -> FinVec:
@@ -717,7 +704,7 @@ class BandOp:
         if self.lattice != other.lattice:
             raise LatticeMismatch(f"lattices differ: {self.lattice!r} vs {other.lattice!r}")
         # a mask that always holds leaves mask-free products as they are
-        always = [self.lattice.decide_shift((), boff) is True for boff, _ in other.bands]
+        always = [self.lattice.shift_cover({}, boff) == (True, False) for boff, _ in other.bands]
         out = []
         for aoff, aw in self.bands:
             for (boff, bw), holds in zip(other.bands, always):
@@ -792,12 +779,13 @@ def _masked(w: Weight, off: tuple, lattice) -> Weight:
     changed = False
     for t in w.terms:
         kept = []
+        selects = dict(t.selects)
         for m in (t.masks if off in t.masks else t.masks + (off,)):
-            decided = lattice.decide_shift(t.selects, m)
-            if decided is False:
+            every, none = lattice.shift_cover(selects, m)
+            if none:  # also when no k satisfies the selectors
                 changed = True
                 break
-            if decided is None:
+            if not every:
                 kept.append(m)
         else:
             kept = tuple(kept)
@@ -850,10 +838,12 @@ def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
     return (G.apply(x) - v).norm()
 
 
-def _diagonal_solve(G: BandOp, v: FinVec) -> tuple[FinVec, float] | None:
+def _diagonal_solve(G: BandOp, v: FinVec) -> tuple[FinVec, float]:
     """``x = G^{-1} v`` entrywise for an exactly diagonal, nonzero ``G``,
-    with its residual ``||G x - v||``; None when a diagonal entry of ``G``
-    on the support of ``v`` is not positive real.
+    with its residual ``||G x - v||``.  Raises :class:`NoConvergence` naming
+    the first index of ``v`` whose entry of ``G`` is not a positive real (the
+    operator is not bounded below there), but only once every index of ``v``
+    has passed the lattice check, which raises :class:`LatticeMismatch`.
 
     The residual is measured in the same loop: each entry is the one
     ``G.apply(x) - v`` holds, by the same complex operations (an exactly
@@ -865,7 +855,9 @@ def _diagonal_solve(G: BandOp, v: FinVec) -> tuple[FinVec, float] | None:
     for ix, amp in v.items():
         g = steps[ix][1]
         if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real:
-            return None
+            _require_in_lattice(v.support(), G.lattice)
+            raise NoConvergence(f"diagonal Gram entry {g} at {ix} is not a positive real: "
+                                f"the operator is not bounded below there")
         xk = entries[ix] = complex(amp.real / g.real, amp.imag / g.real)
         d = ((0j + g * xk) - amp) if xk != 0 else -amp
         terms.append(d.real * d.real + d.imag * d.imag)
@@ -953,9 +945,11 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
 
     The residual of the returned ``x`` is re-measured with the exact band
     Gram operator (never trusted from the dense solver) and satisfies
-    ``|| T*T x - v || <= tol * ||v||``.  Raises :class:`NoConvergence` when
-    the window's section would exceed ``SECTION_BYTE_CAP`` or the window
-    stops growing (finite axes) before the residual is certified, and
+    ``|| T*T x - v || <= tol * ||v||``.  A diagonal Gram is divided out
+    entrywise, never on a section, or refused by :func:`_diagonal_solve`.
+    Raises :class:`NoConvergence` when that residual misses, or when the
+    window's section would exceed ``SECTION_BYTE_CAP`` or the window stops
+    growing (finite axes) before the residual is certified, and
     :class:`LatticeMismatch` when ``v`` has an entry outside the lattice.
     """
     p = params or GramSolveParams()
@@ -975,10 +969,11 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         if not G.bands:
             _require_in_lattice(v.support(), T.lattice)  # no band step checks v
             raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
-        solved = _diagonal_solve(G, v)
-        if solved is not None and solved[1] <= p.tol * vn:
-            return solved[0]
-        # fall through to the windowed solve on pathological diagonals
+        x, residual = _diagonal_solve(G, v)
+        if residual <= p.tol * vn:
+            return x
+        raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "
+                            f"over {p.tol:.1e} * ||v||", residual=residual, window=0)
 
     guard = p.effective_guard(T)
     last_residual = math.inf

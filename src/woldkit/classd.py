@@ -24,6 +24,7 @@ from .bandop import BandOp, GramSolveParams, left_inverse_apply
 from .seqspace import FinVec, unit
 
 DEFAULT_PROBE_SEED = 0x5EED
+DC_TOLERANCE = 1e-10  # a larger double-commuting residual fails the check
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
 
 def double_commuting_residual(T1: BandOp, T2: BandOp,
                               probes: list[FinVec] | None = None,
-                              tolerance: float = 1e-13) -> CheckReport:
+                              tolerance: float = DC_TOLERANCE) -> CheckReport:
     """Residuals of ``T1 T2 = T2 T1`` and ``T1 T2* = T2* T1`` on probes."""
     if T1.lattice != T2.lattice:
         raise ValueError("operators live on different lattices")

@@ -42,6 +42,8 @@ from .bandop import (
     table,
 )
 from .classd import (
+    DC_TOLERANCE,
+    DEFAULT_PROBE_SEED,
     CheckReport,
     _worst_ratio,
     classd_residual,
@@ -66,7 +68,7 @@ from .wold import (
     NoStrongConvergence,
     decompose,
 )
-from .wold2d import DC_TOLERANCE, PART_TAGS, fourfold
+from .wold2d import PART_TAGS, fourfold
 from .zoo import (
     PhiFamily,
     block_least_eigenvalue,
@@ -80,7 +82,6 @@ from .zoo import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 0x5EED
 LOWER_BOUND_FLOOR = 1e-8
 GATE_WINDOW = 16  # the lower-bound window of the decompose and pair gates
 
@@ -524,9 +525,11 @@ def _read_vector(source: str, lattice) -> FinVec:
     outside = [ix for ix in v.support() if not lattice.contains(ix)]
     if outside:
         raise SpecError([f"vector: index {ix} lies outside {lattice!r}" for ix in outside])
-    if not math.isfinite(v.norm()):
-        # every pass rule `residual <= tol * norm` would hold vacuously
-        raise SpecError(["vector: its norm overflows double precision"])
+    vn = v.norm()
+    if not math.isfinite(vn) or (vn == 0 and not v.is_zero):
+        # a pass rule `residual <= tol * norm` needs a finite, nonzero norm
+        flows = "underflows" if vn == 0 else "overflows"
+        raise SpecError([f"vector: its norm {flows} double precision"])
     return v
 
 
@@ -733,8 +736,8 @@ def _add_common(sp) -> None:
                     help="initial Gram-solve window padding (default: derived)")
     sp.add_argument("--n-max", dest="n_max", type=int, default=64,
                     help="cap on projection iterations (default 64)")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help=f"probe seed recorded in the report (default {DEFAULT_SEED})")
+    sp.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED,
+                    help=f"probe seed recorded in the report (default {DEFAULT_PROBE_SEED})")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the dense finite-section oracle")
     sp.add_argument("--out", default=None, help="report file (default: stdout)")

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bandop import BandOp, GramSolveParams
-from .classd import default_probes, double_commuting_residual
+from .classd import DC_TOLERANCE, default_probes, double_commuting_residual
 from .seqspace import FinVec, max_cross
 from .wold import shift_limit_project
 
 PART_TAGS = ("inf_inf", "inf_s", "s_inf", "s_s")
-DC_TOLERANCE = 1e-10  # a larger double-commuting residual is flagged
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
 
     dc = double_commuting_residual(
         T1, T2, probes=default_probes(T1.lattice, n_basis=9, n_random=4))
-    if dc.residual > DC_TOLERANCE:
+    if not dc.passed:
         flags.append(f"pair is not double-commuting at {DC_TOLERANCE:.1e} "
                      f"(residual {dc.residual:.3e}); decomposition may not hold")
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -83,11 +84,15 @@ def test_window_size_counts_window(lat):
 
 
 def test_lattice_shift_closure():
+    # (every, none): k + off in the lattice for every / for no selected k
     nat = Lattice.nat(1)
-    assert nat.decide_shift((), (2,)) is True and nat.decide_shift((), (-1,)) is None
-    assert Lattice.integers(1).decide_shift((), (-5,)) is True
-    assert Lattice(("nat", 3)).decide_shift((), (1, 0)) is True
-    assert Lattice(("nat", 3)).decide_shift((), (1, 1)) is None
+    assert nat.shift_cover({}, (2,)) == (True, False)
+    assert nat.shift_cover({}, (-1,)) == (False, False)
+    assert Lattice.integers(1).shift_cover({}, (-5,)) == (True, False)
+    assert Lattice(("nat", 3)).shift_cover({}, (1, 0)) == (True, False)
+    assert Lattice(("nat", 3)).shift_cover({}, (1, 1)) == (False, False)
+    assert Lattice(("nat", 3)).shift_cover({1: 2}, (0, 1)) == (False, True)
+    assert nat.shift_cover({0: -1}, (0,)) == (True, True)  # no such k: vacuous
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +464,11 @@ def test_decide_shift_matches_enumeration(data):
     off = _offset(data.draw, lat, 5)
     hits = [lat.contains(tuple(c + o for c, o in zip(k, off)))
             for k in lat.window(10) if all(k[ax] == v for ax, v in selects)]
-    expect = False if not any(hits) else (True if all(hits) else None)
-    got = lat.decide_shift(selects, off)
+    got = lat.shift_cover(dict(selects), off)
     moves_tag = any(off[ax] for ax in _tag_axes(lat))
-    assert got is expect or (got is None and moves_tag)
+    # with no such k, `none` holds vacuously and `every` may hold as well
+    decided = got == (all(hits), not any(hits)) if hits else got[1]
+    assert decided or (got == (False, False) and moves_tag)
 
 
 @st.composite
@@ -766,14 +772,18 @@ def test_gram_factor_cache_skips_large_factors(monkeypatch):
 
 
 def test_gram_factor_failure_repeats_alike():
-    # S S* annihilates e0, so the windowed section around it is singular
-    T = unilateral_shift().adjoint()
+    # T* = S* + S*^2 annihilates e0 - e1 + e2 - ..., so T T* is singular: its
+    # (non-diagonal) windowed section around e0 is not positive definite
+    S = unilateral_shift()
+    T = (S + S ** 2).adjoint()
+    assert not T.gram().is_diagonal()
     errors = []
     for _ in range(2):
         with pytest.raises(NoConvergence, match="not positive definite") as exc:
             solve_gram(T, unit(0))
         errors.append((str(exc.value), exc.value.window, exc.value.residual))
     assert errors[0] == errors[1]
+    assert errors[0][1] == 33
     assert T.gram()._factors == {}
 
 
@@ -805,7 +815,7 @@ def test_solve_gram_refuses_entries_outside_the_lattice():
         solve_gram(Z, unit(0))
     # union lattices: tags outside {0, 1}, on a windowed Gram (a sum of full
     # blocks), a diagonal one (a sum of shifts) and a diagonal one whose zero
-    # entry sends the solve on to the window after the in-lattice entry
+    # entry is refused only after every entry is checked against the lattice
     block_sum = direct_sum(quasinormal_block(np.array([[2.5, 0.3], [0.3, 2.8]])),
                            quasinormal_block(np.array([[3.0, 0.2j], [-0.2j, 2.3]])))
     mixed_sum = direct_sum(weighted_shift(constant(1.0), 1, "int"), S)
@@ -1010,54 +1020,88 @@ _EXTREME_DIAGONAL = (2.0, 0.3, 1e308, 1e-308, 5e-324, 0.0, -1.0, 1 + 1j,
 
 def test_diagonal_solve_residual_on_extreme_table_diagonals():
     # G need not be a Gram here: huge, subnormal, zero and complex values
-    # reach the entrywise step, which either refuses or certifies as before
+    # reach the entrywise step, which either refuses by name or certifies
     w = table(_EXTREME_DIAGONAL, 1.0)
     G = BandOp(Lattice.nat(), [((0,), w)])
     rng = np.random.default_rng(20170421)
     solved = refused = 0
     for _ in range(300):
         v = _extreme_vec(G.lattice, rng, int(rng.integers(1, 5)), len(_EXTREME_DIAGONAL) - 1)
-        gs = [w.evaluate(ix, G.lattice) for ix in v.support()]
-        out = bandop._diagonal_solve(G, v)
-        assert (out is None) == any(not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real
-                                    for g in gs)
-        if out is None:
+        gs = {ix: w.evaluate(ix, G.lattice) for ix, _ in v.items()}  # in solve order
+        bad = [ix for ix, g in gs.items() if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real]
+        if bad:
             refused += 1
+            with pytest.raises(NoConvergence, match=rf"entry .* at \({bad[0][0]},\) is not"):
+                bandop._diagonal_solve(G, v)
             continue
         solved += 1
-        x, r = out
+        x, r = bandop._diagonal_solve(G, v)
         assert r.hex() == bandop._gram_residual(G, x, v).hex(), v
     assert solved > 30 and refused > 30
 
 
-def _outcome(make_T, v) -> tuple:
-    """What ``solve_gram`` does on a fresh operator: the solution bit for bit,
-    or the exception with its message."""
-    try:
-        x = solve_gram(make_T(), v)
-    except NoConvergence as e:
-        return type(e).__name__, str(e)
-    return tuple((ix, a.real.hex(), a.imag.hex()) for ix, a in x.items())
+_GRID_XS = (1e200, 1e154, 3e-162, 1e-170, 0.0, 1 + 1j)
 
 
-@pytest.mark.parametrize("x", [1e200, 1e154, 3e-162, 1e-170, 0.0, 1 + 1j])
-def test_solve_gram_falls_through_to_the_windowed_path_as_before(monkeypatch, x):
-    lat = Lattice((12,))  # a finite axis: a windowed solve stops growing fast
-
-    def shift():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # small weights warn on the probe
-            return weighted_shift(table([2.0, x, 0.5], 1.0), 1, lat)
-
-    makers = (shift, lambda: BandOp(lat, [((0,), table([x, 2.0, x], 1.0))]))
+def _grid_outcomes(xs=_GRID_XS) -> list:
+    """What ``solve_gram`` does on a grid of fresh diagonal-Gram operators
+    with zero, subnormal, huge and complex diagonal entries ``xs``: each
+    solution bit for bit, or "refused" for a :class:`NoConvergence`."""
+    lat = Lattice((12,))  # a finite axis
     vectors = (unit(1), FinVec({(0,): 1.0, (1,): 0.5j, (2,): -1e-300}),
                FinVec({(1,): 1e300}), FinVec({(1,): 1e-300, (5,): 1.0}), unit(11))
-    inline = [_outcome(m, v) for m in makers for v in vectors]
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small weights warn on the probe
+        for x in xs:
+            for v in vectors:
+                for T in (weighted_shift(table([2.0, x, 0.5], 1.0), 1, lat),
+                          BandOp(lat, [((0,), table([x, 2.0, x], 1.0))])):
+                    try:
+                        sol = solve_gram(T, v)
+                    except NoConvergence:
+                        outcomes.append("refused")
+                        continue
+                    outcomes.append(tuple((ix, a.real.hex(), a.imag.hex())
+                                          for ix, a in sol.items()))
+    return outcomes
+
+
+@pytest.mark.parametrize("x", _GRID_XS)
+def test_solve_gram_falls_through_to_the_windowed_path_as_before(monkeypatch, x):
+    # a diagonal Gram no longer falls through to the windowed path; what
+    # holds as before is that every outcome on the grid, solution bits and
+    # refusals alike, is the same when the residual of the entrywise solve
+    # is measured by applying G and subtracting v
+    inline = _grid_outcomes((x,))
 
     def measured_by_apply(G, v, solve=bandop._diagonal_solve):
-        # the residual as it was measured before: apply G, subtract v
-        out = solve(G, v)
-        return out and (out[0], bandop._gram_residual(G, out[0], v))
+        y, _ = solve(G, v)
+        return y, bandop._gram_residual(G, y, v)
 
     monkeypatch.setattr(bandop, "_diagonal_solve", measured_by_apply)
-    assert [_outcome(m, v) for m in makers for v in vectors] == inline
+    assert _grid_outcomes((x,)) == inline
+
+
+def test_diagonal_gram_solves_never_build_a_section(monkeypatch):
+    # a diagonal Gram is solved entrywise or refused at once; the digest
+    # pins every solution bit for bit and which cases are refused, and a
+    # windowed solve certifies no case of this grid either
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagonal Gram reached a section or a factorization")
+    monkeypatch.setattr(bandop, "section", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+    outcomes = _grid_outcomes()
+    assert len(outcomes) == 60 and outcomes.count("refused") == 32
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+        "7a086e55409c0979662e4588b5ee97da707e684de92ab79ce1c86d069032e6b2")
+    # a subnormal Gram entry: a windowed solve would fail only at an
+    # 8193x8193 section; the entrywise residual is nan at once
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        T = weighted_shift(table([3e-162], 1.0), 1, "nat")
+    with pytest.raises(NoConvergence, match="residual nan") as exc:
+        solve_gram(T, unit(0))
+    assert math.isnan(exc.value.residual)
+    for _, T in _DIAGONAL_GRAM_ZOO:
+        solve_gram(T, rand_vec(T.lattice, np.random.default_rng(20170422), size=5))

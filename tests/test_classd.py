@@ -5,6 +5,7 @@ import pytest
 
 from woldkit.bandop import bergman, constant, dirichlet, identity
 from woldkit.classd import (
+    DC_TOLERANCE,
     classd_residual,
     default_probes,
     double_commuting_residual,
@@ -144,6 +145,15 @@ def test_double_commuting_tensor_pair():
     T1, T2 = tensor_pair(bergman(), dirichlet())
     rep = double_commuting_residual(T1, T2)
     assert rep.residual <= 1e-13
+
+
+def test_double_commuting_default_tolerance_is_the_pair_gate():
+    # a residual of 1e-12 passes at the one tolerance that the pair gate and
+    # product_closure_check's note both use
+    T1, T2 = tensor_pair(constant(1.0), constant(1.0))
+    rep = double_commuting_residual(T1, T2 + 1e-12 * T1)
+    assert 1e-13 < rep.residual < 1e-11
+    assert rep.tolerance == DC_TOLERANCE and rep.passed
 
 
 def test_double_commuting_self_shift():

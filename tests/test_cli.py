@@ -605,6 +605,8 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
     ["decompose", _BERGMAN, "--vector", "[[0,NaN,0]]"],
     ["decompose", _BERGMAN, "--vector", "[[0,1e200,0]]"],
     ["fourfold", _TENSOR, "--vector", "[[0,0,1e200,0]]"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1e-170,0],[3,1e-170,0]]"],
+    ["fourfold", _TENSOR, "--vector", "[[0,0,1e-170,0],[1,2,1e-170,0]]"],
     ["check", _TENSOR_BERGMAN_INT],
     ["fourfold", _TENSOR_BERGMAN_INT.replace(',"part":1', ""), "--vector", "[[0,0,1,0]]"],
     ["check", _BERGMAN, "--window", "abc"],
@@ -619,6 +621,7 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
         "alpha-1e308-overflows-at-build", "table-default-nan", "value-infinity",
         "value-minus-infinity", "value-1e400", "value-400-digits", "value-5000-digits",
         "vector-nan", "vector-norm-overflows", "pair-vector-norm-overflows",
+        "vector-norm-underflows", "pair-vector-norm-underflows",
         "tensor-bergman-on-int-axis", "tensor-bergman-on-int-axis-fourfold",
         "window-not-int", "unknown-flag", "vector-missing", "no-command"])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
@@ -630,6 +633,16 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv):
     assert code == 1
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("spec error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", _BERGMAN, "--vector", "[[0,0,0]]"],
+    ["fourfold", _TENSOR, "--vector", "[[0,0,0,0]]"],
+], ids=["decompose", "fourfold"])
+def test_all_zero_vector_literal_passes(capsys, argv):
+    # a zero vector has norm 0.0 without underflowing: it is not refused
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 _BIG = '{"kind":"scale","factor":1e200,"child":' + _BERGMAN + '}'

@@ -1,6 +1,7 @@
 """Rules kept in one module of the package: a change that copies one into
 another module fails here."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ OWNERS = [
     ("._steps", "bandop.py"),       # the band-step memo
     ("HERMITIAN_TOL", "zoo.py"),    # the Hermitian positive-definite block test
     ("eigvalsh", "zoo.py"),
+    ("DC_TOLERANCE = ", "classd.py"),  # the double-commutation tolerance
+    ("0x5EED", "classd.py"),          # the probe seed
 ]
 
 
@@ -22,3 +25,18 @@ OWNERS = [
 def test_rule_lives_in_one_module(text, owner):
     assert {"bandop.py", "cli.py", "wold.py", "zoo.py"} <= set(SOURCES)
     assert [name for name, src in sorted(SOURCES.items()) if text in src] == [owner]
+
+
+def test_benchmark_tracer_entry_points_resolve():
+    # perfbench/tracing.py wraps these names by attribute path; one that a
+    # change to the package removes would break the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.ENTRY_POINTS) == 46
+    for modname, attr_path, _ in tracing.ENTRY_POINTS:
+        owner = importlib.import_module(modname)
+        for attr in attr_path.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (modname, attr_path)
