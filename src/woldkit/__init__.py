@@ -42,9 +42,6 @@ from .classd import (
 from .seqspace import (
     FinVec,
     RankMismatch,
-    inner,
-    norm,
-    orthonormalize,
     unit,
     zero,
 )
@@ -63,7 +60,7 @@ from .wold import (
     wandering_basis,
 )
 from .oracle import SeriesNotConverged
-from .wold2d import FourfoldResult, fourfold, q_project
+from .wold2d import FourfoldResult, fourfold
 from .zoo import (
     IncommensurateStep,
     PhiFamily,

@@ -465,9 +465,9 @@ class Weight:
         return cls(() if t is None else (t,))
 
     @classmethod
-    def atom(cls, kind: str, params: tuple = (), axis: int = 0,
-             shift: int = 0, conj: bool = False) -> "Weight":
-        return cls((_make_term(1.0, (Atom(kind, axis, shift, conj, params),), (), ()),))
+    def atom(cls, kind: str, params: tuple = ()) -> "Weight":
+        """One weight family on axis 0; ``embedded()`` re-homes it."""
+        return cls((_make_term(1.0, (Atom(kind, 0, 0, False, params),), (), ()),))
 
     @classmethod
     def select(cls, axis: int, value: int) -> "Weight":
@@ -567,25 +567,25 @@ def constant(c) -> Weight:
     return Weight.const(c)
 
 
-def bergman(axis: int = 0) -> Weight:
-    """sqrt((k+1)/(k+2)) on the given axis."""
-    return Weight.atom("bergman", (), axis=axis)
+def bergman() -> Weight:
+    """sqrt((k+1)/(k+2)) on axis 0."""
+    return Weight.atom("bergman")
 
 
-def dirichlet(axis: int = 0) -> Weight:
-    """sqrt((k+2)/(k+1)) on the given axis."""
-    return Weight.atom("dirichlet", (), axis=axis)
+def dirichlet() -> Weight:
+    """sqrt((k+2)/(k+1)) on axis 0."""
+    return Weight.atom("dirichlet")
 
 
-def table(values: Sequence, default, axis: int = 0) -> Weight:
-    """Tabulated weight; out-of-range lookups return the explicit default."""
+def table(values: Sequence, default) -> Weight:
+    """Tabulated weight on axis 0; out-of-range lookups return the explicit default."""
     vals = tuple(complex(v) for v in values)
-    return Weight.atom("table", (vals, complex(default)), axis=axis)
+    return Weight.atom("table", (vals, complex(default)))
 
 
-def power_ratio(beta: float, h: float, steps: int, axis: int = 0) -> Weight:
-    """((1+(k+steps)h)/(1+kh))**beta: translation weight of a power envelope."""
-    return Weight.atom("powratio", (float(beta), float(h), int(steps)), axis=axis)
+def power_ratio(beta: float, h: float, steps: int) -> Weight:
+    """((1+(k+steps)h)/(1+kh))**beta on axis 0: translation weight of a power envelope."""
+    return Weight.atom("powratio", (float(beta), float(h), int(steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -828,10 +828,6 @@ class GramSolveParams:
         if self.guard is not None:
             return self.guard
         return 16 * max(1, T.max_band_reach())
-
-    def tightened(self) -> "GramSolveParams":
-        """The same guard at a tenfold tighter tolerance."""
-        return GramSolveParams(self.guard, self.tol / 10.0)
 
 
 def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:

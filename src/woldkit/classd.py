@@ -92,7 +92,7 @@ def _worst_ratio(probes: list[FinVec], residual) -> float:
     return worst
 
 
-def isometry_residual(T: BandOp, window: int = 16, tolerance: float = 1e-13,
+def isometry_residual(T: BandOp, window: int = 16,
                       params: GramSolveParams | None = None) -> CheckReport:
     """Deviation of ``T*T`` from the identity on window basis vectors.
 
@@ -109,20 +109,19 @@ def isometry_residual(T: BandOp, window: int = 16, tolerance: float = 1e-13,
     return CheckReport(
         name="isometry",
         residual=gram_res,
-        tolerance=tolerance,
+        tolerance=1e-13,
         probes_used=len(basis),
         window=window,
         details={"gram_vs_identity": gram_res, "left_inverse_vs_adjoint": li_res},
     )
 
 
-def quasinormal_residual(T: BandOp, probes: list[FinVec] | None = None,
-                         tolerance: float = 1e-12) -> CheckReport:
+def quasinormal_residual(T: BandOp, probes: list[FinVec] | None = None) -> CheckReport:
     """Residual of the commutation of T with its Gram operator on probes."""
     probes = probes if probes is not None else default_probes(T.lattice)
     G = T.gram()
     res = _worst_ratio(probes, lambda v: G.apply(T.apply(v)) - T.apply(G.apply(v)))
-    return CheckReport("quasinormal", res, tolerance, len(probes))
+    return CheckReport("quasinormal", res, 1e-12, len(probes))
 
 
 def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = None,
@@ -156,8 +155,7 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
 
 
 def double_commuting_residual(T1: BandOp, T2: BandOp,
-                              probes: list[FinVec] | None = None,
-                              tolerance: float = DC_TOLERANCE) -> CheckReport:
+                              probes: list[FinVec] | None = None) -> CheckReport:
     """Residuals of ``T1 T2 = T2 T1`` and ``T1 T2* = T2* T1`` on probes."""
     if T1.lattice != T2.lattice:
         raise ValueError("operators live on different lattices")
@@ -168,7 +166,7 @@ def double_commuting_residual(T1: BandOp, T2: BandOp,
     return CheckReport(
         name="double_commuting",
         residual=max(r_comm, r_star),
-        tolerance=tolerance,
+        tolerance=DC_TOLERANCE,
         probes_used=len(probes),
         details={"commutator": r_comm, "star_commutator": r_star},
     )

@@ -42,7 +42,6 @@ from .bandop import (
     table,
 )
 from .classd import (
-    DC_TOLERANCE,
     DEFAULT_PROBE_SEED,
     CheckReport,
     _worst_ratio,
@@ -414,10 +413,6 @@ def parse_spec(text: str) -> OpSpec:
     return spec
 
 
-def serialize_spec(spec: OpSpec) -> dict:
-    return spec.to_dict()
-
-
 def build_operator(spec: OpSpec):
     """Turn a validated spec into a BandOp, or a pair for pair-shaped specs."""
     form = KINDS.get(spec.kind)
@@ -485,7 +480,7 @@ def _base_report(command: str, spec: OpSpec | None, args) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "woldkit", "version": __version__},
         "command": command,
-        "spec": serialize_spec(spec) if spec is not None else None,
+        "spec": spec.to_dict() if spec is not None else None,
         "params": {
             "tol": args.tol,
             "guard": args.guard,
@@ -598,7 +593,7 @@ def _cmd_check(args) -> int:
         gated = _gate_pair(report, built)
         tol = args.tol if args.tol is not None else 1e-9
         checks = [  # (report, informational)
-            (double_commuting_residual(*built, probes, tolerance=DC_TOLERANCE), False),
+            (double_commuting_residual(*built, probes), False),
             (product_closure_check(*built, probes=probes, params=p, tolerance=tol), False)]
         if args.oracle:
             report["oracle"] = {"skipped": "no dense replica of the pair checks"}

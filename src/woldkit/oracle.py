@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bandop import BandOp, _tadd
+from .bandop import BandOp
 from .seqspace import FinVec
 from .wold import NoStrongConvergence, WoldResult
 
@@ -76,8 +76,7 @@ def dense_section(T: BandOp, window: int,
     M = np.zeros((len(idx), len(idx)), dtype=complex)
     for j, jx in enumerate(idx):
         for off, w in T.bands:
-            tgt = _tadd(jx, off)
-            i = pos.get(tgt)
+            i = pos.get(tuple(a + b for a, b in zip(jx, off)))
             if i is None:
                 continue
             val = w.evaluate(jx, T.lattice)
@@ -97,9 +96,9 @@ def vec_to_array(D: DenseSection, v: FinVec) -> np.ndarray:
     return arr
 
 
-def array_to_vec(D: DenseSection, arr: np.ndarray, rank: int | None = None) -> FinVec:
-    rank = rank if rank is not None else D.lattice.rank
-    return FinVec({ix: complex(a) for ix, a in zip(D.indices, arr) if a != 0}, rank=rank)
+def array_to_vec(D: DenseSection, arr: np.ndarray) -> FinVec:
+    return FinVec({ix: complex(a) for ix, a in zip(D.indices, arr) if a != 0},
+                  rank=D.lattice.rank)
 
 
 def truncation_margin(D: DenseSection, vectors) -> int:
@@ -112,10 +111,9 @@ def truncation_margin(D: DenseSection, vectors) -> int:
     return D.extent if margin is None else margin
 
 
-def guard_ok(D: DenseSection, vectors, depth: int, guard: int = 0) -> bool:
-    """Whether supports stay ``depth * reach + guard`` away from the edge."""
-    need = depth * max(1, D.band_reach) + guard
-    return truncation_margin(D, vectors) >= need
+def guard_ok(D: DenseSection, vectors, depth: int) -> bool:
+    """Whether supports stay ``depth * reach`` away from the edge."""
+    return truncation_margin(D, vectors) >= depth * max(1, D.band_reach)
 
 
 def _pinv_h(A: np.ndarray) -> np.ndarray:
@@ -290,14 +288,14 @@ def oracle_fourfold(D1: DenseSection, D2: DenseSection, v: FinVec, n_max: int = 
             "s_s": v - q1h - q2h + inf_inf}
 
 
-def oracle_null_basis(D: DenseSection, tol: float = 1e-10) -> list[FinVec]:
+def oracle_null_basis(D: DenseSection) -> list[FinVec]:
     """Orthonormal null space of the dense adjoint section (defect vectors)."""
     ns = scipy.linalg.null_space(D.matrix.conj().T)
     out = []
     for c in range(ns.shape[1]):
         vec = array_to_vec(D, ns[:, c])
         if (D.matrix.conj().T @ ns[:, c] == 0).all() or \
-                float(np.linalg.norm(D.matrix.conj().T @ ns[:, c])) <= tol:
+                float(np.linalg.norm(D.matrix.conj().T @ ns[:, c])) <= 1e-10:
             out.append(vec)
     out.sort(key=lambda v: v.support())
     return out

@@ -7,7 +7,7 @@ is ever truncated implicitly.  Entries that are exactly zero are pruned at
 construction, which does not change the vector.
 
 The inner product is linear in the first argument and conjugate-linear in
-the second: ``inner(u, v) = sum_k u[k] * conj(v[k])``.
+the second: ``u.inner(v) = sum_k u[k] * conj(v[k])``.
 """
 
 from __future__ import annotations
@@ -174,53 +174,13 @@ def _inner(u: dict, w: dict, ukeys: list | None = None, wkeys: list | None = Non
     return acc
 
 
-def unit(ix, rank: int | None = None) -> FinVec:
+def unit(ix) -> FinVec:
     """Basis vector with amplitude 1 at the given index."""
-    ix = as_index(ix)
-    if rank is not None and len(ix) != rank:
-        raise RankMismatch(f"index {ix} has rank {len(ix)}, expected {rank}")
-    return FinVec({ix: 1.0 + 0j})
+    return FinVec({as_index(ix): 1.0 + 0j})
 
 
 def zero(rank: int) -> FinVec:
     return FinVec((), rank=rank)
-
-
-def inner(u: FinVec, v: FinVec) -> complex:
-    """Inner product, linear in ``u`` and conjugate-linear in ``v``."""
-    return u.inner(v)
-
-
-def norm(u: FinVec) -> float:
-    return u.norm()
-
-
-def orthonormalize(vs: Iterable[FinVec], tol: float = 1e-10) -> list[FinVec]:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
-
-    Returns an orthonormal list spanning the same subspace.  Vectors whose
-    residual after projection is below ``tol`` times the largest input norm
-    are dropped as linearly dependent.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vs = list(vs)
-    if not vs:
-        return []
-    scale = max(v.norm() for v in vs)
-    if scale == 0.0:
-        return []
-    basis: list[FinVec] = []
-    for v in vs:
-        w = v
-        for q in basis:
-            w = w - w.inner(q) * q
-        for q in basis:
-            w = w - w.inner(q) * q
-        nw = w.norm()
-        if nw >= tol * scale:
-            basis.append((1.0 / nw) * w)
-    return basis
 
 
 def max_cross(vs: Sequence[FinVec]) -> float:

@@ -24,6 +24,7 @@ at every step and flags a disagreement instead of assuming it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -156,9 +157,14 @@ def _range_projections(T: BandOp, h: FinVec, p: GramSolveParams, n_max: int):
     support loss.  An entry ``d`` steps from a lattice boundary can first
     vanish at step ``d + 1``, also past ``n_max``, so the orbit is scanned
     that far; beyond :data:`ORBIT_SCAN_CAP` no plateau is trusted.  Raises
-    :class:`NoStrongConvergence` at the iteration cap.
+    :class:`NoStrongConvergence` at the iteration cap, and ``ValueError``
+    when ``||h||`` underflows to 0.0 or overflows to inf, where no
+    certificate ``delta <= tol * ||h||`` means anything.
     """
     hn = h.norm()
+    if hn == 0.0 or math.isinf(hn):
+        raise ValueError(f"nonzero h has norm {hn}: it leaves double precision, "
+                         "so no certificate tol * ||h|| holds")
     orbit = _Orbit(h, T.adjoint().apply)  # (T*)^n h, maintained without solves
     end = max(n_max, 1 + max(map(T.lattice.depth, h.support())))
     scannable = end <= max(n_max, ORBIT_SCAN_CAP)
@@ -245,7 +251,7 @@ def _canonical_phase(v: FinVec) -> FinVec:
     return v * (abs(best_amp) / best_amp)
 
 
-def wandering_basis(T: BandOp, window: int = 16, tol: float = 1e-10) -> list[FinVec]:
+def wandering_basis(T: BandOp, window: int = 16) -> list[FinVec]:
     """Orthonormal basis of the defect space ``ker T*`` supported in the window.
 
     The null space is taken from a rectangular section of ``T*`` whose rows
@@ -266,7 +272,7 @@ def wandering_basis(T: BandOp, window: int = 16, tol: float = 1e-10) -> list[Fin
         v = FinVec({ix: ns[j, c] for j, ix in enumerate(cols) if ns[j, c] != 0},
                    rank=T.rank)
         v = _canonical_phase(v)
-        if A.apply(v).norm() <= tol * max(v.norm(), 1e-300):
+        if A.apply(v).norm() <= 1e-10 * max(v.norm(), 1e-300):
             out.append(v)
     out.sort(key=lambda v: v.support())
     return out

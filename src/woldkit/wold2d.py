@@ -40,13 +40,6 @@ class FourfoldResult:
     flags: tuple
 
 
-def q_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
-              n_max: int = 64) -> FinVec:
-    """Projection of ``h`` onto the intersection of the ranges of powers of T."""
-    limit, _ = shift_limit_project(T, h, params, n_max=n_max)
-    return limit
-
-
 def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
              params: GramSolveParams | None = None, n_max: int = 64) -> FourfoldResult:
     """Split ``h`` into its four limit/series parts under the pair.
@@ -55,7 +48,7 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
     and recorded, and a violation only raises a warning flag (each projection
     is individually well defined, and the reconstruction residual will expose
     a failing decomposition identity).  Inner limits are computed at a
-    tolerance tightened tenfold relative to the outer ones.
+    tenfold tighter tolerance than the outer ones.
     """
     if T1.lattice != T2.lattice:
         raise ValueError("the pair must act on one lattice")
@@ -72,7 +65,7 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
         parts = {tag: h for tag in PART_TAGS}
         return FourfoldResult(parts, 0.0, 0.0, dc.residual, (0,) * 5, tuple(flags))
 
-    p_inner = p.tightened()
+    p_inner = GramSolveParams(p.guard, p.tol / 10.0)
     q2h, h2 = shift_limit_project(T2, h, p_inner, n_max)
     q1h, h1 = shift_limit_project(T1, h, p_inner, n_max)
     inf_inf, h11 = shift_limit_project(T1, q2h, p, n_max)

@@ -25,7 +25,7 @@ from woldkit.oracle import (
     oracle_limit_project,
     oracle_project,
 )
-from woldkit.seqspace import FinVec, inner, unit
+from woldkit.seqspace import FinVec, unit
 from woldkit.wold import (
     InputNotInHInfinity,
     analytic_criterion,
@@ -139,7 +139,7 @@ def test_projection_suite_on_zoo():
                 worst["law"] = max(worst["law"],
                                    (nested_project(T, n, Pn, p) - Pn).norm() / hn)
                 g = probes[0]
-                sym = abs(inner(Pn, g) - inner(h, nested_project(T, n, g, p)))
+                sym = abs(Pn.inner(g) - h.inner(nested_project(T, n, g, p)))
                 worst["law"] = max(worst["law"], sym / (hn * g.norm()))
                 # nestedness and monotonicity
                 Pn1 = nested_project(T, n + 1, h, p)
@@ -177,7 +177,7 @@ def test_wandering_subspace_suite():
         for i, (m, u) in enumerate(iterates):
             for n, v in iterates:
                 if m < n:
-                    worst_cross = max(worst_cross, abs(inner(u, v)))
+                    worst_cross = max(worst_cross, abs(u.inner(v)))
 
     # reconstruction with exact termination on support-10 probes
     rng = np.random.default_rng(0xACCE + 1)

@@ -187,6 +187,14 @@ def test_product_closure_normal_invertible_factor():
     assert rep.residual <= 1e-9
 
 
+def test_product_closure_notes_a_failing_factor():
+    S = unilateral_shift()
+    rep = product_closure_check(S + 0.5 * S**2, identity(S.lattice), n_max=3,
+                                probes=[unit(0), unit(1)])
+    assert rep.notes == ("a factor fails its own power-compatibility check",)
+    assert rep.details["factor1_classd"] > 1e-10 >= rep.details["factor2_classd"]
+
+
 def test_product_closure_isometries_exact():
     T1, T2 = tensor_pair(constant(1.0), constant(1.0))
     rep = product_closure_check(T1, T2)

@@ -20,7 +20,6 @@ from woldkit.cli import (
     main,
     parse_spec,
     parse_vector_literal,
-    serialize_spec,
     vector_to_literal,
 )
 from woldkit.seqspace import FinVec, unit
@@ -159,7 +158,7 @@ def test_spec_round_trip():
     ]
     for text in texts:
         spec = parse_spec(text)
-        again = parse_spec(json.dumps(serialize_spec(spec)))
+        again = parse_spec(json.dumps(spec.to_dict()))
         assert again == spec
 
 
@@ -373,6 +372,15 @@ def test_decompose_oracle_flag(tmp_path):
                         "--vector", "[[0,1,0],[4,0,-1]]", "--oracle")
     assert code == 0
     assert rep["oracle"]["max_rel_delta"] <= 1e-9
+
+
+def test_decompose_oracle_skips_a_window_over_the_cap(tmp_path):
+    code, rep = run_cli(tmp_path, "decompose",
+                        '{"kind":"tensor_pair","w1":{"family":"constant","value":1},'
+                        '"w2":{"family":"constant","value":1},"part":1}',
+                        "--vector", "[[60,0,1,0]]", "--oracle")
+    assert code == 0
+    assert rep["oracle"] == {"skipped": "35344 ordinals exceed the cap of 4096"}
 
 
 _NO_LEFT_INVERSE = [

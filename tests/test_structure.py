@@ -1,6 +1,7 @@
 """Rules kept in one module of the package: a change that copies one into
 another module fails here."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -25,6 +26,20 @@ OWNERS = [
 def test_rule_lives_in_one_module(text, owner):
     assert {"bandop.py", "cli.py", "wold.py", "zoo.py"} <= set(SOURCES)
     assert [name for name, src in sorted(SOURCES.items()) if text in src] == [owner]
+
+
+# (module, underscore name it may import from another module); the dense
+# oracle in particular shares no code path with the engine
+PRIVATE_IMPORTS = {("wold.py", "_window_rhs"), ("cli.py", "_worst_ratio")}
+
+
+def test_no_module_imports_private_names_of_another():
+    imported = {(name, alias.name)
+                for name, src in SOURCES.items()
+                for node in ast.walk(ast.parse(src)) if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")}
+    assert imported <= PRIVATE_IMPORTS, sorted(imported - PRIVATE_IMPORTS)
 
 
 def test_benchmark_tracer_entry_points_resolve():

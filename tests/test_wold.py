@@ -12,10 +12,10 @@ from hypothesis import given, seed, settings, strategies as st
 import woldkit.bandop
 import woldkit.wold
 from woldkit.bandop import (BandOp, GramSolveParams, NoConvergence, Weight, constant,
-                            left_inverse_apply, lower_bound_estimate)
+                            left_inverse_apply, lower_bound_estimate, table)
 from woldkit.classd import classd_residual, default_probes
 from woldkit.oracle import dense_section, oracle_project
-from woldkit.seqspace import FinVec, inner, unit, zero
+from woldkit.seqspace import FinVec, unit, zero
 from woldkit.wold import (
     InputNotInHInfinity,
     NoStrongConvergence,
@@ -30,6 +30,7 @@ from woldkit.wold import (
     wandering_basis,
     _Orbit,
 )
+from woldkit.wold2d import fourfold
 from woldkit.zoo import (
     bergman_shift,
     bilateral_shift,
@@ -38,6 +39,7 @@ from woldkit.zoo import (
     embed_summand,
     quasinormal_block,
     summand_part,
+    tensor_pair,
     unilateral_shift,
     weighted_shift,
 )
@@ -109,7 +111,7 @@ def test_projection_laws_on_probes():
             v = rand_vec(T.lattice, rng)
             Pu = nested_project(T, n, u, p)
             assert (nested_project(T, n, Pu, p) - Pu).norm() <= 1e-11 * u.norm()
-            sym = inner(Pu, v) - inner(u, nested_project(T, n, v, p))
+            sym = Pu.inner(v) - u.inner(nested_project(T, n, v, p))
             assert abs(sym) <= 1e-11 * u.norm() * v.norm()
 
 
@@ -233,6 +235,9 @@ def test_criterion_examples():
     T = bilateral_shift()
     for n in (1, 2, 5):
         assert abs(analytic_criterion(T, unit(0), n) - 1.0) <= 1e-12
+    # Gram entries 1e-16 and 1: the small one is lifted to the eigenvalue floor
+    with pytest.warns(UserWarning, match="Gram eigenvalue floor hit"):
+        analytic_criterion(weighted_shift(table([1e-8], 1.0), 1, "nat"), unit(1) + unit(2), 1)
 
 
 def test_criterion_equals_projection_norm():
@@ -262,7 +267,7 @@ def test_wandering_basis_step_three():
     # the defect space is exactly the span of the first three basis vectors
     for v in got:
         assert all(ix[0] <= 2 for ix in v.support())
-    G = np.array([[inner(a, b) for b in got] for a in got])
+    G = np.array([[a.inner(b) for b in got] for a in got])
     assert np.abs(G - np.eye(3)).max() <= 1e-12
     # oracle: dense null space of the adjoint has matching dimension
     from woldkit.oracle import oracle_null_basis
@@ -295,7 +300,7 @@ def test_wandering_orthogonality():
         for i, (m, u) in enumerate(iterates):
             for n, v in iterates:
                 if m < n:
-                    assert abs(inner(u, v)) <= 1e-10
+                    assert abs(u.inner(v)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +341,18 @@ def test_decompose_zero_vector():
     res = decompose(bergman_shift(), zero(1))
     assert res.limit_part.is_zero and res.components == ()
     assert res.reconstruction_residual == 0.0
+
+
+@pytest.mark.parametrize("run, norm", [
+    (lambda: decompose(bergman_shift(), FinVec({(0,): 1e-170, (3,): 1e-170})), "0.0"),
+    (lambda: fourfold(*tensor_pair(constant(1.0), constant(1.0)),
+                      FinVec({(0, 0): 1e-170, (1, 2): 1e-170})), "0.0"),
+    (lambda: decompose(bergman_shift(), FinVec({(0,): 1e200, (3,): 1e200})), "inf"),
+], ids=["decompose-underflow", "fourfold-underflow", "decompose-overflow"])
+def test_limit_loop_refuses_a_norm_outside_double_precision(run, norm):
+    # no certificate delta <= tol * ||h|| means anything at such a norm
+    with pytest.raises(ValueError, match=f"nonzero h has norm {norm}:"):
+        run()
 
 
 def test_decompose_bergman_random_support_ten():

@@ -3,7 +3,8 @@ import pytest
 
 from woldkit.bandop import GramSolveParams, bergman, constant, dirichlet
 from woldkit.seqspace import FinVec, unit, zero
-from woldkit.wold2d import PART_TAGS, fourfold, q_project
+from woldkit.wold import shift_limit_project
+from woldkit.wold2d import PART_TAGS, fourfold
 from woldkit.zoo import bergman_shift, dirichlet_shift, tensor_pair
 
 def grid_vector(lattice, seed=9, side=8):
@@ -15,13 +16,13 @@ def grid_vector(lattice, seed=9, side=8):
 
 def test_q_project_unilateral_vanishes():
     T1, _ = tensor_pair(constant(1.0), constant(1.0))
-    assert q_project(T1, unit((0, 0))).is_zero
+    assert shift_limit_project(T1, unit((0, 0)))[0].is_zero
 
 
 def test_q_project_bilateral_fixes():
     T1, _ = tensor_pair(constant(1.0), constant(1.0), "int", "int")
     h = unit((0, 0)) + 2 * unit((-3, 1))
-    assert q_project(T1, h) == h
+    assert shift_limit_project(T1, h)[0] == h
 
 
 def test_fourfold_ss_fixture():
@@ -72,8 +73,8 @@ def test_fourfold_order_independence():
              tensor_pair(constant(2.0), bergman(), "int", "nat")]
     for T1, T2 in pairs:
         h = grid_vector(T1.lattice, seed=12, side=5)
-        a = q_project(T1, q_project(T2, h, p), p)
-        b = q_project(T2, q_project(T1, h, p), p)
+        a = shift_limit_project(T1, shift_limit_project(T2, h, p)[0], p)[0]
+        b = shift_limit_project(T2, shift_limit_project(T1, h, p)[0], p)[0]
         assert (a - b).norm() <= 1e-10
 
 

@@ -93,6 +93,8 @@ def test_weighted_translation_table_envelope():
     assert T.apply(unit(9))[(10,)] == 2.0  # declared tail ratio, no silent extension
     with pytest.raises(ValueError):
         PhiFamily.table([1.0, -1.0], 1.0, tail_ratio=1.0)
+    with pytest.raises(ValueError, match="envelope ratio is not bounded below on the grid"):
+        weighted_translation(PhiFamily.table([1.0, 1e-13, 1.0], 1.0, 1.0), 1.0, 1.0)
 
 
 def test_quasinormal_block_action():
