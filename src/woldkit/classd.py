@@ -47,18 +47,6 @@ class CheckReport:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "probes_used": self.probes_used,
-            "window": self.window,
-            "notes": list(self.notes),
-            "details": dict(sorted(self.details.items())),
-        }
-
 
 def default_probes(lattice, n_basis: int = 21, n_random: int = 8,
                    max_support: int = 16, seed: int = DEFAULT_PROBE_SEED,
@@ -144,7 +132,7 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
         vn = v.norm()
         y = left_inverse_apply(T, v, p)
         for n in range(2, n_max + 1):
-            y = y if y.is_zero else left_inverse_apply(T, y, p)
+            y = left_inverse_apply(T, y, p)
             x = left_inverse_apply(T ** n, v, p)
             r = (x - y).norm() / vn
             if r > res:
@@ -184,8 +172,6 @@ def product_closure_check(T1: BandOp, T2: BandOp, n_max: int = 8,
     double-commutation residual) are recorded in the details, not enforced.
     """
     p = params or GramSolveParams()
-    if T1.lattice != T2.lattice:
-        raise ValueError("operators live on different lattices")
     probes = probes if probes is not None else default_probes(T1.lattice)
     prod = T1.compose(T2)
 

@@ -146,13 +146,6 @@ def _as_positive_number(v, path, errors):
     return None
 
 
-def _as_lattice_name(v, path, errors):
-    if v in ("nat", "int"):
-        return v
-    errors.append(f"{path}: expected 'nat' or 'int', got {v!r}")
-    return None
-
-
 def _as_number(v, path, errors):
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
@@ -167,11 +160,14 @@ def _as_step(v, path, errors):
     return None
 
 
-def _as_part(v, path, errors):
-    if v in (1, 2):
-        return v
-    errors.append(f"{path}: expected 1 or 2, got {v!r}")
-    return None
+def _one_of(*choices):
+    """A parser of a field that must equal one of ``choices`` in type and value."""
+    def parse(v, path, errors):
+        if any(type(v) is type(c) and v == c for c in choices):
+            return v
+        errors.append(f"{path}: expected {' or '.join(map(repr, choices))}, got {v!r}")
+        return None
+    return parse
 
 
 def _as_values(v, path, errors):
@@ -297,12 +293,12 @@ _OMIT = object()  # an optional field without a default stays out of params
 
 FIELDS = {  # every spec field: (value parsed when the field is absent, parser)
     "step": (1, _as_step),
-    "part": (_OMIT, _as_part),
+    "part": (_OMIT, _one_of(1, 2)),
     "phi": (None, _parse_phi),
     "L": (None, _parse_matrix),
     "values": (None, _as_values),
     "samples": (None, _as_samples),
-    **dict.fromkeys(("lattice", "lattice1", "lattice2"), ("nat", _as_lattice_name)),
+    **dict.fromkeys(("lattice", "lattice1", "lattice2"), ("nat", _one_of("nat", "int"))),
     **dict.fromkeys(("weight", "w1", "w2"), (None, _parse_weight)),
     **dict.fromkeys(("a", "b", "child", "first", "second"), (None, _parse_node)),
     **dict.fromkeys(("t", "h", "tail_ratio"), (0, _as_positive_number)),
@@ -470,16 +466,17 @@ def vector_to_literal(v: FinVec) -> list:
 # ---------------------------------------------------------------------------
 
 def _check_dict(report: CheckReport, informational: bool) -> dict:
-    out = report.to_dict()
-    out["informational"] = informational
-    return out
+    return {**_jsonable(report), "verdict": report.verdict, "informational": informational}
+
+
+def _header(command: str) -> dict:
+    return {"schema_version": SCHEMA_VERSION,
+            "tool": {"name": "woldkit", "version": __version__}, "command": command}
 
 
 def _base_report(command: str, spec: OpSpec | None, args) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "woldkit", "version": __version__},
-        "command": command,
+        **_header(command),
         "spec": spec.to_dict() if spec is not None else None,
         "params": {
             "tol": args.tol,
@@ -710,12 +707,8 @@ def _cmd_fourfold(args) -> int:
 def _cmd_zoo(args) -> int:
     if args.action != "list":
         raise SpecError([f"unknown zoo action {args.action!r}; try 'list'"])
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "woldkit", "version": __version__},
-        "command": "zoo list",
-        "kinds": [{"kind": k, "summary": KINDS[k].summary} for k in sorted(KINDS)],
-    }
+    report = {**_header("zoo list"),
+              "kinds": [{"kind": k, "summary": KINDS[k].summary} for k in sorted(KINDS)]}
     _emit(report, args.out)
     return 0
 
@@ -763,19 +756,15 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_check)
 
-    sp = sub.add_parser("decompose", help="decompose a vector under an operator spec")
-    sp.add_argument("spec", help="spec file path, or inline JSON")
-    sp.add_argument("--vector", required=True,
-                    help="vector literal [[coords..., re, im], ...] or a file path")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_decompose)
-
-    sp = sub.add_parser("fourfold", help="fourfold decomposition under a pair spec")
-    sp.add_argument("spec", help="pair spec file path, or inline JSON")
-    sp.add_argument("--vector", required=True,
-                    help="vector literal [[coords..., re, im], ...] or a file path")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_fourfold)
+    for name, summary, prefix, func in (
+            ("decompose", "decompose a vector under an operator spec", "", _cmd_decompose),
+            ("fourfold", "fourfold decomposition under a pair spec", "pair ", _cmd_fourfold)):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("spec", help=f"{prefix}spec file path, or inline JSON")
+        sp.add_argument("--vector", required=True,
+                        help="vector literal [[coords..., re, im], ...] or a file path")
+        _add_common(sp)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("zoo", help="inspect the operator constructors")
     sp.add_argument("action", help="'list' prints the available kinds")

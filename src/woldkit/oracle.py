@@ -176,11 +176,15 @@ def _dense_adjoint_settled(D: "DenseSection", w: np.ndarray, budget: int) -> boo
 
 def oracle_limit_project(D: DenseSection, v: FinVec, n_max: int = 64,
                          tol: float = 1e-12) -> tuple[FinVec, tuple]:
-    """Dense strong limit of the range projections, engine stopping rule."""
+    """Dense strong limit of the range projections, engine stopping rule;
+    ``ValueError`` when a nonzero ``v`` has a norm of 0.0 or inf."""
+    if v.is_zero:
+        return v, ()
     arr = vec_to_array(D, v)
     hn = float(np.linalg.norm(arr))
-    if hn == 0.0:
-        return v, ()
+    if hn == 0.0 or math.isinf(hn):
+        raise ValueError(f"nonzero v has dense norm {hn}: it leaves double precision, "
+                         "so no certificate tol * ||v|| holds")
     M = D.matrix
     MH = M.conj().T
     prev = arr
@@ -213,11 +217,11 @@ def oracle_decompose(D: DenseSection, v: FinVec, n_max: int = 64,
     """Dense decomposition with the components summed as the series
     ``T^j P0 (T~)^j h`` itself, so it checks the engine's range-projection
     deltas independently; it measures no power identity (NaN)."""
+    if v.is_zero:
+        return WoldResult(v, (), 0.0, (), 0, 0, 0.0, 0.0, ())
+    limit_vec, history = oracle_limit_project(D, v, n_max=n_max, tol=tol)  # checks the norm
     arr = vec_to_array(D, v)
     hn = float(np.linalg.norm(arr))
-    if hn == 0.0:
-        return WoldResult(v, (), 0.0, (), 0, 0, 0.0, 0.0, ())
-    limit_vec, history = oracle_limit_project(D, v, n_max=n_max, tol=tol)
     limit = vec_to_array(D, limit_vec)
 
     M = D.matrix
@@ -293,9 +297,7 @@ def oracle_null_basis(D: DenseSection) -> list[FinVec]:
     ns = scipy.linalg.null_space(D.matrix.conj().T)
     out = []
     for c in range(ns.shape[1]):
-        vec = array_to_vec(D, ns[:, c])
-        if (D.matrix.conj().T @ ns[:, c] == 0).all() or \
-                float(np.linalg.norm(D.matrix.conj().T @ ns[:, c])) <= 1e-10:
-            out.append(vec)
+        if float(np.linalg.norm(D.matrix.conj().T @ ns[:, c])) <= 1e-10:
+            out.append(array_to_vec(D, ns[:, c]))
     out.sort(key=lambda v: v.support())
     return out

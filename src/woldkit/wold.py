@@ -91,8 +91,6 @@ class WoldResult:
 def defect_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None) -> FinVec:
     """Project onto the defect space: ``h - T (T~ h)``, certified in ``ker T*``."""
     p = params or GramSolveParams()
-    if h.is_zero:
-        return h
     adj_h = T.adjoint().apply(h)
     if adj_h.is_zero:
         return h
@@ -110,7 +108,7 @@ def nested_project(T: BandOp, n: int, h: FinVec, params: GramSolveParams | None 
     """Orthogonal projection of ``h`` onto the range of ``T^n``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0 or h.is_zero:
+    if n == 0:
         return h
     Tn = T ** n
     x = left_inverse_apply(Tn, h, params)
@@ -220,8 +218,6 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     p = params or GramSolveParams()
-    if h.is_zero:
-        return 0.0
     Tn = T ** n
     v = Tn.adjoint().apply(h)
     if v.is_zero:
@@ -286,8 +282,6 @@ def series_component(T: BandOp, j: int, h: FinVec,
     p = params or GramSolveParams()
     x = h
     for _ in range(j):
-        if x.is_zero:
-            break
         x = left_inverse_apply(T, x, p)
     c = defect_project(T, x, p)
     for _ in range(j):

@@ -50,8 +50,6 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
     a failing decomposition identity).  Inner limits are computed at a
     tenfold tighter tolerance than the outer ones.
     """
-    if T1.lattice != T2.lattice:
-        raise ValueError("the pair must act on one lattice")
     p = params or GramSolveParams()
     flags: list[str] = []
 
@@ -60,10 +58,6 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
     if not dc.passed:
         flags.append(f"pair is not double-commuting at {DC_TOLERANCE:.1e} "
                      f"(residual {dc.residual:.3e}); decomposition may not hold")
-
-    if h.is_zero:
-        parts = {tag: h for tag in PART_TAGS}
-        return FourfoldResult(parts, 0.0, 0.0, dc.residual, (0,) * 5, tuple(flags))
 
     p_inner = GramSolveParams(p.guard, p.tol / 10.0)
     q2h, h2 = shift_limit_project(T2, h, p_inner, n_max)

@@ -94,6 +94,10 @@ MALFORMED_SPECS = {
                  ["$.step: expected a positive integer, got 0"]),
     "bad-part": ('{"kind":"tensor_pair","w1":' + _BB + ',"w2":' + _BB + ',"part":3}',
                  ["$.part: expected 1 or 2, got 3"]),
+    "bad-part-bool": ('{"kind":"tensor_pair","w1":' + _BB + ',"w2":' + _BB + ',"part":true}',
+                      ["$.part: expected 1 or 2, got True"]),
+    "bad-part-float": ('{"kind":"tensor_pair","w1":' + _BB + ',"w2":' + _BB + ',"part":2.0}',
+                       ["$.part: expected 1 or 2, got 2.0"]),
     "bad-lattice": ('{"kind":"identity","lattice":"bogus"}',
                     ["$.lattice: expected 'nat' or 'int', got 'bogus'"]),
     "non-object-node": ('{"kind":"compose","a":5,"b":' + _B + '}',

@@ -172,6 +172,17 @@ def test_oracle_limit_transient_plateau():
     assert (ores.components[5] - unit(5)).norm() <= 1e-10
 
 
+@pytest.mark.parametrize("scale, norm", [(1e-170, "0.0"), (1e200, "inf")])
+def test_oracle_refuses_a_norm_outside_double_precision(scale, norm):
+    # 1e-170 squares to 0.0, so a norm test would take v for the zero vector;
+    # no stopping rule delta <= tol * ||v|| holds at a norm of 0.0 or inf
+    D = dense_section(unilateral_shift(), 12)
+    v = FinVec({(0,): scale, (3,): scale})
+    for run in (oracle_limit_project, oracle_decompose):
+        with pytest.raises(ValueError, match=f"nonzero v has dense norm {norm}:"):
+            run(D, v)
+
+
 def test_oracle_series_term_cap_raises():
     # e_0 + ... + e_9 has a unit component at each of its first ten terms
     h = FinVec({(k,): 1.0 for k in range(10)})

@@ -19,6 +19,7 @@ OWNERS = [
     ("eigvalsh", "zoo.py"),
     ("DC_TOLERANCE = ", "classd.py"),  # the double-commutation tolerance
     ("0x5EED", "classd.py"),          # the probe seed
+    ("def to_dict", "cli.py"),        # the one JSON serializer of specs and reports
 ]
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings, strategies as st
 
 import woldkit.bandop
@@ -353,6 +354,29 @@ def test_limit_loop_refuses_a_norm_outside_double_precision(run, norm):
     # no certificate delta <= tol * ||h|| means anything at such a norm
     with pytest.raises(ValueError, match=f"nonzero h has norm {norm}:"):
         run()
+
+
+def _no_gram_work(*args, **kwargs):
+    raise AssertionError("a zero right-hand side reached a Gram section or solve")
+
+
+@pytest.mark.parametrize("T, h", [(T, zero(T.rank)) for _, T in ZOO]
+                         + [(unilateral_shift(), unit(0))],
+                         ids=[name for name, _ in ZOO] + ["unilateral_shift-ker-adjoint"])
+def test_zero_right_hand_sides_need_no_gram_work(monkeypatch, T, h):
+    # left_inverse_apply's zero test (and the T* h test of defect_project and
+    # analytic_criterion) decides every zero vector, also e0 under S, whose
+    # T* image vanishes; no section, factor or solve may run
+    for module in (woldkit.bandop, woldkit.wold):
+        monkeypatch.setattr(module, "section", _no_gram_work)
+        monkeypatch.setattr(module, "solve_gram", _no_gram_work)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", _no_gram_work)
+    z = zero(T.rank)
+    assert defect_project(T, h) == h
+    assert nested_project(T, 2, h) == z
+    assert series_component(T, 2, h) == z
+    assert analytic_criterion(T, h, 2) == 0.0
+    assert classd_residual(T, probes=[h]).residual == 0.0
 
 
 def test_decompose_bergman_random_support_ten():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from woldkit.bandop import GramSolveParams, bergman, constant, dirichlet
+import woldkit.wold
+from woldkit.bandop import GramSolveParams, LatticeMismatch, bergman, constant, dirichlet
+from woldkit.classd import product_closure_check
 from woldkit.seqspace import FinVec, unit, zero
 from woldkit.wold import shift_limit_project
 from woldkit.wold2d import PART_TAGS, fourfold
-from woldkit.zoo import bergman_shift, dirichlet_shift, tensor_pair
+from woldkit.zoo import (bergman_shift, bilateral_shift, dirichlet_shift, tensor_pair,
+                         unilateral_shift)
 
 def grid_vector(lattice, seed=9, side=8):
     rng = np.random.default_rng(seed)
@@ -98,3 +101,23 @@ def test_fourfold_requires_shared_lattice():
     B = bergman_shift()
     with pytest.raises(ValueError):
         fourfold(T1, B, unit((0, 0)))
+
+
+def test_pair_routines_refuse_two_lattices_of_one_rank():
+    # nat and int: the same rank, so only the lattice comparison tells them apart
+    S, U = unilateral_shift(), bilateral_shift()
+    with pytest.raises(LatticeMismatch):
+        product_closure_check(S, U)
+    with pytest.raises(ValueError, match="different lattices"):
+        fourfold(S, U, unit(0))
+
+
+def test_fourfold_zero_vector_runs_no_limit_step(monkeypatch):
+    # the limit loop's own zero test decides h = 0, so no Gram solve runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a zero vector reached a Gram solve")
+    monkeypatch.setattr(woldkit.wold, "solve_gram", no_solve)
+    T1, T2 = tensor_pair(constant(1.0), constant(1.0))
+    res = fourfold(T1, T2, zero(2))
+    assert all(res.parts[tag] == zero(2) for tag in PART_TAGS)
+    assert (res.residual, res.cross_terms, res.limit_iterations) == (0.0, 0.0, (0,) * 5)
