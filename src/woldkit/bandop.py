@@ -821,8 +821,8 @@ class GramSolveParams:
     def __post_init__(self):
         if self.guard is not None and self.guard < 0:
             raise ValueError("guard must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # an inf tol certifies any solve, a NaN none
+            raise ValueError("tol must be finite and positive")
 
     def effective_guard(self, T: BandOp) -> int:
         if self.guard is not None:

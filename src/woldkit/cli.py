@@ -195,8 +195,10 @@ def _parse_matrix(obj, path, errors):
         if not isinstance(row, list) or len(row) != d:
             errors.append(f"{path}[{i}]: expected a row of length {d}")
             return None
-        rows.append(tuple(_as_complex(v, f"{path}[{i}][{j}]", errors) or 0j
+        rows.append(tuple(_as_complex(v, f"{path}[{i}][{j}]", errors)
                           for j, v in enumerate(row)))
+    if any(None in row for row in rows):  # an entry failed: no matrix to test
+        return None
     try:
         block_least_eigenvalue(np.array(rows, dtype=complex))
     except ValueError as e:
@@ -215,8 +217,9 @@ def _check_fields(obj, path, errors, tag, form):
 
 def _parse_form(registry, tag, obj, path, errors, what, unknown):
     """``(name, params)`` of a spec object whose ``tag`` field names an entry
-    of ``registry``; otherwise None, with the error recorded.  Each field is
-    parsed as ``FIELDS`` says, in the order the entry lists them."""
+    of ``registry``; otherwise None, with the error recorded.  Each present
+    field is parsed as ``FIELDS`` says, in the order the entry lists them; an
+    absent optional field takes its value from ``DEFAULTS``, if it has one."""
     if not isinstance(obj, dict):
         errors.append(f"{path}: expected {what}, got {obj!r}")
         return None
@@ -226,16 +229,18 @@ def _parse_form(registry, tag, obj, path, errors, what, unknown):
         return None
     form = registry[name]
     _check_fields(obj, path, errors, tag, form)
-    params = {}
+    params = {key: DEFAULTS[key] for key in form.optional if key in DEFAULTS}
     for key in form.required + form.optional:
-        absent, parse = FIELDS[key]
-        if key in obj or absent is not _OMIT:
-            params[key] = parse(obj.get(key, absent), f"{path}.{key}", errors)
+        if key in obj:
+            params[key] = FIELDS[key](obj[key], f"{path}.{key}", errors)
     if form.validate is not None:
-        try:
-            form.validate(params)
-        except ValueError as e:
-            errors.append(f"{path}: {e}")
+        reads, check = form.validate
+        values = [params.get(key) for key in reads]
+        if None not in values:  # each field it reads is present and parsed
+            try:
+                check(*values)
+            except ValueError as e:
+                errors.append(f"{path}: {e}")
     return name, params
 
 
@@ -260,13 +265,14 @@ def _parse_node(obj, path, errors):
 @dataclass(frozen=True)
 class Form:
     """One spec form: its summary, its fields besides the tag, a builder
-    ``params -> value`` and an optional check across fields (raises ValueError)."""
+    ``params -> value`` and an optional check across fields: the fields it
+    reads and a function of their values that raises ValueError."""
 
     summary: str
     required: tuple
     optional: tuple
     build: Callable
-    validate: Callable | None = None
+    validate: tuple[tuple, Callable] | None = None
 
 
 WEIGHT_FAMILIES = {  # the "family" of a weight object
@@ -289,22 +295,24 @@ PHI_FAMILIES = {  # the "kind" of a weighted translation's envelope object
 
 _parse_weight = partial(_parse_family, WEIGHT_FAMILIES, "family", "a weight object")
 _parse_phi = partial(_parse_family, PHI_FAMILIES, "kind", "an envelope object")
-_OMIT = object()  # an optional field without a default stays out of params
 
-FIELDS = {  # every spec field: (value parsed when the field is absent, parser)
-    "step": (1, _as_step),
-    "part": (_OMIT, _one_of(1, 2)),
-    "phi": (None, _parse_phi),
-    "L": (None, _parse_matrix),
-    "values": (None, _as_values),
-    "samples": (None, _as_samples),
-    **dict.fromkeys(("lattice", "lattice1", "lattice2"), ("nat", _one_of("nat", "int"))),
-    **dict.fromkeys(("weight", "w1", "w2"), (None, _parse_weight)),
-    **dict.fromkeys(("a", "b", "child", "first", "second"), (None, _parse_node)),
-    **dict.fromkeys(("t", "h", "tail_ratio"), (0, _as_positive_number)),
-    **dict.fromkeys(("factor", "value", "default"), (0, _as_complex)),
-    **dict.fromkeys(("alpha", "beta"), (None, _as_number)),
+FIELDS = {  # every spec field: its parser
+    "step": _as_step,
+    "part": _one_of(1, 2),
+    "phi": _parse_phi,
+    "L": _parse_matrix,
+    "values": _as_values,
+    "samples": _as_samples,
+    **dict.fromkeys(("lattice", "lattice1", "lattice2"), _one_of("nat", "int")),
+    **dict.fromkeys(("weight", "w1", "w2"), _parse_weight),
+    **dict.fromkeys(("a", "b", "child", "first", "second"), _parse_node),
+    **dict.fromkeys(("t", "h", "tail_ratio"), _as_positive_number),
+    **dict.fromkeys(("factor", "value", "default"), _as_complex),
+    **dict.fromkeys(("alpha", "beta"), _as_number),
 }
+
+# the value of an absent optional field; one not listed (``part``) stays out of params
+DEFAULTS = {"step": 1, **dict.fromkeys(("lattice", "lattice1", "lattice2"), "nat")}
 
 
 def _weight(w: dict) -> Weight:
@@ -354,7 +362,7 @@ KINDS = {
         ("phi", "t", "h"), (),
         lambda p: weighted_translation(PHI_FAMILIES[p["phi"]["kind"]].build(p["phi"]),
                                        p["t"], p["h"]),
-        lambda p: p["t"] and p["h"] and grid_step(p["t"], p["h"])),
+        (("t", "h"), grid_step)),
     "quasinormal_block": Form(
         "block shift (k_0, k_1, ...) -> (0, L k_0, L k_1, ...), L Hermitian PD",
         ("L",), (), lambda p: quasinormal_block(np.array(p["L"], dtype=complex))),
@@ -474,18 +482,16 @@ def _header(command: str) -> dict:
             "tool": {"name": "woldkit", "version": __version__}, "command": command}
 
 
-def _base_report(command: str, spec: OpSpec | None, args) -> dict:
-    return {
-        **_header(command),
-        "spec": spec.to_dict() if spec is not None else None,
-        "params": {
-            "tol": args.tol,
-            "guard": args.guard,
-            "n_max": args.n_max,
-            "seed": args.seed,
-            "oracle": bool(args.oracle),
-        },
-    }
+_INPUTS = ("command", "func", "spec", "vector", "out")  # parsed, but not params
+
+
+def _base_report(spec: OpSpec, args, default_tol: float) -> dict:
+    """The report so far: its header, the spec and the params the command
+    runs with, which are every parsed flag but the inputs, and ``tol``:
+    ``--tol`` if given, else ``default_tol``."""
+    params = {key: val for key, val in vars(args).items() if key not in _INPUTS}
+    params["tol"] = default_tol if args.tol is None else args.tol
+    return {**_header(args.command), "spec": spec.to_dict(), "params": params}
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -537,7 +543,7 @@ def _oracle_extent(vectors, depth: int, reach: int) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-_INT_FLAG_FLOORS = {"window": 1, "guard": 0, "n_max": 1, "seed": 0}
+_INT_FLAG_FLOORS = {"window": 1, "n_max": 1, "seed": 0}
 
 
 def _check_flags(args) -> None:
@@ -579,40 +585,38 @@ def _gate_pair(report: dict, pair) -> bool:
 def _cmd_check(args) -> int:
     spec = parse_spec(_read_source(args.spec))
     built = build_operator(spec)
-    report = _base_report("check", spec, args)
-    report["params"]["window"] = args.window
-    T = built[0] if isinstance(built, tuple) else built
+    pair = isinstance(built, tuple)
+    report = _base_report(spec, args, 1e-9 if pair else 1e-10)
+    tol = report["params"]["tol"]
+    T = built[0] if pair else built
     probes = default_probes(T.lattice, seed=args.seed)
-    p = GramSolveParams(guard=args.guard)
 
     gated = True
-    if isinstance(built, tuple):
+    if pair:
         gated = _gate_pair(report, built)
-        tol = args.tol if args.tol is not None else 1e-9
         checks = [  # (report, informational)
             (double_commuting_residual(*built, probes), False),
-            (product_closure_check(*built, probes=probes, params=p, tolerance=tol), False)]
+            (product_closure_check(*built, probes=probes, tolerance=tol), False)]
         if args.oracle:
             report["oracle"] = {"skipped": "no dense replica of the pair checks"}
     else:
-        tol = args.tol if args.tol is not None else 1e-10
         checks = [
             (_left_invertibility(T, args.window), False),
-            (isometry_residual(T, window=args.window, params=p), True),
+            (isometry_residual(T, window=args.window), True),
             (quasinormal_residual(T, probes), True),
-            (classd_residual(T, n_max=8, probes=probes, params=p, tolerance=tol), False)]
+            (classd_residual(T, probes=probes, tolerance=tol), False)]
         if args.oracle:
-            report["oracle"] = _oracle_check(T, probes, p)
+            report["oracle"] = _oracle_check(T, probes)
 
     report["checks"] = [_check_dict(c, info) for c, info in checks]
     return _finish(report, gated and all(c.passed for c, info in checks if not info), args)
 
 
-def _oracle_check(T: BandOp, probes, p: GramSolveParams) -> dict:
+def _oracle_check(T: BandOp, probes) -> dict:
     extent = _oracle_extent(probes, depth=2, reach=T.max_band_reach()) + 8
     try:
         D = dense_section(T, extent)
-        worst = _worst_ratio(probes, lambda v: left_inverse_apply(T, v, p)
+        worst = _worst_ratio(probes, lambda v: left_inverse_apply(T, v)
                              - oracle_left_inverse(D, v))
     except (WindowTooLarge, RankDeficientSection) as e:
         # an operator that is not left invertible has no left inverse to compare
@@ -625,11 +629,10 @@ def _vector_prelude(args, spec: OpSpec, lattice):
     """What decompose and fourfold share: the vector, the tolerance (default
     1e-10), the Gram solve parameters and the report so far."""
     v = _read_vector(args.vector, lattice)
-    tol = args.tol if args.tol is not None else 1e-10
-    report = _base_report(args.command, spec, args)
-    report["params"]["tol"] = tol
+    report = _base_report(spec, args, 1e-10)
     report["vector"] = vector_to_literal(v)
-    return v, tol, GramSolveParams(guard=args.guard, tol=tol), report
+    tol = report["params"]["tol"]
+    return v, tol, GramSolveParams(tol=tol), report
 
 
 def _oracle_vectors(v: FinVec, extent: int, engine, dense) -> dict:
@@ -717,18 +720,31 @@ def _cmd_zoo(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp) -> None:
-    sp.add_argument("--tol", type=float, default=None,
-                    help="requested tolerance (default: per-command)")
-    sp.add_argument("--guard", type=int, default=None,
-                    help="initial Gram-solve window padding (default: derived)")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=64,
-                    help="cap on projection iterations (default 64)")
-    sp.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED,
-                    help=f"probe seed recorded in the report (default {DEFAULT_PROBE_SEED})")
-    sp.add_argument("--oracle", action="store_true",
-                    help="cross-check against the dense finite-section oracle")
-    sp.add_argument("--out", default=None, help="report file (default: stdout)")
+_FLAGS = {  # every flag of a command, as add_argument takes it
+    "--window": dict(type=int, default=16, help="window for basis-vector checks (default 16)"),
+    "--seed": dict(type=int, default=DEFAULT_PROBE_SEED,
+                   help=f"seed of the random check probes (default {DEFAULT_PROBE_SEED})"),
+    "--vector": dict(required=True,
+                     help="vector literal [[coords..., re, im], ...] or a file path"),
+    "--n-max": dict(dest="n_max", type=int, default=64,
+                    help="cap on projection iterations (default 64)"),
+    "--tol": dict(type=float, default=None, help="requested tolerance (default: per-command)"),
+    "--oracle": dict(action="store_true",
+                     help="cross-check against the dense finite-section oracle"),
+    "--out": dict(default=None, help="report file (default: stdout)"),
+}
+_RUN_FLAGS = ("--tol", "--oracle", "--out")
+
+_COMMANDS = (  # name, summary, positional argument and its help, flags, handler
+    ("check", "run the membership diagnostics on an operator spec", "spec",
+     "spec file path, or inline JSON", ("--window", "--seed", *_RUN_FLAGS), _cmd_check),
+    ("decompose", "decompose a vector under an operator spec", "spec",
+     "spec file path, or inline JSON", ("--vector", "--n-max", *_RUN_FLAGS), _cmd_decompose),
+    ("fourfold", "fourfold decomposition under a pair spec", "spec",
+     "pair spec file path, or inline JSON", ("--vector", "--n-max", *_RUN_FLAGS), _cmd_fourfold),
+    ("zoo", "inspect the operator constructors", "action",
+     "'list' prints the available kinds", ("--out",), _cmd_zoo),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -748,29 +764,12 @@ def make_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 all gating verdicts pass, 1 spec/input error, "
                "2 convergence failure, 3 a gating verdict failed.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("check", help="run the membership diagnostics on an operator spec")
-    sp.add_argument("spec", help="spec file path, or inline JSON")
-    sp.add_argument("--window", type=int, default=16,
-                    help="window for basis-vector checks (default 16)")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_check)
-
-    for name, summary, prefix, func in (
-            ("decompose", "decompose a vector under an operator spec", "", _cmd_decompose),
-            ("fourfold", "fourfold decomposition under a pair spec", "pair ", _cmd_fourfold)):
+    for name, summary, arg, arg_help, flags, func in _COMMANDS:
         sp = sub.add_parser(name, help=summary)
-        sp.add_argument("spec", help=f"{prefix}spec file path, or inline JSON")
-        sp.add_argument("--vector", required=True,
-                        help="vector literal [[coords..., re, im], ...] or a file path")
-        _add_common(sp)
+        sp.add_argument(arg, help=arg_help)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(func=func)
-
-    sp = sub.add_parser("zoo", help="inspect the operator constructors")
-    sp.add_argument("action", help="'list' prints the available kinds")
-    sp.add_argument("--out", default=None, help="report file (default: stdout)")
-    sp.set_defaults(func=_cmd_zoo)
-
     return ap
 
 

@@ -307,10 +307,10 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     components are measured and recorded.
     """
     p = params or GramSolveParams()
-    if h.is_zero:
-        return WoldResult(h, (), 0.0, (), 0, 0, 0.0, 0.0, ())
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if h.is_zero:
+        return WoldResult(h, (), 0.0, (), 0, 0, 0.0, 0.0, ())
     hn = h.norm()
     adjT = T.adjoint()
     comps: list[FinVec] = []

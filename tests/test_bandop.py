@@ -716,6 +716,13 @@ def test_solve_gram_raises_when_the_window_cannot_grow():
     assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_gram_solve_params_refuse_a_tol_that_is_not_finite_and_positive(tol):
+    # residual <= inf certifies any window, and residual <= nan none
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        GramSolveParams(tol=tol)
+
+
 def test_gram_factor_cache_factors_each_window_once(monkeypatch):
     # unit vectors of one position share a window: each section is
     # factored once, and the solves agree bit for bit with solves on a

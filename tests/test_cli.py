@@ -105,18 +105,22 @@ MALFORMED_SPECS = {
     "pair-in-single-slot": (
         '{"kind":"adjoint","child":{"kind":"pair","first":' + _B + ',"second":' + _B + '}}',
         ["adjoint needs a single operator, but the spec names a pair"]),
+    "translation-missing-t-h": (
+        '{"kind":"weighted_translation","phi":{"kind":"exp","alpha":1.0}}',
+        ["$: missing required field 't'", "$: missing required field 'h'"]),
     "incommensurate": (
         '{"kind":"weighted_translation","phi":{"kind":"exp","alpha":1.0},"t":1.0,"h":0.4}',
         ["$: translation step t/h = 2.5 is not a positive integer (incommensurate grid)"]),
     "non-hermitian": ('{"kind":"quasinormal_block","L":[[2,1],[0,3]]}',
                       ["$.L: matrix must be Hermitian"]),
+    "non-number-entry": ('{"kind":"quasinormal_block","L":[[2,"x"],[1,3]]}',
+                         ["$.L[0][1]: expected a number or [re, im] pair, got 'x'"]),
     "not-positive-definite": (
         '{"kind":"quasinormal_block","L":[[1,2],[2,1]]}',
         ["$.L: matrix must be positive definite (smallest eigenvalue -1.000e+00)"]),
     "all-errors": (
         '{"kind":"weighted_shift","step":0,"lattice":"bogus","extra":1}',
         ["$: missing required field 'weight'", "$: unknown field 'extra'",
-         "$.weight: expected a weight object, got None",
          "$.step: expected a positive integer, got 0",
          "$.lattice: expected 'nat' or 'int', got 'bogus'"]),
     "bad-table": (
@@ -572,6 +576,23 @@ _TENSOR_BERGMAN_INT = ('{"kind":"tensor_pair","w1":{"family":"bergman"},'
                        '"w2":{"family":"bergman"},"lattice1":"int","part":1}')
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["check", _BERGMAN], {"oracle": False, "seed": 0x5EED, "tol": 1e-10, "window": 16}),
+    (["check", _TENSOR], {"oracle": False, "seed": 0x5EED, "tol": 1e-9, "window": 16}),
+    (["check", _BERGMAN, "--tol", "1e-8"],
+     {"oracle": False, "seed": 0x5EED, "tol": 1e-8, "window": 16}),
+    (["decompose", _BERGMAN, "--vector", "[[0,1,0]]"],
+     {"n_max": 64, "oracle": False, "tol": 1e-10}),
+    (["fourfold", _TENSOR, "--vector", "[[0,0,1,0]]"],
+     {"n_max": 64, "oracle": False, "tol": 1e-10}),
+], ids=["check", "check-pair", "check-tol", "decompose", "fourfold"])
+def test_report_params_are_the_flags_a_command_ran_with(tmp_path, argv, params):
+    # every flag the command takes but its inputs, and the tolerance it ran at
+    code, rep = run_cli(tmp_path, *argv)
+    assert code == 0
+    assert rep["params"] == params
+
+
 def _shift(weight):
     return '{"kind":"weighted_shift","weight":' + weight + '}'
 
@@ -587,7 +608,10 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
 
 @pytest.mark.parametrize("argv", [
     ["check", _BERGMAN, "--window", "0"],
-    ["check", _BERGMAN, "--guard", "-1"],
+    ["check", _BERGMAN, "--guard", "2"],
+    ["check", _BERGMAN, "--n-max", "3"],
+    ["decompose", _BERGMAN, "--vector", "[[0,1,0]]", "--seed", "3"],
+    ["fourfold", _TENSOR, "--vector", "[[0,0,1,0]]", "--seed", "3"],
     ["check", _BERGMAN, "--tol", "-1"],
     ["check", _BERGMAN, "--tol", "nan"],
     ["check", _BERGMAN, "--tol", "inf"],
@@ -625,8 +649,8 @@ _TWO_LATTICE_PAIR = ('{"kind":"pair","first":{"kind":"bergman_shift"},"second":'
     ["check", _BERGMAN, "--bogus"],
     ["decompose", _BERGMAN],
     [],
-], ids=["window-0", "guard-neg", "tol-neg", "tol-nan", "tol-inf", "seed-neg", "n-max-0",
-        "tol-0", "vector-off-lattice", "vector-bad-json",
+], ids=["window-0", "check-guard", "check-n-max", "decompose-seed", "fourfold-seed",
+        "tol-neg", "tol-nan", "tol-inf", "seed-neg", "n-max-0", "tol-0", "vector-off-lattice", "vector-bad-json",
         "pair-vector-off-lattice", "spec-is-directory", "spec-not-utf8",
         "pair-two-lattices-check", "pair-two-lattices-fourfold", "t-infinity",
         "t-over-h-overflows", "factor-nan", "L-nan", "beta-nan", "beta-2000-overflows-at-build",
@@ -773,4 +797,4 @@ def test_cli_reports_digest_pinned(capsys):
         out, err = capsys.readouterr()
         digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == \
-        "b995d8349e0d327296d28c1964635c52c52d716c5ca88269b411d73c6bf225d6"
+        "5c1c2ad5c3f30926c1a3c5cfeb1cfeda259240b7a14623c7269922eb4bf8b33d"

@@ -344,6 +344,15 @@ def test_decompose_zero_vector():
     assert res.reconstruction_residual == 0.0
 
 
+@pytest.mark.parametrize("run", [decompose, shift_limit_project],
+                         ids=["decompose", "shift_limit_project"])
+@pytest.mark.parametrize("h", [unit(0), zero(1)], ids=["unit", "zero"])
+def test_limit_routines_refuse_n_max_below_1(run, h):
+    # one n_max rule, decided before any shortcut for the zero vector
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        run(bergman_shift(), h, n_max=0)
+
+
 @pytest.mark.parametrize("run, norm", [
     (lambda: decompose(bergman_shift(), FinVec({(0,): 1e-170, (3,): 1e-170})), "0.0"),
     (lambda: fourfold(*tensor_pair(constant(1.0), constant(1.0)),
