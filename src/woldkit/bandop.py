@@ -19,10 +19,13 @@ The inverse Gram factor needed by the canonical left inverse
 ``(T* T)^{-1} T*`` is never formed as an operator: the inverse of a band
 operator is not band.  It is applied per vector, and each solve re-measures
 its residual with the exact band arithmetic.  A diagonal Gram operator is
-divided out entrywise or the solve is refused; any other is solved on guarded
+divided out entrywise or the solve is refused.  A fibred one (no offset moves
+an unbounded axis) is solved exactly on the fibres of the right-hand side,
+with no guard, and a miss there is final.  Any other is solved on guarded
 finite sections, enlarged (guard doubling) until the tolerance is certified,
-the section would exceed ``SECTION_BYTE_CAP`` or the lattice stops the window
-from growing.  Such a Gram operator keeps the Cholesky factors of its
+the section would exceed ``SECTION_BYTE_CAP``, the lattice stops the window
+from growing or a doubling no longer lowers the residual (a round-off
+floor).  A non-diagonal Gram operator keeps the Cholesky factors of its
 ``FACTOR_CACHE`` most recent windows, each only if it fits in
 ``SECTION_BYTE_CAP // 64`` bytes: at most 32 MiB per Gram operator.
 """
@@ -50,9 +53,10 @@ class LatticeMismatch(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """A finite section would exceed ``SECTION_BYTE_CAP``, a guarded Gram
-    solve ran out of window (that cap, or a window that cannot grow) before
-    certifying its residual, or a diagonal Gram solve was refused."""
+    """A finite section would exceed ``SECTION_BYTE_CAP``, a Gram solve ran
+    out of window (that cap, a window that cannot grow, or a doubling that
+    no longer lowers the residual) before certifying its residual, or a
+    diagonal Gram solve was refused."""
 
     def __init__(self, message: str, residual: float = math.inf, window: int = 0):
         super().__init__(message)
@@ -109,10 +113,10 @@ class Lattice:
     Each axis is ``'nat'`` (coordinates >= 0), ``'int'`` (all integers) or a
     positive int ``m`` denoting the finite range ``0..m-1``.  Indices with a
     coordinate outside an axis domain are not part of the lattice; amplitudes
-    there are identically zero.
+    there are identically zero.  ``unbounded`` lists the 'nat' and 'int' axes.
     """
 
-    __slots__ = ("axes", "bounds")
+    __slots__ = ("axes", "bounds", "unbounded")
 
     def __init__(self, axes: Sequence):
         axes = tuple(axes)
@@ -126,6 +130,7 @@ class Lattice:
             raise ValueError("lattice needs at least one axis")
         self.axes = axes
         self.bounds = tuple(_axis_bounds(a) for a in axes)  # inclusive per-axis ranges
+        self.unbounded = tuple(i for i, a in enumerate(axes) if a in ("nat", "int"))
 
     @classmethod
     def nat(cls, rank: int = 1) -> "Lattice":
@@ -235,16 +240,17 @@ class UnionLattice:
 
     Indices are ``(tag, *coords)`` with tag 0 for the left component and 1
     for the right.  Offsets of operators on a union lattice never move the
-    tag coordinate.
+    tag coordinate.  ``unbounded`` lists the axes unbounded in either part.
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "unbounded")
 
     def __init__(self, left, right):
         if left.rank != right.rank:
             raise RankMismatch(f"summand ranks differ: {left.rank} vs {right.rank}")
         self.left = left
         self.right = right
+        self.unbounded = tuple(sorted({i + 1 for part in (left, right) for i in part.unbounded}))
 
     @property
     def parts(self) -> tuple:
@@ -629,8 +635,8 @@ class BandOp:
     Gram operator, the Cholesky factors of its recent solve windows.
     """
 
-    __slots__ = ("lattice", "rank", "bands", "_diagonal", "_adjoint", "_gram", "_powers",
-                 "_steps", "_factors")
+    __slots__ = ("lattice", "rank", "bands", "_diagonal", "_fibred", "_adjoint", "_gram",
+                 "_powers", "_steps", "_factors")
 
     def __init__(self, lattice, bands: Iterable[tuple]):
         merged: dict[tuple, Weight] = {}
@@ -647,6 +653,7 @@ class BandOp:
         self.bands = tuple((off, w) for off, w in sorted(merged.items(), key=lambda kv: kv[0])
                            if not w.is_zero)
         self._diagonal = not any(any(off) for off, _ in self.bands)
+        self._fibred = not any(off[a] for off, _ in self.bands for a in lattice.unbounded)
         self._steps = tuple(_BandSteps(lattice, off, w) for off, w in self.bands)
         self._adjoint = None
         self._gram = None
@@ -666,6 +673,12 @@ class BandOp:
 
     def is_diagonal(self) -> bool:
         return self._diagonal
+
+    def is_fibred(self) -> bool:
+        """Whether no offset moves an unbounded axis: the operator then maps
+        each fibre (the indices sharing their unbounded coordinates) into
+        itself.  Every diagonal operator is fibred."""
+        return self._fibred
 
     # -- action -------------------------------------------------------------
     def apply(self, u: FinVec) -> FinVec:
@@ -809,7 +822,8 @@ class GramSolveParams:
     """Controls for the per-vector application of (T*T)^{-1}.
 
     ``guard`` is the initial window padding around the right-hand side
-    support (``None`` derives 16x the band reach of the operator), ``tol``
+    support (``None`` derives 16x the band reach of the operator); a
+    diagonal or fibred Gram uses no padding, so ignores it.  ``tol`` is
     the certified relative residual.  No section exceeds
     ``SECTION_BYTE_CAP``; each Gram operator retains at most ``FACTOR_CACHE``
     Cholesky factors of at most ``SECTION_BYTE_CAP // 64`` bytes each.
@@ -943,9 +957,11 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
     Gram operator (never trusted from the dense solver) and satisfies
     ``|| T*T x - v || <= tol * ||v||``.  A diagonal Gram is divided out
     entrywise, never on a section, or refused by :func:`_diagonal_solve`.
-    Raises :class:`NoConvergence` when that residual misses, or when the
-    window's section would exceed ``SECTION_BYTE_CAP`` or the window stops
-    growing (finite axes) before the residual is certified, and
+    A fibred Gram is solved on the fibres of ``v``, where its section is
+    exact.  Raises :class:`NoConvergence` when that residual misses, or when
+    the window's section would exceed ``SECTION_BYTE_CAP``, the window
+    cannot grow (fibred, or stopped by finite axes) or a doubling does not
+    lower the residual before it is certified, and
     :class:`LatticeMismatch` when ``v`` has an entry outside the lattice.
     """
     p = params or GramSolveParams()
@@ -971,18 +987,13 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "
                             f"over {p.tol:.1e} * ||v||", residual=residual, window=0)
 
-    guard = p.effective_guard(T)
+    # a fibred Gram maps the fibres of v (its window at guard 0) into
+    # themselves, so its section there is exact and the window is closed
+    fibred = G.is_fibred()
+    guard = 0 if fibred else p.effective_guard(T)
+    window, rhs = _window_rhs(G, v, guard)
     last_residual = math.inf
-    window = None
     while True:
-        grown, rhs = _window_rhs(G, v, guard)
-        if grown == window:
-            # a window the lattice stops from growing only repeats its solve
-            raise NoConvergence(
-                f"window of {len(window)} ordinals cannot grow; "
-                f"residual {last_residual:.3e}",
-                residual=last_residual, window=len(window))
-        window = grown
         try:
             cf = _gram_factor(G, window)
             sol = scipy.linalg.cho_solve(cf, rhs, check_finite=False)  # v has a finite norm
@@ -994,10 +1005,27 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
                 "Gram section is not positive definite (operator near-singular?)",
                 residual=last_residual, window=len(window)) from None
         x = FinVec._wrap(dict(zip(window, sol.tolist())), v.rank)  # Python complex
-        last_residual = _gram_residual(G, x, v)
-        if last_residual <= p.tol * vn:
+        residual = _gram_residual(G, x, v)
+        if residual <= p.tol * vn:
             return x
+        if residual >= last_residual:
+            # the section solution on a larger window is the better Galerkin
+            # approximation, so a residual that does not fall is round-off
+            raise NoConvergence(
+                f"round-off floor: window of {len(window)} ordinals left residual "
+                f"{residual:.3e}, not below {last_residual:.3e}",
+                residual=residual, window=len(window))
+        last_residual = residual
         guard = max(1, guard) * 2
+        grown, rhs = (window, rhs) if fibred else _window_rhs(G, v, guard)
+        if grown == window:
+            # a closed window, or one the lattice stops from growing, only
+            # repeats its solve
+            raise NoConvergence(
+                f"window of {len(window)} ordinals cannot grow; "
+                f"residual {last_residual:.3e}",
+                residual=last_residual, window=len(window))
+        window = grown
 
 
 def left_inverse_apply(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> FinVec:

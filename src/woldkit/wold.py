@@ -212,7 +212,8 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     Vanishing of this quantity as n grows characterizes membership in the
     series (analytic) part; it equals ``||P_n h||`` identically, which the
     test suite uses as its cross-check.  Computed by a Hermitian
-    eigendecomposition of the guarded finite section of ``G_n``, with an
+    eigendecomposition of the finite section of ``G_n`` (unpadded when
+    ``G_n`` is fibred, as in :func:`solve_gram`, guarded otherwise), with an
     eigenvalue floor at 1e-14 times the largest eigenvalue (warned when hit).
     """
     if n < 1:
@@ -223,8 +224,8 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     if v.is_zero:
         return 0.0
     G = Tn.gram()
-    # a diagonal section needs no padding: entries off v's support add nothing
-    window, rhs = _window_rhs(G, v, 0 if G.is_diagonal() else p.effective_guard(Tn))
+    # a fibred section needs no padding: G maps the fibres of v into themselves
+    window, rhs = _window_rhs(G, v, 0 if G.is_fibred() else p.effective_guard(Tn))
     M, _ = section(G, window, window)
     lam, U = np.linalg.eigh(M)
     y = U.conj().T @ rhs

@@ -705,15 +705,90 @@ def test_solve_gram_window_cap_raises(monkeypatch):
 
 
 def test_solve_gram_raises_when_the_window_cannot_grow():
-    # every axis is finite, so guard doubling keeps the same two-point window
-    # and the near-singular Gram never certifies tol=1e-15
-    lat = Lattice((2,))
-    T = BandOp(lat, [((0,), constant(1.0)), ((1,), constant(1.0)),
-                     ((-1,), constant(1.0 - 1e-6))])
-    with pytest.raises(NoConvergence, match="cannot grow") as exc:
-        solve_gram(T, unit(0), GramSolveParams(tol=1e-15))
+    # the window keeps the same two points of a finite axis, and the
+    # near-singular Gram never certifies tol=1e-15 there: on a lattice of
+    # finite axes the Gram is fibred and its window closed; on a union with
+    # an unbounded part it is not fibred, and the finite part stops it
+    for lat, ix in ((Lattice((2,)), (0,)), (union(Lattice(("nat",)), Lattice((2,))), (1, 0))):
+        off = lambda c: (0,) * (lat.rank - 1) + (c,)
+        T = BandOp(lat, [(off(0), constant(1.0)), (off(1), constant(1.0)),
+                         (off(-1), constant(1.0 - 1e-6))])
+        assert T.gram().is_fibred() is (lat.rank == 1)
+        with pytest.raises(NoConvergence, match="window of 2 ordinals cannot grow") as exc:
+            solve_gram(T, unit(ix), GramSolveParams(tol=1e-15))
+        assert exc.value.window == 2
+        assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
+
+
+def test_solve_gram_closed_window_fails_at_once(monkeypatch):
+    # the Gram of a quasinormal block maps each position's fibre into
+    # itself, so the window of e_(0,0) is that fibre and cannot gain by
+    # growing: a near-singular block fails on its one 2-ordinal factor
+    real, sizes = scipy.linalg.cho_factor, []
+
+    def recording(M, *args, **kwargs):
+        sizes.append(M.shape[0])
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        Q = quasinormal_block([[1, 1 - 1e-7], [1 - 1e-7, 1]])
+    with pytest.raises(NoConvergence, match="window of 2 ordinals cannot grow") as exc:
+        solve_gram(Q, unit((0, 0)), GramSolveParams(tol=1e-15))
+    assert sizes == [2]
     assert exc.value.window == 2
     assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
+
+
+def test_solve_gram_slow_truncation_is_no_round_off_floor():
+    # near its pole the Gram inverse of S + 0.97 I decays slowly: doublings
+    # of the window cut the residual by less than half at first (0.36,
+    # 0.19, 0.068, ...), yet every one lowers it, and the solve certifies
+    S = unilateral_shift()
+    T = S + 0.97 * identity(S.lattice)
+    p = GramSolveParams()
+    x = solve_gram(T, unit(10), p)
+    assert (T.gram().apply(x) - unit(10)).norm() <= p.tol
+    assert len(x) > 1000
+
+
+@pytest.mark.parametrize("lat, off, fibred", [
+    (Lattice(("nat", 3)), (0, 2), True),
+    (Lattice(("nat", 3)), (1, 0), False),
+    (Lattice(("int", "nat")), (0, -1), False),
+    (Lattice((4, 5)), (3, -4), True),
+    (union(Lattice(("nat",)), Lattice((3,))), (0, 1), False),  # unbounded on the left
+    (union(Lattice((2, "int")), Lattice((3, 4))), (0, 1, 0), True),
+])
+def test_fibred_means_no_offset_moves_an_unbounded_axis(lat, off, fibred):
+    T = BandOp(lat, [((0,) * lat.rank, constant(1.0)), (off, constant(0.5))])
+    assert T.is_fibred() is fibred
+    assert identity(lat).is_fibred()
+
+
+def test_solve_gram_fibred_window_is_the_fibres_of_the_support():
+    # random blocks (d = 2, 3), their direct sums and a lattice of finite
+    # axes: the first window is the support's fibres (its neighbourhood at
+    # guard 0), the section there is exact, and the residual certifies on it
+    rng = np.random.default_rng(20170427)
+    blocks = [_random_block(rng, d) for d in (2, 3, 2, 3)]
+    ops = [(f"block_{k}", Q) for k, Q in enumerate(blocks)]
+    ops += [("block_sum_22", direct_sum(blocks[0], blocks[2])),
+            ("block_sum_23", direct_sum(blocks[0], blocks[1])),
+            ("finite", BandOp(Lattice((3, 4)), [((0, 0), constant(2.0)),
+                                               ((1, 0), constant(0.5)),
+                                               ((0, -1), constant(0.3j))]))]
+    p = GramSolveParams()
+    for name, T in ops:
+        G = T.gram()
+        assert G.is_fibred() and not G.is_diagonal(), name
+        for _ in range(3):
+            v = rand_vec(T.lattice, rng, size=3, extent=5)
+            G._factors = None
+            x = solve_gram(T, v, p)
+            assert list(G._factors) == [tuple(T.lattice.neighbourhood(v.support(), 0))], name
+            assert (G.apply(x) - v).norm() <= p.tol * v.norm(), name
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
@@ -724,20 +799,21 @@ def test_gram_solve_params_refuse_a_tol_that_is_not_finite_and_positive(tol):
 
 
 def test_gram_factor_cache_factors_each_window_once(monkeypatch):
-    # unit vectors of one position share a window: each section is
-    # factored once, and the solves agree bit for bit with solves on a
-    # freshly built operator, whose cache is cold
-    real, seen = scipy.linalg.cho_factor, []
+    # unit vectors of one position share a window: each window's section
+    # is built and factored once, and the solves agree bit for bit with
+    # solves on a freshly built operator, whose cache is cold.  Windows are
+    # counted by key, since a uniform block's fibre sections are byte-equal
+    real, windows = bandop.section, []
 
-    def counting(M, *args, **kwargs):
-        seen.append(M.tobytes())
-        return real(M, *args, **kwargs)
+    def recording(T, cols, rows=None):
+        windows.append(tuple(cols))
+        return real(T, cols, rows)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    monkeypatch.setattr(bandop, "section", recording)
     Q = quasinormal_block(BLOCK_2)
     report = isometry_residual(Q)
     assert report.probes_used == 34
-    assert 0 < len(seen) == len(set(seen)) < report.probes_used
+    assert 0 < len(windows) == len(set(windows)) < report.probes_used
     assert len(Q.gram()._factors) <= bandop.FACTOR_CACHE
     for ix in Q.lattice.window(4):
         warm = left_inverse_apply(Q, unit(ix))

@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings, strategies as st
 import woldkit.bandop
 import woldkit.wold
 from woldkit.bandop import (BandOp, GramSolveParams, NoConvergence, Weight, constant,
-                            left_inverse_apply, lower_bound_estimate, table)
+                            identity, left_inverse_apply, lower_bound_estimate, table)
 from woldkit.classd import classd_residual, default_probes
 from woldkit.oracle import dense_section, oracle_project
 from woldkit.seqspace import FinVec, unit, zero
@@ -533,6 +533,20 @@ def test_decompose_flags_power_identity_failure(monkeypatch):
                          "(T~)^n h is not (T^n)~ h",)
 
 
+def test_decompose_outside_the_class_stops_at_the_round_off_floor():
+    # (S + I/2)^n has Gram condition number about 9^n, so the limit loop's
+    # solve stalls at round-off (near 6e-12 relative at n = 10); a doubling
+    # that does not lower the residual ends it with a named failure, long
+    # before a section reaches the byte cap (10244 ordinals without it)
+    S = unilateral_shift()
+    with pytest.raises(NoConvergence, match=r"limit phase, n=\d+: round-off floor: window "
+                                            r"of \d+ ordinals left residual \S+, not below \S+"
+                       ) as exc:
+        decompose(S + 0.5 * identity(S.lattice), unit(0) + unit(3))
+    assert 0 < exc.value.window < 1000
+    assert 0 < exc.value.residual < 1e-10
+
+
 def _full_repr(res) -> str:
     """Every field of a WoldResult at full precision (FinVec's repr elides)."""
     vec = lambda v: (v.rank, v.items())
@@ -579,31 +593,34 @@ def _windowed_fixtures():
             ("two_band", S + 0.5 * (S ** 2))]
 
 
-def _windowed_digests() -> tuple[str, str]:
-    """The sha256 of decompose on the windowed fixtures, and apart from it
-    that of left_inverse_apply, classd_residual, analytic_criterion,
-    lower_bound_estimate and wandering_basis, at full precision."""
+def _windowed_digests() -> list[str]:
+    """``name=sha256`` per windowed fixture, of decompose, left_inverse_apply,
+    classd_residual, analytic_criterion, lower_bound_estimate and
+    wandering_basis on it, at full precision: a change shows which
+    fixture's bits moved."""
     vec = lambda v: repr((v.rank, v.items()))
-    dec, rest = hashlib.sha256(), hashlib.sha256()
+    out = []
     for name, T in _windowed_fixtures():
         assert not T.gram().is_diagonal(), name
+        digest = hashlib.sha256()
         rng = np.random.default_rng(20170426)
         h = rand_vec(T.lattice, rng, 3, 3)
-        dec.update(_full_repr(decompose(T, h)).encode())
-        rest.update(vec(left_inverse_apply(T, h)).encode())
+        digest.update(_full_repr(decompose(T, h)).encode())
+        digest.update(vec(left_inverse_apply(T, h)).encode())
         probes = default_probes(T.lattice, n_basis=4, n_random=2, max_support=3,
                                 seed=7, extent=3)
-        rest.update(repr(classd_residual(T, n_max=3, probes=probes)).encode())
-        rest.update(repr(analytic_criterion(T, h, 2)).encode())
-        rest.update(repr(lower_bound_estimate(T, 6)).encode())
-        rest.update(repr([vec(b) for b in wandering_basis(T, 6)]).encode())
-    return dec.hexdigest(), rest.hexdigest()
+        digest.update(repr(classd_residual(T, n_max=3, probes=probes)).encode())
+        digest.update(repr(analytic_criterion(T, h, 2)).encode())
+        digest.update(repr(lower_bound_estimate(T, 6)).encode())
+        digest.update(repr([vec(b) for b in wandering_basis(T, 6)]).encode())
+        out.append(f"{name}={digest.hexdigest()}")
+    return out
 
 
 def test_windowed_digest_pinned():
     # bit-identity of the windowed Gram path.  A dense Cholesky factor
     # changes in its last bits with the BLAS thread count, and decompose of
-    # S + S^2/2 is sensitive to them, so both digests are taken in a child
+    # S + S^2/2 is sensitive to them, so the digests are taken in a child
     # interpreter with one BLAS thread, the benchmark's setting
     here = Path(__file__).resolve().parent
     src = Path(woldkit.wold.__file__).resolve().parents[1]
@@ -614,8 +631,10 @@ def test_windowed_digest_pinned():
         cwd=here, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == [
-        "00e346d11ecbcc61d3e5b17c005dcfd225f6542c0187b404bf42f7a92ab48b24",
-        "f3b9035847e1b9e979db30f5c6dc6bc9c240919e2a8ebef25128dc6a5b4ee602"]
+        "block_real_2=f57483e3d57e4f2df5e0dffe4f3f1bed4e256590536d5521f8081d4f3a577ee4",
+        "block_complex_3=d22021464dbd7bd1793673746c5bc7aee0a0de940ed6124f7bdea2edc09b1d6d",
+        "block_sum=6b976e311194b30b300ae7a162e62b30cafe5836c536c6023a1c4ab4f7ceead2",
+        "two_band=953caae722048f62bc4918db28d6788ec9c56aea9dccfcbea2f3b8cbc285c5ce"]
 
 
 def test_series_settle_sees_amplitudes_underflow():
