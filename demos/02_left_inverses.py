@@ -45,7 +45,7 @@ print()
 print("== a genuinely banded Gram exercises the window doubling ==")
 S = unilateral_shift()
 T = S + 0.5 * identity(S.lattice)
-p = GramSolveParams(guard=2, tol=1e-12)
+p = GramSolveParams(tol=1e-12)
 x = solve_gram(T, e0, p)
 print("tridiagonal Gram solve: support reaches", max(ix[0] for ix in x.support()),
       "sites, residual", (T.gram().apply(x) - e0).norm())

@@ -821,27 +821,16 @@ def identity(lattice) -> BandOp:
 class GramSolveParams:
     """Controls for the per-vector application of (T*T)^{-1}.
 
-    ``guard`` is the initial window padding around the right-hand side
-    support (``None`` derives 16x the band reach of the operator); a
-    diagonal or fibred Gram uses no padding, so ignores it.  ``tol`` is
-    the certified relative residual.  No section exceeds
+    ``tol`` is the certified relative residual.  No section exceeds
     ``SECTION_BYTE_CAP``; each Gram operator retains at most ``FACTOR_CACHE``
     Cholesky factors of at most ``SECTION_BYTE_CAP // 64`` bytes each.
     """
 
-    guard: int | None = None
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.guard is not None and self.guard < 0:
-            raise ValueError("guard must be nonnegative")
         if not 0 < self.tol < math.inf:  # an inf tol certifies any solve, a NaN none
             raise ValueError("tol must be finite and positive")
-
-    def effective_guard(self, T: BandOp) -> int:
-        if self.guard is not None:
-            return self.guard
-        return 16 * max(1, T.max_band_reach())
 
 
 def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
@@ -988,9 +977,10 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
                             f"over {p.tol:.1e} * ||v||", residual=residual, window=0)
 
     # a fibred Gram maps the fibres of v (its window at guard 0) into
-    # themselves, so its section there is exact and the window is closed
+    # themselves, so its section there is exact and the window is closed;
+    # any other window starts 16 band reaches of T around v
     fibred = G.is_fibred()
-    guard = 0 if fibred else p.effective_guard(T)
+    guard = 0 if fibred else 16 * max(1, T.max_band_reach())
     window, rhs = _window_rhs(G, v, guard)
     last_residual = math.inf
     while True:

@@ -8,6 +8,8 @@ the engine computes:
 * their strong limit ``P`` (projection onto the intersection of all ranges),
 * the series components ``P_j h - P_{j+1} h``, whose sum with ``P h``
   reconstructs ``h``,
+* the analytic criterion ``||G_n^{-1/2} (T*)^n h|| = ||P_n h||``, read
+  off one certified Gram solve,
 * an orthonormal basis of the defect space, and
 * certificates: the power identity residual, reconstruction residual,
   pairwise component orthogonality, convergence history, and a
@@ -25,7 +27,6 @@ at every step and flags a disagreement instead of assuming it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .bandop import (
     BandOp,
     GramSolveParams,
     NoConvergence,
-    _window_rhs,
     left_inverse_apply,
     section,
     solve_gram,
@@ -210,31 +210,22 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     """The norm ``|| G_n^{-1/2} (T*)^n h ||`` with ``G_n`` the Gram of ``T^n``.
 
     Vanishing of this quantity as n grows characterizes membership in the
-    series (analytic) part; it equals ``||P_n h||`` identically, which the
-    test suite uses as its cross-check.  Computed by a Hermitian
-    eigendecomposition of the finite section of ``G_n`` (unpadded when
-    ``G_n`` is fibred, as in :func:`solve_gram`, guarded otherwise), with an
-    eigenvalue floor at 1e-14 times the largest eigenvalue (warned when hit).
+    series (analytic) part; it equals ``||P_n h||`` identically.  With
+    ``v = (T^n)* h`` and ``x = G_n^{-1} v`` from :func:`solve_gram`, its
+    square ``<G_n^{-1} v, v>`` is read as ``2 Re <x, v> - ||T^n x||^2``,
+    whose error is ``-||T^n e||^2`` for the solve error ``e``: second order
+    in the certified residual, where ``Re <x, v>`` alone is off by a first
+    order term.  Raises the solve's :class:`NoConvergence` when it cannot
+    be certified.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = params or GramSolveParams()
     Tn = T ** n
     v = Tn.adjoint().apply(h)
     if v.is_zero:
         return 0.0
-    G = Tn.gram()
-    # a fibred section needs no padding: G maps the fibres of v into themselves
-    window, rhs = _window_rhs(G, v, 0 if G.is_fibred() else p.effective_guard(Tn))
-    M, _ = section(G, window, window)
-    lam, U = np.linalg.eigh(M)
-    y = U.conj().T @ rhs
-    floor = 1e-14 * float(lam.max())
-    if lam.min() < floor:
-        warnings.warn("Gram eigenvalue floor hit; operator is near the "
-                      "left-invertibility boundary", stacklevel=2)
-        lam = np.maximum(lam, floor)
-    return float(np.linalg.norm(y / np.sqrt(lam)))
+    x = solve_gram(Tn, v, params)
+    return math.sqrt(2.0 * x.inner(v).real - Tn.apply(x).norm_sq())
 
 
 def _canonical_phase(v: FinVec) -> FinVec:

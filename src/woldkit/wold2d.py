@@ -59,7 +59,7 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
         flags.append(f"pair is not double-commuting at {DC_TOLERANCE:.1e} "
                      f"(residual {dc.residual:.3e}); decomposition may not hold")
 
-    p_inner = GramSolveParams(p.guard, p.tol / 10.0)
+    p_inner = GramSolveParams(p.tol / 10.0)
     q2h, h2 = shift_limit_project(T2, h, p_inner, n_max)
     q1h, h1 = shift_limit_project(T1, h, p_inner, n_max)
     inf_inf, h11 = shift_limit_project(T1, q2h, p, n_max)

@@ -682,26 +682,28 @@ def test_solve_gram_windowed_path_certificate():
 
 
 def test_solve_gram_guard_doubling():
-    # a tight initial guard forces at least one window enlargement
+    # the first window, 16 band reaches around e0, does not certify
+    # tol=1e-12: guard doubling 16, 32, 64 solves windows of 17, 33 and 65
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
-    p = GramSolveParams(guard=2, tol=1e-12)
+    p = GramSolveParams(tol=1e-12)
     x = solve_gram(T, unit(0), p)
     assert (T.gram().apply(x) - unit(0)).norm() <= p.tol
-    assert len(x) > 5  # the solution window grew past the initial padding
+    assert len(x) == 65
+    assert [len(w) for w in T.gram()._factors] == [17, 33, 65]
 
 
 def test_solve_gram_window_cap_raises(monkeypatch):
-    # the byte cap is the only bound: at 6x6 complex entries the guard
-    # doubling 1, 2, 4 solves windows of 2, 3 and 5 ordinals, then stops
-    monkeypatch.setattr(bandop, "SECTION_BYTE_CAP", 16 * 6 * 6)
+    # the byte cap is the only bound: at 40x40 complex entries the guard
+    # doubling 16, 32 solves windows of 17 and 33 ordinals, then stops
+    monkeypatch.setattr(bandop, "SECTION_BYTE_CAP", 16 * 40 * 40)
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
     with pytest.raises(NoConvergence) as exc:
-        solve_gram(T, unit(0), GramSolveParams(guard=1, tol=1e-14))
+        solve_gram(T, unit(0), GramSolveParams(tol=1e-14))
     assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
-    assert exc.value.window == 9
-    assert "576 bytes" in str(exc.value)
+    assert exc.value.window == 65
+    assert "a 65x65 section needs 67600 bytes" in str(exc.value)
 
 
 def test_solve_gram_raises_when_the_window_cannot_grow():
@@ -841,17 +843,17 @@ def test_gram_factor_cache_keeps_the_most_recent_windows():
 
 
 def test_gram_factor_cache_skips_large_factors(monkeypatch):
-    # factors of more than cap // 64 bytes (10x10 complex entries here) are
-    # used but not kept; guard doubling 2, 4, 8, 16 solves windows of 3, 5,
-    # 9 and 17 ordinals
-    monkeypatch.setattr(bandop, "SECTION_BYTE_CAP", 64 * 16 * 10 * 10)
+    # factors of more than cap // 64 bytes (40x40 complex entries here) are
+    # used but not kept; guard doubling 16, 32, 64 solves windows of 17, 33
+    # and 65 ordinals
+    monkeypatch.setattr(bandop, "SECTION_BYTE_CAP", 64 * 16 * 40 * 40)
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
-    p = GramSolveParams(guard=2, tol=1e-4)
+    p = GramSolveParams(tol=1e-12)
     x = solve_gram(T, unit(0), p)
-    assert len(x) == 17
-    assert [len(w) for w in T.gram()._factors] == [3, 5, 9]
-    assert solve_gram(T, unit(0), p) == x  # re-factors the 17-ordinal window
+    assert len(x) == 65
+    assert [len(w) for w in T.gram()._factors] == [17, 33]
+    assert solve_gram(T, unit(0), p) == x  # re-factors the 65-ordinal window
 
 
 def test_gram_factor_failure_repeats_alike():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import woldkit.wold
 from woldkit.bandop import (BandOp, GramSolveParams, NoConvergence, Weight, constant,
                             identity, left_inverse_apply, lower_bound_estimate, table)
 from woldkit.classd import classd_residual, default_probes
-from woldkit.oracle import dense_section, oracle_project
+from woldkit.oracle import dense_section, guard_ok, oracle_project
 from woldkit.seqspace import FinVec, unit, zero
 from woldkit.wold import (
     InputNotInHInfinity,
@@ -230,25 +231,56 @@ def test_limit_zero_vector():
 # analytic criterion
 # ---------------------------------------------------------------------------
 
+@pytest.mark.filterwarnings("error")
 def test_criterion_examples():
     S = unilateral_shift()
     assert analytic_criterion(S, unit(0), 1) == 0.0
     T = bilateral_shift()
     for n in (1, 2, 5):
         assert abs(analytic_criterion(T, unit(0), n) - 1.0) <= 1e-12
-    # Gram entries 1e-16 and 1: the small one is lifted to the eigenvalue floor
-    with pytest.warns(UserWarning, match="Gram eigenvalue floor hit"):
-        analytic_criterion(weighted_shift(table([1e-8], 1.0), 1, "nat"), unit(1) + unit(2), 1)
+    # Gram entries 1e-16 and 1: the entrywise solve needs no eigenvalue floor
+    T = weighted_shift(table([1e-8], 1.0), 1, "nat")
+    assert analytic_criterion(T, unit(1) + unit(2), 1) == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 def test_criterion_equals_projection_norm():
+    # against the dense oracle, which shares no solve with the engine
     rng = np.random.default_rng(5)
     for T in (bergman_shift(), dirichlet_shift()):
+        D = dense_section(T, 24)
         for n in (1, 2, 4, 8):
             h = rand_vec(T.lattice, rng)
-            crit = analytic_criterion(T, h, n)
-            pn = nested_project(T, n, h).norm()
-            assert abs(crit - pn) <= 1e-11 * h.norm()
+            assert guard_ok(D, [h], depth=n)
+            dense = oracle_project(D, h, n).norm()
+            assert abs(analytic_criterion(T, h, n) - dense) <= 1e-12 * h.norm()
+    # S + 0.9 I has a tridiagonal Gram, so every solve is guarded.  P_n h is
+    # h less its projection onto ker (T*)^n = span{k^j (-0.9)^k : j < n},
+    # which 300 ordinals hold to 0.9^300 < 1e-13
+    S = unilateral_shift()
+    T = S + 0.9 * identity(S.lattice)
+    h = unit(0) + unit(3)
+    D = dense_section(T, 300)
+    k = np.arange(300.0)
+    for n in (1, 2, 3):
+        assert guard_ok(D, [h], depth=n)
+        Q, _ = np.linalg.qr(np.stack([k ** j * (-0.9) ** k for j in range(n)], axis=1))
+        exact = math.sqrt(2.0 - np.linalg.norm(Q[0] + Q[3]) ** 2)
+        crit = analytic_criterion(T, h, n)
+        assert crit == pytest.approx(exact, rel=1e-12)
+        # the oracle's normal equations square cond(T^n), about 7e3 at n = 3,
+        # and leave it 7e-11 off there
+        assert crit == pytest.approx(oracle_project(D, h, n).norm(),
+                                     rel=1e-12 if n < 3 else 1e-9)
+
+
+def test_criterion_that_cannot_be_certified_raises(monkeypatch):
+    # T^3 = (S + 0.99 I)^3 has reach 3: guard doubling 48, 96 solves windows
+    # of 52 and 100 ordinals around e0 + e3 without certifying, and the
+    # next one, of 196, is over a cap of 100x100 complex entries
+    monkeypatch.setattr(woldkit.bandop, "SECTION_BYTE_CAP", 16 * 100 * 100)
+    S = unilateral_shift()
+    with pytest.raises(NoConvergence, match="a 196x196 section .* over the cap"):
+        analytic_criterion(S + 0.99 * identity(S.lattice), unit(0) + unit(3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +663,10 @@ def test_windowed_digest_pinned():
         cwd=here, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == [
-        "block_real_2=f57483e3d57e4f2df5e0dffe4f3f1bed4e256590536d5521f8081d4f3a577ee4",
+        "block_real_2=f334933e1ddf9881aabf13571220e1345aa4a5e8923521f51cd9e4fbe51cfdcb",
         "block_complex_3=d22021464dbd7bd1793673746c5bc7aee0a0de940ed6124f7bdea2edc09b1d6d",
         "block_sum=6b976e311194b30b300ae7a162e62b30cafe5836c536c6023a1c4ab4f7ceead2",
-        "two_band=953caae722048f62bc4918db28d6788ec9c56aea9dccfcbea2f3b8cbc285c5ce"]
+        "two_band=92000d7a242e6aab5fd0238084fecb5aea7da7fdfdd161d3419d56c077d8c5a8"]
 
 
 def test_series_settle_sees_amplitudes_underflow():
