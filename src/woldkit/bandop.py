@@ -13,7 +13,10 @@ lattice masks), so applying any derived operator to a vector is still exact.
 Where a product of conjugate weight factors has a closed form (for example
 the squared modulus of a Bergman weight), it is merged analytically; this
 keeps Gram operators of weighted shifts exactly diagonal with rational
-entries.
+entries.  Every structural decision of a composition reads only the
+operands' skeletons (their terms without coefficients) and the lattice, so
+it is planned once per pair of skeletons and replayed on the coefficients
+of each new pair; the ``PLAN_CACHE`` most recently used plans are kept.
 
 The inverse Gram factor needed by the canonical left inverse
 ``(T* T)^{-1} T*`` is never formed as an operator: the inverse of a band
@@ -27,7 +30,9 @@ the section would exceed ``SECTION_BYTE_CAP``, the lattice stops the window
 from growing or a doubling no longer lowers the residual (a round-off
 floor).  A non-diagonal Gram operator keeps the Cholesky factors of its
 ``FACTOR_CACHE`` most recent windows, each only if it fits in
-``SECTION_BYTE_CAP // 64`` bytes: at most 32 MiB per Gram operator.
+``SECTION_BYTE_CAP // 64`` bytes: at most 32 MiB per Gram operator.  The
+process keeps at most ``PLAN_CACHE`` composition plans; a plan holds the
+skeleton of its result and one index pair per product of operand terms.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +52,7 @@ from .seqspace import FinVec, RankMismatch
 _BIG = 10 ** 9  # sentinel distance for axes without a truncation edge
 SECTION_BYTE_CAP = 512 * 2 ** 20  # largest dense complex section ever allocated
 FACTOR_CACHE = 4  # Cholesky factors of recent windows kept per Gram operator
+PLAN_CACHE = 512  # composition plans kept per process
 
 
 class LatticeMismatch(ValueError):
@@ -334,7 +341,7 @@ def union(left, right) -> UnionLattice:
 # construction: selector conflicts kill a term, conjugate atom pairs merge to
 # an analytic squared-modulus atom, identical terms merge coefficients.
 # Masks are created only by composition, which resolves every mask a term's
-# own selectors decide (see ``_masked``).
+# own selectors decide (see ``_resolve_masks``).
 
 class Atom(NamedTuple):
     kind: str        # 'bergman' | 'dirichlet' | 'table' | 'powratio' | 'abs2'
@@ -444,6 +451,12 @@ def _make_term(coeff: complex, atoms, selects, masks) -> Term | None:
     )
 
 
+def _skeleton_order(skeleton: tuple):
+    """Sort key of a term's skeleton ``(atoms, selects, masks)``."""
+    atoms, selects, masks = skeleton
+    return tuple(map(_atom_sort_key, atoms)), selects, masks
+
+
 def _normalize_terms(terms: Iterable[Term]) -> tuple:
     merged: dict[tuple, complex] = {}
     for t in terms:
@@ -452,7 +465,7 @@ def _normalize_terms(terms: Iterable[Term]) -> tuple:
         key = (t.atoms, t.selects, t.masks)
         merged[key] = merged.get(key, 0j) + t.coeff
     out = [Term(c, *key) for key, c in merged.items() if c != 0]
-    out.sort(key=lambda t: (tuple(map(_atom_sort_key, t.atoms)), t.selects, t.masks, repr(t.coeff)))
+    out.sort(key=lambda t: (_skeleton_order(t[1:]), repr(t.coeff)))
     return tuple(out)
 
 
@@ -463,6 +476,14 @@ class Weight:
 
     def __init__(self, terms: Iterable[Term] = ()):
         self.terms = _normalize_terms(terms)
+
+    @classmethod
+    def _normal(cls, terms: tuple) -> "Weight":
+        """A weight of ``terms`` that are already in normal form: nonzero
+        coefficients without a negative zero part, distinct skeletons, sorted."""
+        w = cls.__new__(cls)
+        w.terms = terms
+        return w
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -493,14 +514,20 @@ class Weight:
         return Weight(out)
 
     def shifted(self, off: tuple) -> "Weight":
-        """Weight evaluating the original at ``k + off``."""
-        out = []
-        for t in self.terms:
-            atoms = tuple(a._replace(shift=a.shift + off[a.axis]) for a in t.atoms)
-            selects = tuple(Select(s.axis, s.value - off[s.axis]) for s in t.selects)
-            masks = tuple(_tadd(m, off) for m in t.masks)
-            out.append(_make_term(t.coeff, atoms, selects, masks))
-        return Weight(out)
+        """Weight evaluating the original at ``k + off``.
+
+        A translation keeps normal form, so the terms are built directly: it
+        makes no selector conflict and no conjugate pair, and it keeps the
+        order of atoms, selectors, masks and terms (each compares per axis,
+        and every coordinate of one axis moves by the same amount).
+        """
+        return Weight._normal(tuple(
+            Term(t.coeff,
+                 tuple(Atom(a.kind, a.axis, a.shift + off[a.axis], a.conj, a.params)
+                       for a in t.atoms),
+                 tuple(Select(s.axis, s.value - off[s.axis]) for s in t.selects),
+                 tuple(_tadd(m, off) for m in t.masks))
+            for t in self.terms))
 
     def embedded(self) -> "Weight":
         """Re-home the weight one axis to the right (a tag axis is prepended)."""
@@ -709,23 +736,23 @@ class BandOp:
     def compose(self, other: "BandOp") -> "BandOp":
         """self after other: (self @ other)(u) = self(other(u)), exactly.
 
+        Planned once per lattice and pair of operand skeletons (see
+        :func:`_plan_compose`), then replayed on the operands' coefficients.
         A mask records that the intermediate index ``k + other_offset`` must
-        lie in the lattice; see :func:`_masked` for when it is resolved.
+        lie in the lattice; see :func:`_resolve_masks` for when it is resolved.
         """
         if not isinstance(other, BandOp):
             raise TypeError("compose expects a BandOp")
         if self.lattice != other.lattice:
             raise LatticeMismatch(f"lattices differ: {self.lattice!r} vs {other.lattice!r}")
-        # a mask that always holds leaves mask-free products as they are
-        always = [self.lattice.shift_cover({}, boff) == (True, False) for boff, _ in other.bands]
-        out = []
-        for aoff, aw in self.bands:
-            for (boff, bw), holds in zip(other.bands, always):
-                w = aw.shifted(boff) * bw
-                if not holds or any(t.masks for t in w.terms):
-                    w = _masked(w, boff, self.lattice)
-                out.append((_tadd(aoff, boff), w))
-        return BandOp(self.lattice, out)
+        key = (self.lattice, _skeleton(self), _skeleton(other))
+        plan = _PLANS.pop(key, None)
+        if plan is None:
+            plan = _plan_compose(self, other)
+            while len(_PLANS) >= PLAN_CACHE:
+                del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = plan
+        return _replay(plan, self, other)
 
     def __matmul__(self, other: "BandOp") -> "BandOp":
         return self.compose(other)
@@ -777,36 +804,137 @@ class BandOp:
         return f"BandOp({self.lattice!r}, offsets={list(self.offsets)!r})"
 
 
-def _masked(w: Weight, off: tuple, lattice) -> Weight:
-    """``w`` times the mask ``k + off in lattice``, in lattice-aware normal form.
+def _resolve_masks(skeleton: tuple, off: tuple, lattice) -> tuple | None:
+    """The masks of a term of ``skeleton`` times the mask ``k + off in
+    lattice``, in lattice-aware normal form, or None for no term.
 
-    Each mask of each term is decided against the term's own selectors: one
-    that always holds is dropped, a term with one that never holds is
-    dropped, an undecided one is kept.  Both drops are exact because weights
-    are only evaluated at in-lattice indices.  Without them, powers of
-    selector operators (quasinormal blocks) keep terms that differ only in
-    redundant masks and grow exponentially.  Returns ``w`` itself when no
-    term changes.
+    Each mask is decided against the term's own selectors: one that always
+    holds is dropped, a term with one that never holds is dropped, an
+    undecided one is kept.  Both drops are exact because weights are only
+    evaluated at in-lattice indices.  Without them, powers of selector
+    operators (quasinormal blocks) keep terms that differ only in redundant
+    masks and grow exponentially.
     """
+    _, selects, masks = skeleton
+    selects = dict(selects)
+    kept = []
+    for m in (masks if off in masks else masks + (off,)):
+        every, none = lattice.shift_cover(selects, m)
+        if none:  # also when no k satisfies the selectors
+            return None
+        if not every:
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
+# composition plans, least recently used first: (lattice, skeleton of each
+# operand) -> plan; see _plan_compose
+_PLANS: dict = {}
+
+
+def _skeleton(T: BandOp) -> tuple:
+    """Each band's offset and its terms' ``(atoms, selects, masks)``."""
+    return tuple((off, tuple(t[1:] for t in w.terms)) for off, w in T.bands)
+
+
+def _plan_compose(A: BandOp, B: BandOp) -> tuple:
+    """The plan of ``A @ B``: every decision that reads only the skeletons.
+
+    With coefficients ``a`` of ``A`` and ``b`` of ``B`` numbered in band and
+    term order, the plan is ``(groups, gates, sums, bands)``:
+
+    - a group lists the ``(i, j)`` of the products ``a_i b_j`` of one band
+      pair that share a skeleton, summed from ``0j`` in order;
+    - a gate ``(g, triggers)`` sets group ``g`` to 0 if a trigger is nonzero;
+    - a sum adds values in order: a pair's groups whose masks resolve alike,
+      or the contributions of the pairs that share an offset;
+    - ``bands`` gives each offset's terms as (value index, skeleton).
+
+    Exact zeros are not dropped on the way: no value summed from ``0j`` has
+    a negative zero part, so a term the algebra drops adds +0.0 to every
+    later sum, and only zero results and empty bands are left out.  Masks
+    are resolved on a pair whose offset may leave the lattice or whose
+    products carry masks.  That test reads values, so gates keep it: on a
+    pair whose offset stays in the lattice, a product whose selectors no
+    index meets stays until a masked product is nonzero.
+    """
+    lattice = A.lattice
+    a0, b0 = ([0, *accumulate(len(w.terms) for _, w in T.bands)] for T in (A, B))
+    groups, gates, pairs = [], [], []
+    for p, (aoff, aw) in enumerate(A.bands):
+        for q, (boff, bw) in enumerate(B.bands):
+            products: dict[tuple, list] = {}
+            for i, ta in enumerate(aw.shifted(boff).terms):
+                for j, tb in enumerate(bw.terms):
+                    t = _make_term(1.0, ta.atoms + tb.atoms, ta.selects + tb.selects,
+                                   ta.masks + tb.masks)
+                    if t is not None:
+                        products.setdefault(t[1:], []).append((a0[p] + i, b0[q] + j))
+            first = len(groups)
+            skels = sorted(products, key=_skeleton_order)
+            groups += (tuple(products[skel]) for skel in skels)
+            holds = lattice.shift_cover({}, boff) == (True, False)
+            triggers = tuple(g for g, skel in enumerate(skels, first) if skel[2])
+            resolved: dict[tuple, list] = {}
+            for g, skel in enumerate(skels, first):
+                if holds and not triggers:
+                    masks = ()  # a mask that always holds leaves mask-free products as they are
+                else:
+                    masks = _resolve_masks(skel, boff, lattice)
+                    if masks is None:
+                        if not holds or skel[2]:
+                            continue
+                        # no selected index at all; kept while every masked product is 0
+                        gates.append((g, triggers))
+                        masks = ()
+                resolved.setdefault((skel[0], skel[1], masks), []).append(g)
+            pairs.append((_tadd(aoff, boff), resolved))
+
+    sums = []
+
+    def summed(refs: list) -> int:
+        if len(refs) == 1:
+            return refs[0]
+        sums.append(tuple(refs))
+        return len(groups) + len(sums) - 1
+
+    bands: dict[tuple, dict] = {}  # offset -> skeleton -> contributions in pair order
+    for off, resolved in pairs:
+        band = bands.setdefault(off, {})
+        for skel, refs in resolved.items():
+            band.setdefault(skel, []).append(summed(refs))
+    planned = tuple((off, tuple((summed(refs), skel) for skel, refs
+                                in sorted(band.items(), key=lambda kv: _skeleton_order(kv[0]))))
+                    for off, band in sorted(bands.items()))
+    return tuple(groups), tuple(gates), tuple(sums), planned
+
+
+def _replay(plan: tuple, A: BandOp, B: BandOp) -> BandOp:
+    """``A @ B`` from its plan (see :func:`_plan_compose`), bit for bit as
+    the symbolic algebra computes it."""
+    groups, gates, sums, bands = plan
+    a = [t.coeff for _, w in A.bands for t in w.terms]
+    b = [t.coeff for _, w in B.bands for t in w.terms]
+    vals = []
+    for pairs in groups:
+        c = 0j
+        for i, j in pairs:
+            c += a[i] * b[j]
+        vals.append(c)
+    for g, triggers in gates:
+        if any(vals[t] for t in triggers):
+            vals[g] = 0j
+    for refs in sums:
+        c = 0j
+        for r in refs:
+            c += vals[r]
+        vals.append(c)
     out = []
-    changed = False
-    for t in w.terms:
-        kept = []
-        selects = dict(t.selects)
-        for m in (t.masks if off in t.masks else t.masks + (off,)):
-            every, none = lattice.shift_cover(selects, m)
-            if none:  # also when no k satisfies the selectors
-                changed = True
-                break
-            if not every:
-                kept.append(m)
-        else:
-            kept = tuple(kept)
-            if kept != t.masks:
-                changed = True
-                t = Term(t.coeff, t.atoms, t.selects, tuple(sorted(kept)))
-            out.append(t)
-    return Weight(out) if changed else w
+    for off, terms in bands:
+        kept = tuple(Term(vals[r], *skel) for r, skel in terms if vals[r] != 0)
+        if kept:
+            out.append((off, Weight._normal(kept)))
+    return BandOp(A.lattice, out)
 
 
 def identity(lattice) -> BandOp:

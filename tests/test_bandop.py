@@ -553,6 +553,196 @@ def test_gram_of_block_sum_powers_keeps_d_squared_terms_per_summand():
 
 
 # ---------------------------------------------------------------------------
+# composition plans
+# ---------------------------------------------------------------------------
+
+def _translated(t, off):
+    """A term's atoms, selectors and masks evaluated at ``k + off``."""
+    return (tuple(a._replace(shift=a.shift + off[a.axis]) for a in t.atoms),
+            tuple(bandop.Select(s.axis, s.value - off[s.axis]) for s in t.selects),
+            tuple(bandop._tadd(m, off) for m in t.masks))
+
+
+def _reference_masked(w, off, lat):
+    """``w`` times the mask ``k + off in lat``, term by term, as the weight
+    algebra decides it."""
+    out = []
+    for t in w.terms:
+        kept, selects = [], dict(t.selects)
+        for m in (t.masks if off in t.masks else t.masks + (off,)):
+            every, none = lat.shift_cover(selects, m)
+            if none:
+                break
+            if not every:
+                kept.append(m)
+        else:
+            out.append(bandop.Term(t.coeff, t.atoms, t.selects, tuple(sorted(kept))))
+    return Weight(out)
+
+
+def _reference_compose(A, B):
+    """``A @ B`` by the normalizing weight algebra, without plans: each band
+    pair's shifted product, its masks resolved unless the offset stays in the
+    lattice and no product term carries a mask, then ``BandOp``'s merge."""
+    lat, out = A.lattice, []
+    for aoff, aw in A.bands:
+        for boff, bw in B.bands:
+            w = Weight(bandop._make_term(t.coeff, *_translated(t, boff)) for t in aw.terms) * bw
+            if lat.shift_cover({}, boff) != (True, False) or any(t.masks for t in w.terms):
+                w = _reference_masked(w, boff, lat)
+            out.append((bandop._tadd(aoff, boff), w))
+    return BandOp(lat, out)
+
+
+def _bits(T):
+    return [(off, [(t.coeff.real.hex(), t.coeff.imag.hex(), *t[1:]) for t in w.terms])
+            for off, w in T.bands]
+
+
+# exact cancellations (c and -c), products that underflow (1e-200 squared)
+# or overflow, parts of either sign of zero, and sums that round
+_COEFFS = [1.0, -1.0, 1j, -1j, 2.0, 0.5 - 1.5j, -0.5 + 1.5j, 1e-200, -1e-200, 1e200,
+           complex(-0.0, 1.0), complex(1.0, -0.0), complex(-2.0, -0.0), 0.1 + 0.7j, 1 / 3]
+_ATOMS = [("bergman", ()), ("abs2", ("bergman", ())), ("table", ((1 + 2j, -0.5j), 1j)),
+          ("table", ((2.0,), 0.5))]
+
+
+@st.composite
+def _term_skeleton(draw, lat):
+    atoms = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind, params = draw(st.sampled_from(_ATOMS))
+        atoms.append(bandop.Atom(kind, draw(st.integers(0, lat.rank - 1)), draw(st.integers(-1, 1)),
+                                 kind == "table" and draw(st.booleans()), params))
+    selects = [bandop.Select(draw(st.integers(0, lat.rank - 1)), draw(st.integers(-1, 2)))
+               for _ in range(draw(st.integers(0, 2)))]
+    masks = [_offset(draw, lat, 1) for _ in range(draw(st.integers(0, 1)))]
+    t = bandop._make_term(1.0, atoms, selects, masks)
+    return None if t is None else t[1:]
+
+
+@st.composite
+def _operand_pair(draw, lat):
+    """Two operators of one skeleton with independently drawn coefficients."""
+    bands = {}
+    for _ in range(draw(st.integers(1, 3))):
+        skels = {s for s in draw(st.lists(_term_skeleton(lat), min_size=1, max_size=3)) if s}
+        if skels:
+            bands[_offset(draw, lat, 1)] = sorted(skels, key=bandop._skeleton_order)
+    return tuple(
+        BandOp(lat, [(off, Weight([bandop.Term(complex(draw(st.sampled_from(_COEFFS))), *s)
+                                   for s in skels]))
+                     for off, skels in bands.items()])
+        for _ in range(2))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_replay_equals_a_fresh_plan_bit_for_bit(data):
+    lat = data.draw(lattices())
+    A, A2 = data.draw(_operand_pair(lat))
+    B, B2 = data.draw(_operand_pair(lat))
+    assert bandop._skeleton(A) == bandop._skeleton(A2)
+    bandop._PLANS.clear()
+    fresh = A2 @ B2  # planned on its own coefficients
+    bandop._PLANS.clear()
+    A @ B  # planned on other coefficients of the same skeletons
+    warm = A2 @ B2
+    assert len(bandop._PLANS) == 1
+    assert _bits(warm) == _bits(fresh) == _bits(_reference_compose(A2, B2))
+
+
+def _edge_cases():
+    nat, grid = Lattice.nat(), Lattice.integers(2)
+    S = unilateral_shift()
+    bergman_w = Weight.atom("bergman")
+    # bergman * 1 and 1 * (-bergman) meet in one term and cancel exactly
+    A = BandOp(nat, [((1,), bergman_w + Weight.const(1.0))])
+    B = BandOp(nat, [((0,), Weight.const(1.0) + Weight.const(-1.0) * bergman_w)])
+    # P0 (S S*) keeps a mask; P0 S has a selector no index meets, which the
+    # masks are resolved against only while a masked product is nonzero
+    P0 = BandOp(nat, [((0,), Weight.select(0, 0))])
+    A_sel = P0 + 1e-200 * (S @ S.adjoint())
+    # the two terms of band (0, 0) merge once their masks resolve, and then
+    # join the (0, 0) product of the band pair before: 1 + (1e-16 + 1e-16)
+    C = BandOp(grid, [((0, -1), Weight.const(1.0)),
+                      ((0, 0), Weight([bandop.Term(1e-16 + 0j, (), (), ((1, 0),)),
+                                       bandop.Term(1e-16 + 0j, (), (), ())]))])
+    D = BandOp(grid, [((0, 0), Weight.const(1.0)), ((0, 1), Weight.const(1.0))])
+    return {
+        "cancellation": (A, B),
+        "underflow": (1e-200 * S, 1e-200 * S),
+        "negative-zero-part": (-1 * S, -1 * S),
+        "dead-masked-product": (A_sel, 1e-200 * S),
+        "live-masked-product": (A_sel, S),
+        "nested-sums": (C, D),
+    }
+
+
+@pytest.mark.parametrize("case", list(_edge_cases()))
+def test_compose_replays_the_algebra_on_edge_cases(case):
+    A, B = _edge_cases()[case]
+    bandop._PLANS.clear()
+    cold = A @ B
+    warm = A @ B
+    assert _bits(cold) == _bits(warm) == _bits(_reference_compose(A, B))
+    bands = dict(cold.bands)
+    if case == "cancellation":
+        assert [t.atoms[0].kind for t in bands[(1,)].terms if t.atoms] == ["abs2"]
+    elif case == "underflow":
+        assert not cold.bands
+    elif case == "negative-zero-part":
+        # (-1 + 0j)(-1 + 0j) has imaginary part -0.0; sums start from 0j
+        assert bands[(2,)].terms[0].coeff.imag.hex() == "0x0.0p+0"
+    elif case == "dead-masked-product":
+        assert bands[(1,)].terms[0].selects == (bandop.Select(0, -1),)
+    elif case == "live-masked-product":
+        assert bands[(1,)].terms[0][1:] == ((), (), ())
+    else:
+        assert bands[(0, 0)].terms == (bandop.Term(1.0000000000000002 + 0j, (), (), ()),)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_shifted_equals_the_normalizing_construction(data):
+    lat = data.draw(lattices())
+    A, _ = data.draw(_operand_pair(lat))
+    off = _offset(data.draw, lat, 2)
+    for _, w in A.bands:
+        for v in (w, w.conjugated()):
+            expect = Weight(bandop._make_term(t.coeff, *_translated(t, off)) for t in v.terms)
+            got = v.shifted(off)
+            assert got.terms == expect.terms
+            assert _bits(BandOp(lat, [(off, got)])) == _bits(BandOp(lat, [(off, expect)]))
+
+
+def test_plan_cache_keeps_the_most_recently_used_plans(monkeypatch):
+    monkeypatch.setattr(bandop, "PLAN_CACHE", 3)
+    monkeypatch.setattr(bandop, "_PLANS", {})
+    real, planned = bandop._plan_compose, []
+
+    def recording(A, B):
+        planned.append(A.offsets)
+        return real(A, B)
+
+    monkeypatch.setattr(bandop, "_plan_compose", recording)
+    lat = Lattice.integers()
+    X = {k: BandOp(lat, [((k,), Weight.const(1.0))]) for k in range(1, 6)}
+    key = lambda k: (lat, bandop._skeleton(X[k]), bandop._skeleton(X[1]))
+    for k in (1, 2, 3, 4):
+        assert (X[k] @ X[1]).offsets == ((k + 1,),)
+        assert len(bandop._PLANS) <= 3
+    assert list(bandop._PLANS) == [key(2), key(3), key(4)]
+    # a hit replays the kept plan and moves it to the most recent end
+    assert (BandOp(lat, [((2,), Weight.const(3.0))]) @ X[1]).bands == \
+        (((3,), Weight.const(3.0)),)
+    assert list(bandop._PLANS) == [key(3), key(4), key(2)]
+    X[5] @ X[1]
+    assert list(bandop._PLANS) == [key(4), key(2), key(5)]
+    assert planned == [((k,),) for k in (1, 2, 3, 4, 5)]
+
+
+# ---------------------------------------------------------------------------
 # matrix sections
 # ---------------------------------------------------------------------------
 

@@ -593,18 +593,25 @@ _SHIFT_SERIES = ("bergman_shift", "dirichlet_shift", "translation_power", "trans
                  "unilateral_shift", "double_bilateral", "mixed_sum")
 
 
-def test_decompose_digest_pinned():
-    # bit-identity of decompose across engine changes: the sha256 of the
-    # full-precision results on two seeded vectors per diagonal-Gram fixture
-    diagonal = [(name, T) for name, T in ZOO if T.gram().is_diagonal()]
+def _decompose_digest() -> str:
+    """The sha256 of the full-precision decompose results on two seeded
+    vectors per diagonal-Gram fixture, on freshly built fixtures."""
+    diagonal = [(name, T) for name, T in make_zoo_fixtures() if T.gram().is_diagonal()]
     assert set(_SHIFT_SERIES) <= {name for name, _ in diagonal}
     digest = hashlib.sha256()
     for name, T in diagonal:
         rng = np.random.default_rng(20170425)
         for size, extent in ((3, 8), (4, 24)):
             digest.update(_full_repr(decompose(T, rand_vec(T.lattice, rng, size, extent))).encode())
-    assert digest.hexdigest() == \
-        "2f7ce9df25fbb971a8e4fe2b51f104509dfb155957c89e04e80526d8a9b16bad"
+    return digest.hexdigest()
+
+
+def test_decompose_digest_pinned(monkeypatch):
+    # bit-identity of decompose across engine changes, with every
+    # composition planned (a cold plan cache) and then replayed (warm)
+    monkeypatch.setattr(woldkit.bandop, "_PLANS", {})
+    assert [_decompose_digest() for _ in range(2)] == \
+        ["2f7ce9df25fbb971a8e4fe2b51f104509dfb155957c89e04e80526d8a9b16bad"] * 2
 
 
 # full Hermitian blocks: their Grams are not diagonal, so every solve below
@@ -653,20 +660,23 @@ def test_windowed_digest_pinned():
     # bit-identity of the windowed Gram path.  A dense Cholesky factor
     # changes in its last bits with the BLAS thread count, and decompose of
     # S + S^2/2 is sensitive to them, so the digests are taken in a child
-    # interpreter with one BLAS thread, the benchmark's setting
+    # interpreter with one BLAS thread, the benchmark's setting; twice, on
+    # fresh fixtures, first with a cold plan cache and then with a warm one
     here = Path(__file__).resolve().parent
     src = Path(woldkit.wold.__file__).resolve().parents[1]
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(map(str, (src, here)))}
     proc = subprocess.run(
-        [sys.executable, "-c", "import test_wold; print(*test_wold._windowed_digests())"],
+        [sys.executable, "-c", "import test_wold; test_wold.woldkit.bandop._PLANS.clear(); "
+                               "print(*test_wold._windowed_digests()); "
+                               "print(*test_wold._windowed_digests())"],
         cwd=here, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == [
+    assert proc.stdout.splitlines() == [" ".join([
         "block_real_2=f334933e1ddf9881aabf13571220e1345aa4a5e8923521f51cd9e4fbe51cfdcb",
         "block_complex_3=d22021464dbd7bd1793673746c5bc7aee0a0de940ed6124f7bdea2edc09b1d6d",
         "block_sum=6b976e311194b30b300ae7a162e62b30cafe5836c536c6023a1c4ab4f7ceead2",
-        "two_band=92000d7a242e6aab5fd0238084fecb5aea7da7fdfdd161d3419d56c077d8c5a8"]
+        "two_band=92000d7a242e6aab5fd0238084fecb5aea7da7fdfdd161d3419d56c077d8c5a8"])] * 2
 
 
 def test_series_settle_sees_amplitudes_underflow():
