@@ -16,7 +16,11 @@ keeps Gram operators of weighted shifts exactly diagonal with rational
 entries.  Every structural decision of a composition reads only the
 operands' skeletons (their terms without coefficients) and the lattice, so
 it is planned once per pair of skeletons and replayed on the coefficients
-of each new pair; the ``PLAN_CACHE`` most recently used plans are kept.
+of each new pair; an adjoint is planned once per skeleton alike, and the
+``PLAN_CACHE`` most recently used plans of both kinds are kept.  Graded
+lattice windows depend only on the lattice and the extent, so they are
+sorted once too (``WINDOW_CACHE``), and whether a band's images stay in the
+lattice is decided once per band.
 
 The inverse Gram factor needed by the canonical left inverse
 ``(T* T)^{-1} T*`` is never formed as an operator: the inverse of a band
@@ -31,8 +35,11 @@ from growing or a doubling no longer lowers the residual (a round-off
 floor).  A non-diagonal Gram operator keeps the Cholesky factors of its
 ``FACTOR_CACHE`` most recent windows, each only if it fits in
 ``SECTION_BYTE_CAP // 64`` bytes: at most 32 MiB per Gram operator.  The
-process keeps at most ``PLAN_CACHE`` composition plans; a plan holds the
-skeleton of its result and one index pair per product of operand terms.
+process keeps at most ``PLAN_CACHE`` composition and adjoint plans; a plan
+holds the skeleton of its result and one index (pair) per operand term (or
+product of terms).  It keeps at most ``WINDOW_CACHE`` graded windows of at
+most ``WINDOW_POINTS`` points each, 65,536 index tuples in all (about 4 MB
+at rank 2); a larger window is sorted on every call and not kept.
 """
 
 from __future__ import annotations
@@ -52,7 +59,9 @@ from .seqspace import FinVec, RankMismatch
 _BIG = 10 ** 9  # sentinel distance for axes without a truncation edge
 SECTION_BYTE_CAP = 512 * 2 ** 20  # largest dense complex section ever allocated
 FACTOR_CACHE = 4  # Cholesky factors of recent windows kept per Gram operator
-PLAN_CACHE = 512  # composition plans kept per process
+PLAN_CACHE = 512  # composition and adjoint plans kept per process
+WINDOW_CACHE = 16  # graded windows kept per process
+WINDOW_POINTS = 4096  # points of the largest graded window kept
 
 
 class LatticeMismatch(ValueError):
@@ -96,6 +105,36 @@ def _graded(pts: Iterable[tuple]) -> list[tuple]:
     return sorted(pts, key=lambda ix: (sum(abs(c) for c in ix), ix))
 
 
+def _lru(cache: dict, bound: int, key, make):
+    """``cache[key]``, made by ``make()`` on a miss.  ``cache`` keeps its
+    ``bound`` most recently used values, least recent first: a hit moves to
+    the most recent end, and a miss evicts from the least recent one."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+        while len(cache) >= bound:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+# graded windows, least recently used first: (lattice, extent) -> points
+_WINDOWS: dict = {}
+
+
+def _graded_window(lattice, extent: int, points) -> list[tuple]:
+    """``points()`` in graded order, as ``lattice.window(extent)``.
+
+    The window depends on nothing else, so it is sorted once while it is
+    among the ``WINDOW_CACHE`` most recently used, if it has at most
+    ``WINDOW_POINTS`` points.  Each caller gets its own list.
+    """
+    if lattice.window_size(extent) > WINDOW_POINTS:
+        return _graded(points())
+    return list(_lru(_WINDOWS, WINDOW_CACHE, (lattice, extent),
+                     lambda: tuple(_graded(points()))))
+
+
 def _box_union(boxes: list[tuple], axis: int) -> list[tuple]:
     """The points of a union of boxes (tuples of inclusive per-axis
     intervals; empty ones add nothing), projected onto the axes from
@@ -123,7 +162,7 @@ class Lattice:
     there are identically zero.  ``unbounded`` lists the 'nat' and 'int' axes.
     """
 
-    __slots__ = ("axes", "bounds", "unbounded")
+    __slots__ = ("axes", "bounds", "unbounded", "_lows", "_highs")
 
     def __init__(self, axes: Sequence):
         axes = tuple(axes)
@@ -138,6 +177,9 @@ class Lattice:
         self.axes = axes
         self.bounds = tuple(_axis_bounds(a) for a in axes)  # inclusive per-axis ranges
         self.unbounded = tuple(i for i, a in enumerate(axes) if a in ("nat", "int"))
+        # the finite ends alone, so membership never compares with an infinity
+        self._lows = tuple((i, lo) for i, (lo, _) in enumerate(self.bounds) if lo != -math.inf)
+        self._highs = tuple((i, hi) for i, (_, hi) in enumerate(self.bounds) if hi != math.inf)
 
     @classmethod
     def nat(cls, rank: int = 1) -> "Lattice":
@@ -152,10 +194,13 @@ class Lattice:
         return len(self.axes)
 
     def contains(self, ix: tuple) -> bool:
-        if len(ix) != len(self.bounds):
+        if len(ix) != len(self.axes):
             return False
-        for c, (lo, hi) in zip(ix, self.bounds):
-            if not lo <= c <= hi:
+        for axis, lo in self._lows:
+            if ix[axis] < lo:
+                return False
+        for axis, hi in self._highs:
+            if ix[axis] > hi:
                 return False
         return True
 
@@ -170,9 +215,11 @@ class Lattice:
 
         Per axis: ``0..extent`` for 'nat', ``-extent..extent`` for 'int', the
         full range for finite axes.  Sorted by sum of absolute coordinates,
-        then lexicographically.
+        then lexicographically; sorted once while memoised (see
+        :func:`_graded_window`), and a new list on every call.
         """
-        return _graded(_box_union([self._box((0,) * self.rank, extent)], 0))
+        return _graded_window(self, extent,
+                              lambda: _box_union([self._box((0,) * self.rank, extent)], 0))
 
     def window_size(self, extent: int) -> int:
         """``len(self.window(extent))``, counted without enumerating."""
@@ -274,8 +321,8 @@ class UnionLattice:
 
     def window(self, extent: int) -> list[tuple]:
         # each part's own window: a nested union covers every one of its tags
-        return _graded((tag,) + ix for tag, part in enumerate(self.parts)
-                       for ix in part.window(extent))
+        return _graded_window(self, extent, lambda: [
+            (tag,) + ix for tag, part in enumerate(self.parts) for ix in part.window(extent)])
 
     def window_size(self, extent: int) -> int:
         return self.left.window_size(extent) + self.right.window_size(extent)
@@ -451,6 +498,14 @@ def _make_term(coeff: complex, atoms, selects, masks) -> Term | None:
     )
 
 
+def _shifted_skeleton(skeleton: tuple, off: tuple) -> tuple:
+    """A term's ``(atoms, selects, masks)`` evaluated at ``k + off``."""
+    atoms, selects, masks = skeleton
+    return (tuple(Atom(a.kind, a.axis, a.shift + off[a.axis], a.conj, a.params) for a in atoms),
+            tuple(Select(s.axis, s.value - off[s.axis]) for s in selects),
+            tuple(_tadd(m, off) for m in masks))
+
+
 def _skeleton_order(skeleton: tuple):
     """Sort key of a term's skeleton ``(atoms, selects, masks)``."""
     atoms, selects, masks = skeleton
@@ -521,13 +576,8 @@ class Weight:
         order of atoms, selectors, masks and terms (each compares per axis,
         and every coordinate of one axis moves by the same amount).
         """
-        return Weight._normal(tuple(
-            Term(t.coeff,
-                 tuple(Atom(a.kind, a.axis, a.shift + off[a.axis], a.conj, a.params)
-                       for a in t.atoms),
-                 tuple(Select(s.axis, s.value - off[s.axis]) for s in t.selects),
-                 tuple(_tadd(m, off) for m in t.masks))
-            for t in self.terms))
+        return Weight._normal(tuple(Term(t.coeff, *_shifted_skeleton(t[1:], off))
+                                    for t in self.terms))
 
     def embedded(self) -> "Weight":
         """Re-home the weight one axis to the right (a tag axis is prepended)."""
@@ -631,25 +681,43 @@ def _require_in_lattice(indices: Iterable[tuple], lattice) -> None:
             raise LatticeMismatch(f"vector entry at {ix} lies outside {lattice!r}")
 
 
+def _accumulate(band_steps: Sequence, items: Iterable) -> dict:
+    """The entries ``(k, u_k)`` of a vector, carried by each band's steps to
+    ``k + offset`` and summed there from ``0j`` in band order; zero weights
+    add nothing."""
+    acc: dict[tuple, complex] = {}
+    for steps in band_steps:
+        for ix, amp in items:
+            step = steps[ix]  # validates ix on first sight
+            if step is not None and step[1] != 0:
+                tgt, val = step
+                acc[tgt] = acc.get(tgt, 0j) + val * amp
+    return acc
+
+
 class _BandSteps(dict):
     """One band's steps, each computed on its first lookup: an in-lattice
     index ``ix`` maps to ``(ix + offset, weight(ix))``, or to None when the
     image leaves the lattice.  A zero weight keeps its step (sections need
     its row).  Only validated indices get in: looking up one outside the
-    lattice raises :class:`LatticeMismatch`."""
+    lattice raises :class:`LatticeMismatch`.  Whether every image stays in
+    the lattice is decided once, for the band; only a band whose images
+    may leave checks each one."""
 
-    __slots__ = ("lattice", "off", "w")
+    __slots__ = ("lattice", "off", "w", "stays")
 
     def __init__(self, lattice, off: tuple, w: Weight):
         super().__init__()
         self.lattice, self.off, self.w = lattice, off, w
+        self.stays = lattice.shift_cover({}, off) == (True, False)
 
     def __missing__(self, ix: tuple):
         lat = self.lattice
         if not lat.contains(ix):
             raise LatticeMismatch(f"vector entry at {ix} lies outside {lat!r}")
         tgt = _tadd(ix, self.off)
-        step = self[ix] = (tgt, self.w.evaluate(ix, lat)) if lat.contains(tgt) else None
+        step = self[ix] = ((tgt, self.w.evaluate(ix, lat)) if self.stays or lat.contains(tgt)
+                           else None)
         return step
 
 
@@ -711,26 +779,33 @@ class BandOp:
     def apply(self, u: FinVec) -> FinVec:
         if u.rank != self.rank:
             raise RankMismatch(f"vector rank {u.rank}, operator rank {self.rank}")
-        items = u.items()
         if not self.bands:
             _require_in_lattice(u.support(), self.lattice)
-        acc: dict[tuple, complex] = {}
-        for steps in self._steps:
-            for ix, amp in items:
-                step = steps[ix]  # validates ix on first sight
-                if step is not None and step[1] != 0:
-                    tgt, val = step
-                    acc[tgt] = acc.get(tgt, 0j) + val * amp
+        try:
+            # unsorted: one band sends distinct sources to distinct targets,
+            # so each target sums its bands' terms in band order regardless
+            acc = _accumulate(self._steps, u._entries.items())
+        except (ValueError, ArithmeticError):
+            # fail as the sorted visit does (a LatticeMismatch names the
+            # smallest outside index, a weight its first bad index): a
+            # failed lookup is not memoised, so it fails again there
+            _accumulate(self._steps, u.items())
+            raise
         return FinVec._wrap(acc, self.rank)
 
     # -- algebra ------------------------------------------------------------
     def adjoint(self) -> "BandOp":
+        """Each band ``(off, w)`` becomes ``(-off, conj(w)(k - off))``; planned
+        once per skeleton (see :func:`_plan_adjoint`), then replayed on the
+        coefficients."""
         if self._adjoint is None:
-            out = []
-            for off, w in self.bands:
-                noff = _tneg(off)
-                out.append((noff, w.conjugated().shifted(noff)))
-            self._adjoint = BandOp(self.lattice, out)
+            plan = _lru(_PLANS, PLAN_CACHE, (_skeleton(self),), lambda: _plan_adjoint(self))
+            c = [t.coeff for _, w in self.bands for t in w.terms]
+            # 0j + c: the algebra's merge turns a -0.0 part of the conjugate into +0.0
+            self._adjoint = BandOp(self.lattice, [
+                (noff, Weight._normal(tuple(Term(0j + c[i].conjugate(), *skel)
+                                            for i, skel in terms)))
+                for noff, terms in plan])
         return self._adjoint
 
     def compose(self, other: "BandOp") -> "BandOp":
@@ -745,13 +820,8 @@ class BandOp:
             raise TypeError("compose expects a BandOp")
         if self.lattice != other.lattice:
             raise LatticeMismatch(f"lattices differ: {self.lattice!r} vs {other.lattice!r}")
-        key = (self.lattice, _skeleton(self), _skeleton(other))
-        plan = _PLANS.pop(key, None)
-        if plan is None:
-            plan = _plan_compose(self, other)
-            while len(_PLANS) >= PLAN_CACHE:
-                del _PLANS[next(iter(_PLANS))]
-        _PLANS[key] = plan
+        plan = _lru(_PLANS, PLAN_CACHE, (self.lattice, _skeleton(self), _skeleton(other)),
+                    lambda: _plan_compose(self, other))
         return _replay(plan, self, other)
 
     def __matmul__(self, other: "BandOp") -> "BandOp":
@@ -827,14 +897,36 @@ def _resolve_masks(skeleton: tuple, off: tuple, lattice) -> tuple | None:
     return tuple(sorted(kept))
 
 
-# composition plans, least recently used first: (lattice, skeleton of each
-# operand) -> plan; see _plan_compose
+# plans, least recently used first: (lattice, skeleton of each operand) ->
+# composition plan (see _plan_compose), and (skeleton,) -> adjoint plan
+# (see _plan_adjoint); the key lengths differ, so the two never collide
 _PLANS: dict = {}
 
 
 def _skeleton(T: BandOp) -> tuple:
     """Each band's offset and its terms' ``(atoms, selects, masks)``."""
     return tuple((off, tuple(t[1:] for t in w.terms)) for off, w in T.bands)
+
+
+def _plan_adjoint(T: BandOp) -> tuple:
+    """The plan of ``T.adjoint()``: per band, the negated offset and its
+    terms as ``(index of the source coefficient, skeleton)``, in order.
+
+    Conjugation flips each complex atom of a term, which maps distinct
+    skeletons to distinct ones, so no terms merge: the algebra only sorts a
+    band's conjugated terms, and the translation keeps their order.
+    """
+    plan, i = [], 0
+    for off, w in T.bands:
+        noff = _tneg(off)
+        conj = []  # (conjugated skeleton, index of the source coefficient)
+        for t in w.terms:
+            (ct,) = Weight._normal((t,)).conjugated().terms
+            conj.append((ct[1:], i))
+            i += 1
+        conj.sort(key=lambda e: _skeleton_order(e[0]))
+        plan.append((noff, tuple((j, _shifted_skeleton(skel, noff)) for skel, j in conj)))
+    return tuple(plan)
 
 
 def _plan_compose(A: BandOp, B: BandOp) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandop import BandOp, GramSolveParams, left_inverse_apply
+from .bandop import BandOp, GramSolveParams, left_inverse_apply, solve_gram
 from .seqspace import FinVec, unit
 
 DEFAULT_PROBE_SEED = 0x5EED
@@ -93,7 +93,12 @@ def isometry_residual(T: BandOp, window: int = 16,
     adj = T.adjoint()
     basis = [unit(ix) for ix in T.lattice.window(window)]  # each of norm 1.0
     gram_res = _worst_ratio(basis, lambda e: G.apply(e) - e)
-    li_res = _worst_ratio(basis, lambda e: left_inverse_apply(T, e, p) - adj.apply(e))
+
+    def left_inverse_vs_adjoint(e: FinVec) -> FinVec:
+        w = adj.apply(e)  # T* e, once: left_inverse_apply would apply it again
+        return (w if w.is_zero else solve_gram(T, w, p)) - w
+
+    li_res = _worst_ratio(basis, left_inverse_vs_adjoint)
     return CheckReport(
         name="isometry",
         residual=gram_res,

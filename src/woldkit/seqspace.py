@@ -176,7 +176,8 @@ def _inner(u: dict, w: dict, ukeys: list | None = None, wkeys: list | None = Non
 
 def unit(ix) -> FinVec:
     """Basis vector with amplitude 1 at the given index."""
-    return FinVec({as_index(ix): 1.0 + 0j})
+    ix = as_index(ix)
+    return FinVec._wrap({ix: 1.0 + 0j}, len(ix))
 
 
 def zero(rank: int) -> FinVec:

@@ -73,10 +73,7 @@ def _probe_weight(weight: Weight, lat: Lattice) -> None:
     """Evaluate a shift weight on a probe window of its rank-1 lattice, so a
     weight undefined there raises at build time; warn when it is not bounded
     away from zero, since the shift is then not left invertible."""
-    a = lat.axes[0]  # lat.window(32)'s points, made in its graded order unsorted
-    ks = ([0] + [s * k for k in range(1, 33) for s in (-1, 1)] if a == "int"
-          else range(33 if a == "nat" else a))
-    vals = [abs(weight.evaluate((k,), lat)) for k in ks]
+    vals = [abs(weight.evaluate(ix, lat)) for ix in lat.window(32)]
     if not vals or min(vals) < 1e-12:
         warnings.warn("shift weight is not bounded below on the probe window; "
                       "the operator is not left invertible", stacklevel=3)

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,100 @@ def test_lattice_shift_closure():
     assert nat.shift_cover({0: -1}, (0,)) == (True, True)  # no such k: vacuous
 
 
+def _reference_contains(lat, ix):
+    if len(ix) != lat.rank:
+        return False
+    if isinstance(lat, UnionLattice):
+        return ix[0] in (0, 1) and _reference_contains(lat.parts[ix[0]], ix[1:])
+    return all(a == "int" or 0 <= c and (a == "nat" or c < a) for c, a in zip(ix, lat.axes))
+
+
+@seed(20170429)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lattice_contains_matches_the_axis_ranges(data):
+    lat = data.draw(lattices())
+    for _ in range(10):
+        rank = data.draw(st.sampled_from([lat.rank, lat.rank, lat.rank - 1, lat.rank + 1]))
+        ix = tuple(data.draw(st.lists(st.integers(-3, 5), min_size=rank, max_size=rank)))
+        assert lat.contains(ix) == _reference_contains(lat, ix)
+
+
+def _fresh_window(lat, extent):
+    """``lat.window(extent)`` built without the memo."""
+    if isinstance(lat, UnionLattice):
+        return bandop._graded((tag,) + ix for tag, part in enumerate(lat.parts)
+                              for ix in _fresh_window(part, extent))
+    return bandop._graded(bandop._box_union([lat._box((0,) * lat.rank, extent)], 0))
+
+
+_WINDOW_LATTICES = [Lattice.nat(1), Lattice.integers(1), Lattice((5,)), Lattice(("nat", "int")),
+                    Lattice(("int", 3)), union(Lattice.integers(1), Lattice.nat(1)),
+                    union(union(Lattice.nat(1), Lattice((2,))), Lattice.integers(2))]
+
+
+@pytest.mark.parametrize("lat", _WINDOW_LATTICES, ids=repr)
+def test_window_memo_equals_a_fresh_graded_window(lat, monkeypatch):
+    monkeypatch.setattr(bandop, "_WINDOWS", {})
+    for extent in (0, 1, 4, 16, 4, 1):  # each built once, then reused
+        fresh = _fresh_window(lat, extent)
+        assert lat.window(extent) == fresh
+        assert lat.window(extent) == fresh
+    assert (lat, 16) in bandop._WINDOWS
+
+
+def test_window_memo_cannot_be_mutated_by_a_caller(monkeypatch):
+    monkeypatch.setattr(bandop, "_WINDOWS", {})
+    lat = Lattice(("nat", "int"))
+    w = lat.window(2)
+    w[0] = (7, 7)
+    w.append((9, 9))
+    del w[1]
+    w.sort()
+    assert lat.window(2) == _fresh_window(lat, 2)
+    assert lat.window(2) is not lat.window(2)
+
+
+def test_window_memo_keeps_the_most_recently_used_small_windows(monkeypatch):
+    monkeypatch.setattr(bandop, "WINDOW_CACHE", 2)
+    monkeypatch.setattr(bandop, "WINDOW_POINTS", 10)
+    monkeypatch.setattr(bandop, "_WINDOWS", {})
+    real, built = bandop._graded, []
+
+    def recording(pts):
+        out = real(pts)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(bandop, "_graded", recording)
+    nat = Lattice.nat(1)
+    for extent in (1, 2, 3):
+        nat.window(extent)
+        assert len(bandop._WINDOWS) <= 2
+    assert list(bandop._WINDOWS) == [(nat, 2), (nat, 3)]
+    nat.window(2)  # a hit moves to the most recent end and builds nothing
+    assert list(bandop._WINDOWS) == [(nat, 3), (nat, 2)]
+    nat.window(4)
+    assert list(bandop._WINDOWS) == [(nat, 2), (nat, 4)]
+    assert built == [2, 3, 4, 5]
+    # a window over WINDOW_POINTS is built on every call and never kept
+    assert nat.window(10) == nat.window(10) == [(k,) for k in range(11)]
+    assert built[4:] == [11, 11] and list(bandop._WINDOWS) == [(nat, 2), (nat, 4)]
+    nat.window(9)  # one of WINDOW_POINTS points is kept
+    assert built[6:] == [10] and list(bandop._WINDOWS) == [(nat, 4), (nat, 9)]
+
+
+def test_import_builds_no_window_and_no_plan():
+    # the memo and the plan cache fill on first use, so set-up pays nothing
+    src = Path(bandop.__file__).resolve().parents[1]
+    code = ("import woldkit, woldkit.cli, woldkit.oracle; from woldkit import bandop; "
+            "print(len(bandop._WINDOWS), len(bandop._PLANS))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", "0"]
+
+
 # ---------------------------------------------------------------------------
 # apply / adjoint / compose
 # ---------------------------------------------------------------------------
@@ -123,6 +221,89 @@ def test_apply_validates_rank_and_lattice():
         S.apply(unit((0, 0)))
     with pytest.raises(LatticeMismatch):
         S.apply(unit(-1))
+
+
+@pytest.mark.parametrize("lat, off, stays", [
+    (Lattice.nat(1), (2,), True),
+    (Lattice.nat(1), (-1,), False),
+    (Lattice.integers(1), (-3,), True),
+    (Lattice(("nat", 3)), (1, 0), True),
+    (Lattice(("nat", 3)), (0, 1), False),
+    (union(Lattice.integers(1), Lattice.nat(1)), (0, 1), True),
+    (union(Lattice.integers(1), Lattice.nat(1)), (0, -1), False),
+    (union(Lattice.nat(1), Lattice.nat(1)), (1, 0), False),  # moves the tag
+])
+def test_band_steps_decide_per_band_whether_images_stay(lat, off, stays):
+    assert bandop._BandSteps(lat, off, Weight.const(1.0)).stays is stays
+
+
+@seed(20170430)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_band_steps_equal_the_per_index_rule(data):
+    # offsets that stay in the lattice, leave it, or move a tag
+    lat = data.draw(lattices())
+    off = _offset(data.draw, lat, 3)
+    w = Weight.const(0.5 - 2j) + Weight.select(0, 1)
+    steps = bandop._BandSteps(lat, off, w)
+    for ix in lat.window(3):
+        tgt = tuple(c + o for c, o in zip(ix, off))
+        assert steps[ix] == ((tgt, w.evaluate(ix, lat)) if lat.contains(tgt) else None)
+
+
+def _reference_apply(T, u):
+    """``T u`` entry by entry: band by band, each over the entries of ``u``
+    in sorted order, validating every index."""
+    lat, acc = T.lattice, {}
+    for ix in () if T.bands else u.support():
+        if not lat.contains(ix):
+            raise LatticeMismatch(f"vector entry at {ix} lies outside {lat!r}")
+    for off, w in T.bands:
+        for ix, amp in u.items():
+            if not lat.contains(ix):
+                raise LatticeMismatch(f"vector entry at {ix} lies outside {lat!r}")
+            tgt = bandop._tadd(ix, off)
+            if lat.contains(tgt):
+                val = w.evaluate(ix, lat)
+                if val != 0:
+                    acc[tgt] = acc.get(tgt, 0j) + val * amp
+    return FinVec(acc, rank=u.rank)
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except ValueError as e:  # a LatticeMismatch, or a weight undefined at an index
+        return type(e), str(e)
+    return [(ix, a.real.hex(), a.imag.hex()) for ix, a in v.items()]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_apply_is_bit_identical_for_any_insertion_order(data):
+    lat = data.draw(lattices())
+    T, _ = data.draw(_operand_pair(lat))
+    pool = lat.window(2)
+    if data.draw(st.booleans()):  # indices around it, some outside the lattice
+        pool = sorted({tuple(c + o for c, o in zip(ix, _offset(data.draw, lat, 1)))
+                       for ix in pool})
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_COEFFS)),
+                                 min_size=1, max_size=8, unique_by=lambda e: e[0]))
+    expect = _outcome(lambda: _reference_apply(T, FinVec(entries, rank=lat.rank)))
+    for order in (entries, entries[::-1], data.draw(st.permutations(entries))):
+        u = FinVec(order, rank=lat.rank)
+        assert _outcome(lambda: BandOp(lat, T.bands).apply(u)) == expect  # cold memo
+        assert _outcome(lambda: T.apply(u)) == expect  # warm memo
+
+
+def test_apply_names_the_smallest_outside_index():
+    S = unilateral_shift()
+    for order in itertools.permutations([(3,), (-1,), (-2,), (0,)]):
+        u = FinVec({ix: 1.0 for ix in order})
+        with pytest.raises(LatticeMismatch, match=r"entry at \(-2,\) lies outside"):
+            S.apply(u)
+        with pytest.raises(LatticeMismatch, match=r"entry at \(-2,\) lies outside"):
+            BandOp(S.lattice, S.bands).apply(u)
 
 
 def test_adjoint_kills_boundary():
@@ -740,6 +921,72 @@ def test_plan_cache_keeps_the_most_recently_used_plans(monkeypatch):
     X[5] @ X[1]
     assert list(bandop._PLANS) == [key(4), key(2), key(5)]
     assert planned == [((k,),) for k in (1, 2, 3, 4, 5)]
+
+
+def _reference_adjoint(T):
+    """``T*`` by the normalizing weight algebra, without plans."""
+    return BandOp(T.lattice, [(bandop._tneg(off), w.conjugated().shifted(bandop._tneg(off)))
+                              for off, w in T.bands])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_adjoint_replay_equals_the_algebra_bit_for_bit(data):
+    # complex table atoms (whose conj flag flips) and real ones, abs2,
+    # selectors, masks, unions, and real coefficients whose conjugate has a
+    # -0.0 imaginary part
+    lat = data.draw(lattices())
+    A, A2 = data.draw(_operand_pair(lat))
+    bandop._PLANS.clear()
+    fresh = A2.adjoint()  # planned on its own coefficients
+    bandop._PLANS.clear()
+    A.adjoint()  # planned on other coefficients of the same skeleton
+    warm = BandOp(lat, A2.bands).adjoint()
+    assert len(bandop._PLANS) == 1
+    assert _bits(warm) == _bits(fresh) == _bits(_reference_adjoint(A2))
+
+
+def test_adjoint_replays_the_algebra_on_edge_cases():
+    nat = Lattice.nat()
+    cplx = bandop.Atom("table", 0, 0, False, ((1 + 2j, -0.5j), 1j))
+    real = bandop.Atom("table", 0, 0, False, ((2 + 0j,), 0.5 + 0j))
+    term = lambda c, *atoms: bandop.Term(complex(c), atoms, (), ())
+    # conjugation swaps the order of the first two terms: their atoms differ
+    # only in the conj flag, which sorts last
+    T = BandOp(nat, [((1,), Weight([term(1.0, cplx), term(2.0, cplx._replace(conj=True)),
+                                    term(0.5 - 1.5j, real)]))])
+    T2 = BandOp(nat, [((1,), Weight([term(3j, cplx), term(-4.0, cplx._replace(conj=True)),
+                                     term(complex(-0.0, 1.0), real)]))])
+    bandop._PLANS.clear()
+    for S in (T, T2, T, T2):  # cold, then warm on other and on the same coefficients
+        adj = BandOp(nat, S.bands).adjoint()
+        assert _bits(adj) == _bits(_reference_adjoint(S))
+    assert len(bandop._PLANS) == 1
+    (off, w), = BandOp(nat, T.bands).adjoint().bands
+    assert off == (-1,)
+    assert [(t.atoms[0].params[0], t.atoms[0].shift, t.atoms[0].conj) for t in w.terms] == [
+        (cplx.params[0], -1, False), (cplx.params[0], -1, True), (real.params[0], -1, False)]
+    # conj(2 + 0j) is 2 - 0j; summed from 0j, as the algebra merges, it is 2 + 0j
+    assert [(t.coeff.real.hex(), t.coeff.imag.hex()) for t in w.terms] == [
+        ((2.0).hex(), "0x0.0p+0"), ((1.0).hex(), "0x0.0p+0"), ((0.5).hex(), (1.5).hex())]
+    (_, w2), = BandOp(nat, T2.bands).adjoint().bands
+    # conj(-0.0 + 1j) is -0.0 - 1j, and 0j + (-0.0 - 1j) is 0.0 - 1j
+    assert w2.terms[2].coeff.real.hex() == "0x0.0p+0"
+
+
+def test_adjoint_and_compose_plans_share_the_cache(monkeypatch):
+    monkeypatch.setattr(bandop, "PLAN_CACHE", 2)
+    monkeypatch.setattr(bandop, "_PLANS", {})
+    lat = Lattice.integers()
+    X = {k: BandOp(lat, [((k,), Weight.const(1.0 + k))]) for k in range(1, 4)}
+    X[1].adjoint()
+    X[1] @ X[2]
+    assert list(bandop._PLANS) == [(bandop._skeleton(X[1]),),
+                                   (lat, bandop._skeleton(X[1]), bandop._skeleton(X[2]))]
+    X[2].adjoint()  # evicts the least recently used plan, the adjoint's
+    assert list(bandop._PLANS) == [(lat, bandop._skeleton(X[1]), bandop._skeleton(X[2])),
+                                   (bandop._skeleton(X[2]),)]
+    assert X[2].adjoint().bands == (((-2,), Weight.const(3.0)),)
 
 
 # ---------------------------------------------------------------------------

@@ -792,9 +792,11 @@ _PINNED_RUNS = [
 def test_cli_reports_digest_pinned(capsys, monkeypatch):
     # bit-identity of the CLI's output across refactors: the sha256 of
     # argv, exit code, stdout and stderr of each pinned run; every run
-    # builds fresh operators, so the second pass replays the plans the
-    # first one made on a cold plan cache
+    # builds fresh operators, so the second pass replays the plans and
+    # reuses the windows the first one made on a cold plan cache and window
+    # memo
     monkeypatch.setattr(woldkit.bandop, "_PLANS", {})
+    monkeypatch.setattr(woldkit.bandop, "_WINDOWS", {})
     digests = []
     for _ in range(2):
         digest = hashlib.sha256()

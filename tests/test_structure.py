@@ -15,6 +15,7 @@ SOURCES = {p.name: p.read_text(encoding="utf-8")
 # (text, the one module that may contain it)
 OWNERS = [
     ("._steps", "bandop.py"),       # the band-step memo
+    ("_graded(", "bandop.py"),      # the graded window order (and its memo)
     ("16 * max(1, ", "bandop.py"),  # the initial guard of a Gram solve window
     ("HERMITIAN_TOL", "zoo.py"),    # the Hermitian positive-definite block test
     ("eigvalsh", "zoo.py"),

@@ -608,8 +608,10 @@ def _decompose_digest() -> str:
 
 def test_decompose_digest_pinned(monkeypatch):
     # bit-identity of decompose across engine changes, with every
-    # composition planned (a cold plan cache) and then replayed (warm)
+    # composition and adjoint planned and every window built (cold plan
+    # cache and window memo), and then replayed and reused (warm)
     monkeypatch.setattr(woldkit.bandop, "_PLANS", {})
+    monkeypatch.setattr(woldkit.bandop, "_WINDOWS", {})
     assert [_decompose_digest() for _ in range(2)] == \
         ["2f7ce9df25fbb971a8e4fe2b51f104509dfb155957c89e04e80526d8a9b16bad"] * 2
 
@@ -661,13 +663,15 @@ def test_windowed_digest_pinned():
     # changes in its last bits with the BLAS thread count, and decompose of
     # S + S^2/2 is sensitive to them, so the digests are taken in a child
     # interpreter with one BLAS thread, the benchmark's setting; twice, on
-    # fresh fixtures, first with a cold plan cache and then with a warm one
+    # fresh fixtures, first with a cold plan cache and window memo and then
+    # with warm ones
     here = Path(__file__).resolve().parent
     src = Path(woldkit.wold.__file__).resolve().parents[1]
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(map(str, (src, here)))}
     proc = subprocess.run(
         [sys.executable, "-c", "import test_wold; test_wold.woldkit.bandop._PLANS.clear(); "
+                               "test_wold.woldkit.bandop._WINDOWS.clear(); "
                                "print(*test_wold._windowed_digests()); "
                                "print(*test_wold._windowed_digests())"],
         cwd=here, env=env, capture_output=True, text=True, timeout=300)

@@ -160,8 +160,8 @@ def test_tensor_pair_probes_each_weight_on_its_own_axis():
 
 @pytest.mark.parametrize("axis", ["nat", "int", 5])
 def test_probe_visits_the_window_in_graded_order(monkeypatch, axis):
-    # the probe generates Lattice.window(32)'s points without sorting them;
-    # the order decides which undefined index a build error names
+    # the probe visits Lattice.window(32) in its graded order; the order
+    # decides which undefined index a build error names
     seen = []
     evaluate = Weight.evaluate
 
