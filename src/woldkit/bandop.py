@@ -48,7 +48,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -230,10 +230,16 @@ class Lattice:
         in-lattice ``support``; finite axes are always covered whole.
 
         Each support entry spans a box of per-axis intervals clipped to the
-        lattice; the window is emitted from the merged intervals of the
-        boxes, without enumerating any box.
+        lattice.  At guard 0 a box is a whole fibre (the indices sharing the
+        entry's unbounded coordinates), and two fibres are equal or
+        disjoint, so each distinct one is enumerated and the points sorted.
+        At a larger guard the window is emitted from the merged intervals
+        of the boxes, without enumerating any box.
         """
         boxes = {self._box(c, guard) for c in support}
+        if guard == 0:
+            return sorted(ix for box in boxes
+                          for ix in product(*(range(lo, hi + 1) for lo, hi in box)))
         return _box_union(list(boxes), 0) if boxes else []
 
     def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
@@ -1054,7 +1060,12 @@ class GramSolveParams:
 
 
 def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
-    return (G.apply(x) - v).norm()
+    """``(G.apply(x) - v).norm()`` bit for bit, in one pass: the entries
+    that vector would drop are exact zeros, and ``fsum`` is exact."""
+    acc = _accumulate(G._steps, x._entries.items())
+    for ix, amp in v._entries.items():
+        acc[ix] = acc.get(ix, 0j) - amp
+    return math.sqrt(math.fsum(d.real * d.real + d.imag * d.imag for d in acc.values()))
 
 
 def _diagonal_solve(G: BandOp, v: FinVec) -> tuple[FinVec, float]:
@@ -1107,14 +1118,17 @@ def section(T: BandOp, cols: Sequence[tuple],
     if rows is None:
         rows = sorted({s[0] for band in steps for s in band if s is not None})
     _require_section_fits(len(rows), len(cols))
-    pos = {ix: i for i, ix in enumerate(rows)}
+    pos = {ix: i * len(cols) for i, ix in enumerate(rows)}  # a row's start in M, flattened
     M = np.zeros((len(rows), len(cols)), dtype=complex)
-    # one write per band: distinct offsets send a column to distinct rows,
-    # so every cell is written at most once and holds exactly ``0 + value``
+    # one write for all bands: distinct offsets send a column to distinct
+    # rows, so every cell is written at most once and holds ``0 + value``
+    cells, vals = [], []
     for band in steps:
-        hit = [j for j, s in enumerate(band) if s is not None and s[0] in pos]
-        if hit:
-            M[[pos[band[j][0]] for j in hit], hit] += [band[j][1] for j in hit]
+        for j, s in enumerate(band):
+            if s is not None and (start := pos.get(s[0])) is not None:
+                cells.append(start + j)
+                vals.append(s[1])
+    M.reshape(-1)[np.array(cells, dtype=np.intp)] += np.array(vals, dtype=complex)
     if not np.isfinite(M.view(np.float64)).all():  # both parts, at half the cost
         raise NoConvergence(f"a {len(rows)}x{len(cols)} section has a non-finite entry: "
                             f"a weight overflows double precision", window=len(cols))
@@ -1125,11 +1139,13 @@ def _window_rhs(G: BandOp, v: FinVec, guard: int) -> tuple[list, np.ndarray]:
     """The window of the guarded finite-section system of ``G x = v`` (the
     sorted in-lattice indices within ``guard`` of the support of ``v``) and
     ``v`` as a right-hand side over it, refusing an entry outside the lattice."""
-    window = G.lattice.neighbourhood(v.support(), guard)
+    window = G.lattice.neighbourhood(v._entries, guard)
     pos = {ix: i for i, ix in enumerate(window)}
     rhs = np.zeros(len(window), dtype=complex)
-    for ix, amp in v.items():
+    for ix, amp in v._entries.items():  # unsorted: each entry has its own cell
         if ix not in pos:
+            # name the smallest outside index, as a sorted visit would
+            ix = min(ix for ix in v._entries if ix not in pos)
             raise LatticeMismatch(f"vector entry at {ix} lies outside {G.lattice!r}")
         rhs[pos[ix]] = amp
     return window, rhs

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -31,9 +32,10 @@ from woldkit.bandop import (
     table,
     union,
 )
-from woldkit.classd import isometry_residual
+from woldkit.classd import classd_residual, isometry_residual
 from woldkit.oracle import dense_section
 from woldkit.seqspace import FinVec, RankMismatch, unit, zero
+from woldkit.wold import decompose
 from woldkit.zoo import (
     bergman_shift,
     direct_sum,
@@ -627,6 +629,14 @@ def test_neighbourhood_matches_union_of_balls(data):
     (union(union(Lattice.nat(1), Lattice.integers(1)), union(Lattice((2,)), Lattice.nat(1))),
      [(0, 1, -1), (1, 0, 1), (1, 1, 0)], 2),
     (Lattice.nat(2), [], 3),
+    # guard 0: each box is a whole fibre, enumerated and sorted
+    (Lattice((3, "nat")), [(0, 4), (2, 1), (1, 4)], 0),      # a finite axis first
+    (Lattice((2, "int", 3)), [(1, 2, 0), (0, -3, 2), (1, 2, 1)], 0),
+    (Lattice(("nat", 3)), [(5, 1), (2, 0), (5, 2), (0, 1), (2, 2), (5, 1)], 0),
+    (Lattice(("nat", 2)), [(-1, 0), (1, 1)], 0),             # an empty fibre
+    (Lattice(("nat", 2)), [(-1, 1)], 0),
+    (union(Lattice(("nat", 2)), Lattice((3, "int"))),
+     [(1, 2, -1), (0, 4, 1), (1, 0, 5), (0, 4, 0), (0, 1, 1)], 0),
 ])
 def test_neighbourhood_edge_cases(lat, support, guard):
     assert lat.neighbourhood(support, guard) == _ball_reference(lat, support, guard)
@@ -1352,6 +1362,18 @@ def test_solve_gram_refuses_entries_outside_the_lattice():
                     solve_gram(T, v)
 
 
+def test_fibred_solve_names_the_smallest_outside_index():
+    # the right-hand side is visited unsorted; a refusal still names its
+    # smallest entry outside the lattice, whatever order the entries came in
+    Q = quasinormal_block(np.array(BLOCK_3))
+    for outside in (((2, 5), (-1, 0)), ((0, 3), (0, -1))):
+        smallest = re.escape(str(min(outside)))
+        for order in itertools.permutations(outside + ((4, 1),)):
+            v = FinVec({ix: 1.0 for ix in order})
+            with pytest.raises(LatticeMismatch, match=rf"entry at {smallest} lies outside"):
+                solve_gram(Q, v)
+
+
 def test_section_refuses_columns_outside_the_lattice():
     with pytest.raises(LatticeMismatch):
         section(bergman_shift(), [(0,), (-1,)])
@@ -1523,6 +1545,39 @@ def _extreme_vec(lattice, rng, size: int, extent: int = 8) -> FinVec:
                   rank=lattice.rank)
 
 
+def _apply_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
+    """``||G x - v||`` as written: apply ``G``, subtract ``v``, take the norm."""
+    return (G.apply(x) - v).norm()
+
+
+_RESIDUAL_OPS = [(name, T) for name, T in _SECTION_OPS if name in ("block_2", "block_3", "block_sum")]
+_RESIDUAL_OPS.append(("two_band", unilateral_shift() + 0.5 * unilateral_shift() ** 2))
+
+
+@pytest.mark.parametrize("name,T", _RESIDUAL_OPS, ids=[n for n, _ in _RESIDUAL_OPS])
+def test_gram_residual_is_the_written_out_residual(name, T):
+    # fibred blocks and a guarded two-band window; huge and subnormal
+    # amplitudes, exact cancellation, and x entries that G maps outside
+    # the support of v: the one-pass residual keeps the bits of the formula
+    G = T.gram()
+    rng = np.random.default_rng(20170430)
+    cases = []
+    for size in (1, 3, 6):
+        v = rand_vec(T.lattice, rng, size, extent=4)
+        x = solve_gram(T, v, GramSolveParams(tol=1e-6))  # on the first window
+        gx = G.apply(x)
+        part = FinVec({ix: a for ix, a in gx.items() if rng.integers(2)}, rank=T.rank)
+        wild = _extreme_vec(T.lattice, rng, size, extent=4)
+        far = _extreme_vec(T.lattice, rng, size, extent=9)
+        cases += [(x, v), (x, gx), (x, part), (x, part + v), (x, wild), (wild, wild),
+                  (far, v), (x + far, wild), (x * 1e300, v), (x * 5e-324, v * 5e-324),
+                  (zero(T.rank), wild), (x, zero(T.rank))]
+    residuals = [_apply_residual(G, x, v) for x, v in cases]
+    assert 0.0 in residuals and math.inf in residuals  # exact cancellation, overflow
+    for x, v in cases:
+        assert bandop._gram_residual(G, x, v).hex() == _apply_residual(G, x, v).hex(), (x, v)
+
+
 @pytest.mark.parametrize("name,T", _DIAGONAL_GRAM_ZOO, ids=[n for n, _ in _DIAGONAL_GRAM_ZOO])
 def test_diagonal_solve_residual_is_the_band_gram_residual(name, T):
     rng = np.random.default_rng(20170420)
@@ -1532,7 +1587,7 @@ def test_diagonal_solve_residual_is_the_band_gram_residual(name, T):
         for size in (1, 3, 6):
             v = _extreme_vec(T.lattice, rng, size)
             x, r = bandop._diagonal_solve(G, v)
-            assert r.hex() == bandop._gram_residual(G, x, v).hex(), (n, v)
+            assert r.hex() == _apply_residual(G, x, v).hex(), (n, v)
 
 
 _EXTREME_DIAGONAL = (2.0, 0.3, 1e308, 1e-308, 5e-324, 0.0, -1.0, 1 + 1j,
@@ -1558,7 +1613,7 @@ def test_diagonal_solve_residual_on_extreme_table_diagonals():
             continue
         solved += 1
         x, r = bandop._diagonal_solve(G, v)
-        assert r.hex() == bandop._gram_residual(G, x, v).hex(), v
+        assert r.hex() == _apply_residual(G, x, v).hex(), v
     assert solved > 30 and refused > 30
 
 
@@ -1599,7 +1654,7 @@ def test_solve_gram_falls_through_to_the_windowed_path_as_before(monkeypatch, x)
 
     def measured_by_apply(G, v, solve=bandop._diagonal_solve):
         y, _ = solve(G, v)
-        return y, bandop._gram_residual(G, y, v)
+        return y, _apply_residual(G, y, v)
 
     monkeypatch.setattr(bandop, "_diagonal_solve", measured_by_apply)
     assert _grid_outcomes((x,)) == inline
@@ -1627,3 +1682,32 @@ def test_diagonal_gram_solves_never_build_a_section(monkeypatch):
     assert math.isnan(exc.value.residual)
     for _, T in _DIAGONAL_GRAM_ZOO:
         solve_gram(T, rand_vec(T.lattice, np.random.default_rng(20170422), size=5))
+
+
+def test_fibred_gram_solves_enumerate_fibres_and_factor_through_cho_factor(monkeypatch):
+    # every Gram of a quasinormal block and of its powers is fibred: its
+    # windows are the support's fibres, enumerated without the general box
+    # merge, and every factorization still goes through cho_factor, where
+    # a tracer counts it; with the merge refused, a fresh block gives the
+    # results and the factorizations of an unrefused run
+    h = FinVec({(0, 0): 1.0, (2, 1): 0.5j, (3, 2): -0.25})
+    probes = [unit((1, 2)), unit((3, 0)), h]
+    real, sizes = scipy.linalg.cho_factor, []
+
+    def recording(M, *args, **kwargs):
+        sizes.append(M.shape[0])
+        return real(M, *args, **kwargs)
+
+    def run():
+        Q = quasinormal_block(np.array(BLOCK_3))
+        return classd_residual(Q, n_max=4, probes=probes), decompose(Q, h)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fibred Gram solve merged boxes")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    expected = run()
+    merged, sizes[:] = list(sizes), []
+    monkeypatch.setattr(bandop, "_box_union", refuse)
+    assert run() == expected
+    assert sizes == merged and len(sizes) >= 5 and all(n % 3 == 0 for n in sizes), sizes
