@@ -14,13 +14,17 @@ Where a product of conjugate weight factors has a closed form (for example
 the squared modulus of a Bergman weight), it is merged analytically; this
 keeps Gram operators of weighted shifts exactly diagonal with rational
 entries.  Every structural decision of a composition reads only the
-operands' skeletons (their terms without coefficients) and the lattice, so
-it is planned once per pair of skeletons and replayed on the coefficients
-of each new pair; an adjoint is planned once per skeleton alike, and the
-``PLAN_CACHE`` most recently used plans of both kinds are kept.  Graded
-lattice windows depend only on the lattice and the extent, so they are
-sorted once too (``WINDOW_CACHE``), and whether a band's images stay in the
-lattice is decided once per band.
+operands' skeletons (their terms without coefficients) and the lattice:
+each product's masks are resolved against its own selectors, and a product
+that no in-lattice index selects is dropped.  So a composition is planned
+once per pair of skeletons and replayed on the coefficients of each new
+pair; an adjoint is planned once per skeleton alike, and the ``PLAN_CACHE``
+most recently used plans of both kinds are kept.  Graded lattice windows
+depend only on the lattice and the extent, so they are sorted once too
+(``WINDOW_CACHE``), and whether a band's images stay in the lattice is
+decided once per band.  Every window, graded or around a support,
+enumerates its boxes with one routine, and every bounded cache evicts
+through one least-recently-used helper.
 
 The inverse Gram factor needed by the canonical left inverse
 ``(T* T)^{-1} T*`` is never formed as an operator: the inverse of a band
@@ -135,22 +139,10 @@ def _graded_window(lattice, extent: int, points) -> list[tuple]:
                      lambda: tuple(_graded(points()))))
 
 
-def _box_union(boxes: list[tuple], axis: int) -> list[tuple]:
-    """The points of a union of boxes (tuples of inclusive per-axis
-    intervals; empty ones add nothing), projected onto the axes from
-    ``axis`` on, in lexicographic order."""
-    if axis == len(boxes[0]):
-        return [()]
-    cuts = sorted({b[axis][0] for b in boxes} | {b[axis][1] + 1 for b in boxes})
-    out = []
-    for start, stop in zip(cuts, cuts[1:]):
-        # the boxes covering a coordinate change only at a cut, so the
-        # coordinates of one segment share one union over the later axes
-        active = [b for b in boxes if b[axis][0] <= start <= b[axis][1]]
-        if active:
-            tail = _box_union(active, axis + 1)
-            out += [(x,) + t for x in range(start, stop) for t in tail]
-    return out
+def _box_points(box: tuple) -> Iterable[tuple]:
+    """The points of a box of inclusive per-axis intervals (an empty one has
+    none), in lexicographic order."""
+    return product(*(range(lo, hi + 1) for lo, hi in box))
 
 
 class Lattice:
@@ -219,7 +211,7 @@ class Lattice:
         :func:`_graded_window`), and a new list on every call.
         """
         return _graded_window(self, extent,
-                              lambda: _box_union([self._box((0,) * self.rank, extent)], 0))
+                              lambda: _box_points(self._box((0,) * self.rank, extent)))
 
     def window_size(self, extent: int) -> int:
         """``len(self.window(extent))``, counted without enumerating."""
@@ -230,17 +222,12 @@ class Lattice:
         in-lattice ``support``; finite axes are always covered whole.
 
         Each support entry spans a box of per-axis intervals clipped to the
-        lattice.  At guard 0 a box is a whole fibre (the indices sharing the
-        entry's unbounded coordinates), and two fibres are equal or
-        disjoint, so each distinct one is enumerated and the points sorted.
-        At a larger guard the window is emitted from the merged intervals
-        of the boxes, without enumerating any box.
+        lattice (at guard 0, a whole fibre: the indices sharing the entry's
+        unbounded coordinates).  The points of each distinct box are
+        enumerated, and their union is sorted.
         """
         boxes = {self._box(c, guard) for c in support}
-        if guard == 0:
-            return sorted(ix for box in boxes
-                          for ix in product(*(range(lo, hi + 1) for lo, hi in box)))
-        return _box_union(list(boxes), 0) if boxes else []
+        return sorted({ix for box in boxes for ix in _box_points(box)})
 
     def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
         """``(every, none)``: whether ``k + off`` lies in the lattice for every
@@ -682,6 +669,8 @@ def power_ratio(beta: float, h: float, steps: int) -> Weight:
 # ---------------------------------------------------------------------------
 
 def _require_in_lattice(indices: Iterable[tuple], lattice) -> None:
+    """Raise :class:`LatticeMismatch` naming the first of ``indices`` that
+    lies outside ``lattice``; give sorted indices to name the smallest."""
     for ix in indices:
         if not lattice.contains(ix):
             raise LatticeMismatch(f"vector entry at {ix} lies outside {lattice!r}")
@@ -720,7 +709,7 @@ class _BandSteps(dict):
     def __missing__(self, ix: tuple):
         lat = self.lattice
         if not lat.contains(ix):
-            raise LatticeMismatch(f"vector entry at {ix} lies outside {lat!r}")
+            _require_in_lattice((ix,), lat)
         tgt = _tadd(ix, self.off)
         step = self[ix] = ((tgt, self.w.evaluate(ix, lat)) if self.stays or lat.contains(tgt)
                            else None)
@@ -820,7 +809,8 @@ class BandOp:
         Planned once per lattice and pair of operand skeletons (see
         :func:`_plan_compose`), then replayed on the operands' coefficients.
         A mask records that the intermediate index ``k + other_offset`` must
-        lie in the lattice; see :func:`_resolve_masks` for when it is resolved.
+        lie in the lattice; every product resolves it (see
+        :func:`_resolve_masks`).
         """
         if not isinstance(other, BandOp):
             raise TypeError("compose expects a BandOp")
@@ -936,29 +926,27 @@ def _plan_adjoint(T: BandOp) -> tuple:
 
 
 def _plan_compose(A: BandOp, B: BandOp) -> tuple:
-    """The plan of ``A @ B``: every decision that reads only the skeletons.
+    """The plan of ``A @ B``: every decision, read from the skeletons alone.
 
     With coefficients ``a`` of ``A`` and ``b`` of ``B`` numbered in band and
-    term order, the plan is ``(groups, gates, sums, bands)``:
+    term order, the plan is ``(groups, sums, bands)``:
 
     - a group lists the ``(i, j)`` of the products ``a_i b_j`` of one band
       pair that share a skeleton, summed from ``0j`` in order;
-    - a gate ``(g, triggers)`` sets group ``g`` to 0 if a trigger is nonzero;
     - a sum adds values in order: a pair's groups whose masks resolve alike,
       or the contributions of the pairs that share an offset;
     - ``bands`` gives each offset's terms as (value index, skeleton).
 
-    Exact zeros are not dropped on the way: no value summed from ``0j`` has
-    a negative zero part, so a term the algebra drops adds +0.0 to every
-    later sum, and only zero results and empty bands are left out.  Masks
-    are resolved on a pair whose offset may leave the lattice or whose
-    products carry masks.  That test reads values, so gates keep it: on a
-    pair whose offset stays in the lattice, a product whose selectors no
-    index meets stays until a masked product is nonzero.
+    Every product's masks are resolved with its pair's offset (see
+    :func:`_resolve_masks`), so a product that no in-lattice index selects
+    is dropped.  Exact zeros are not dropped on the way: no value summed
+    from ``0j`` has a negative zero part, so a term the algebra drops adds
+    +0.0 to every later sum, and only zero results and empty bands are left
+    out.
     """
     lattice = A.lattice
     a0, b0 = ([0, *accumulate(len(w.terms) for _, w in T.bands)] for T in (A, B))
-    groups, gates, pairs = [], [], []
+    groups, pairs = [], []
     for p, (aoff, aw) in enumerate(A.bands):
         for q, (boff, bw) in enumerate(B.bands):
             products: dict[tuple, list] = {}
@@ -968,24 +956,12 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
                                    ta.masks + tb.masks)
                     if t is not None:
                         products.setdefault(t[1:], []).append((a0[p] + i, b0[q] + j))
-            first = len(groups)
-            skels = sorted(products, key=_skeleton_order)
-            groups += (tuple(products[skel]) for skel in skels)
-            holds = lattice.shift_cover({}, boff) == (True, False)
-            triggers = tuple(g for g, skel in enumerate(skels, first) if skel[2])
             resolved: dict[tuple, list] = {}
-            for g, skel in enumerate(skels, first):
-                if holds and not triggers:
-                    masks = ()  # a mask that always holds leaves mask-free products as they are
-                else:
-                    masks = _resolve_masks(skel, boff, lattice)
-                    if masks is None:
-                        if not holds or skel[2]:
-                            continue
-                        # no selected index at all; kept while every masked product is 0
-                        gates.append((g, triggers))
-                        masks = ()
-                resolved.setdefault((skel[0], skel[1], masks), []).append(g)
+            for skel in sorted(products, key=_skeleton_order):
+                masks = _resolve_masks(skel, boff, lattice)
+                if masks is not None:
+                    resolved.setdefault((skel[0], skel[1], masks), []).append(len(groups))
+                    groups.append(tuple(products[skel]))
             pairs.append((_tadd(aoff, boff), resolved))
 
     sums = []
@@ -1004,13 +980,14 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
     planned = tuple((off, tuple((summed(refs), skel) for skel, refs
                                 in sorted(band.items(), key=lambda kv: _skeleton_order(kv[0]))))
                     for off, band in sorted(bands.items()))
-    return tuple(groups), tuple(gates), tuple(sums), planned
+    return tuple(groups), tuple(sums), planned
 
 
 def _replay(plan: tuple, A: BandOp, B: BandOp) -> BandOp:
     """``A @ B`` from its plan (see :func:`_plan_compose`), bit for bit as
-    the symbolic algebra computes it."""
-    groups, gates, sums, bands = plan
+    the symbolic algebra computes it.  No value changes the plan: only zero
+    results and empty bands are left out."""
+    groups, sums, bands = plan
     a = [t.coeff for _, w in A.bands for t in w.terms]
     b = [t.coeff for _, w in B.bands for t in w.terms]
     vals = []
@@ -1019,9 +996,6 @@ def _replay(plan: tuple, A: BandOp, B: BandOp) -> BandOp:
         for i, j in pairs:
             c += a[i] * b[j]
         vals.append(c)
-    for g, triggers in gates:
-        if any(vals[t] for t in triggers):
-            vals[g] = 0j
     for refs in sums:
         c = 0j
         for r in refs:
@@ -1143,10 +1117,8 @@ def _window_rhs(G: BandOp, v: FinVec, guard: int) -> tuple[list, np.ndarray]:
     pos = {ix: i for i, ix in enumerate(window)}
     rhs = np.zeros(len(window), dtype=complex)
     for ix, amp in v._entries.items():  # unsorted: each entry has its own cell
-        if ix not in pos:
-            # name the smallest outside index, as a sorted visit would
-            ix = min(ix for ix in v._entries if ix not in pos)
-            raise LatticeMismatch(f"vector entry at {ix} lies outside {G.lattice!r}")
+        if ix not in pos:  # only an entry outside the lattice is missing
+            _require_in_lattice(sorted(v._entries), G.lattice)
         rhs[pos[ix]] = amp
     return window, rhs
 
@@ -1155,24 +1127,21 @@ def _gram_factor(G: BandOp, window: list) -> tuple:
     """Cholesky factor of the section of ``G`` on ``window``.
 
     ``G`` is immutable, so the factor of a window never changes: the
-    ``FACTOR_CACHE`` most recently used ones are kept on ``G`` (least
-    recent evicted first), each only if it fits in ``SECTION_BYTE_CAP // 64``
-    bytes.  A failed factorization is not kept, so it fails again alike.
+    ``FACTOR_CACHE`` most recently used ones are kept on ``G`` (see
+    :func:`_lru`), each only if it fits in ``SECTION_BYTE_CAP // 64`` bytes,
+    which is decided from the window's size before factoring.  A failed
+    factorization is not kept, so it fails again alike.
     """
-    if G._factors is None:
-        G._factors = {}
-    key = tuple(window)
-    cf = G._factors.pop(key, None)
-    if cf is None:
+    def factor():
         M, _ = section(G, window, window)
         # section() refuses non-finite entries
-        cf = scipy.linalg.cho_factor(M, check_finite=False)
-        if cf[0].nbytes > SECTION_BYTE_CAP // 64:
-            return cf
-        if len(G._factors) >= FACTOR_CACHE:
-            del G._factors[next(iter(G._factors))]
-    G._factors[key] = cf
-    return cf
+        return scipy.linalg.cho_factor(M, check_finite=False)
+
+    if len(window) ** 2 * 16 > SECTION_BYTE_CAP // 64:
+        return factor()
+    if G._factors is None:
+        G._factors = {}
+    return _lru(G._factors, FACTOR_CACHE, tuple(window), factor)
 
 
 def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> FinVec:

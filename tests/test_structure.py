@@ -31,6 +31,15 @@ def test_rule_lives_in_one_module(text, owner):
     assert [name for name, src in sorted(SOURCES.items()) if text in src] == [owner]
 
 
+def test_one_lru_evicts_for_every_cache():
+    # every bounded cache goes through bandop._lru: a later cache that
+    # hand-rolls its own eviction fails here
+    assert sum(src.count("next(iter(") for src in SOURCES.values()) == 1
+    lru = next(node for node in ast.parse(SOURCES["bandop.py"]).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_lru")
+    assert "next(iter(" in ast.get_source_segment(SOURCES["bandop.py"], lru)
+
+
 # (module, underscore name it may import from another module); the dense
 # oracle in particular shares no code path with the engine
 PRIVATE_IMPORTS = {("cli.py", "_worst_ratio")}
