@@ -56,7 +56,6 @@ from itertools import accumulate, product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .seqspace import FinVec, RankMismatch
 
@@ -1133,6 +1132,7 @@ def _gram_factor(G: BandOp, window: list) -> tuple:
     factorization is not kept, so it fails again alike.
     """
     def factor():
+        import scipy.linalg  # loaded at the first windowed solve only
         M, _ = section(G, window, window)
         # section() refuses non-finite entries
         return scipy.linalg.cho_factor(M, check_finite=False)
@@ -1181,6 +1181,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "
                             f"over {p.tol:.1e} * ||v||", residual=residual, window=0)
 
+    import scipy.linalg  # a diagonal Gram never loads scipy
     # a fibred Gram maps the fibres of v (its window at guard 0) into
     # themselves, so its section there is exact and the window is closed;
     # any other window starts 16 band reaches of T around v
@@ -1195,7 +1196,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         except NoConvergence as e:
             raise NoConvergence(f"{e}; residual {last_residual:.3e}",
                                 residual=last_residual, window=e.window) from None
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        except np.linalg.LinAlgError:  # the same class as scipy.linalg.LinAlgError
             raise NoConvergence(
                 "Gram section is not positive definite (operator near-singular?)",
                 residual=last_residual, window=len(window)) from None

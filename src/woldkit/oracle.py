@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bandop import BandOp
 from .seqspace import FinVec
@@ -294,6 +293,7 @@ def oracle_fourfold(D1: DenseSection, D2: DenseSection, v: FinVec, n_max: int = 
 
 def oracle_null_basis(D: DenseSection) -> list[FinVec]:
     """Orthonormal null space of the dense adjoint section (defect vectors)."""
+    import scipy.linalg  # loaded at the first null space only
     ns = scipy.linalg.null_space(D.matrix.conj().T)
     out = []
     for c in range(ns.shape[1]):

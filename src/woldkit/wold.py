@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bandop import (
     BandOp,
@@ -254,6 +253,7 @@ def wandering_basis(T: BandOp, window: int = 16) -> list[FinVec]:
     M, rows = section(A, cols)
     if not rows:  # null_space needs at least one row
         M = np.zeros((1, len(cols)), dtype=complex)
+    import scipy.linalg  # loaded at the first null space only
     ns = scipy.linalg.null_space(M)
     out = []
     for c in range(ns.shape[1]):

@@ -755,6 +755,40 @@ def test_console_entry_point(tmp_path):
     assert rep["schema_version"] == 1
 
 
+_SCIPY_PROBE = """
+import json, os, sys
+from woldkit.cli import main
+diagonal = [main(["check", %(bergman)r, "--out", os.devnull]),
+            main(["decompose", %(bergman)r, "--vector", "[[0,1,0],[3,1,0]]",
+                  "--out", os.devnull])]
+after_diagonal = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+block = main(["decompose", %(block)r, "--vector", "[[0,0,1,0],[1,1,0.5,0]]",
+              "--out", os.devnull])
+after_block = "scipy.linalg" in sys.modules
+import numpy, scipy.linalg
+print(json.dumps({"diagonal": diagonal, "after_diagonal": after_diagonal,
+                  "block": block, "after_block": after_block,
+                  "one_error": numpy.linalg.LinAlgError is scipy.linalg.LinAlgError}))
+"""
+
+
+def test_diagonal_gram_commands_never_load_scipy():
+    # a weighted shift divides its Gram out entrywise, so a fresh process
+    # that only checks and decomposes one never imports scipy; a full
+    # quasinormal block factors its fibre sections, which loads it
+    env = {**os.environ, "PYTHONPATH": str(Path(woldkit.__file__).resolve().parents[1])}
+    script = _SCIPY_PROBE % {"bergman": _BERGMAN,
+                             "block": '{"kind":"quasinormal_block","L":[[2,0.5],[0.5,3]]}'}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["diagonal"] == [0, 0] and got["after_diagonal"] == []
+    assert got["block"] == 0 and got["after_block"]
+    # solve_gram catches numpy's name for scipy's Cholesky failures too
+    assert got["one_error"]
+
+
 def test_check_oracle_compares_bergman_left_inverse(tmp_path):
     code, rep = run_cli(tmp_path, "check", _BERGMAN, "--oracle")
     assert code == 0

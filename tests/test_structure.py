@@ -54,6 +54,29 @@ def test_no_module_imports_private_names_of_another():
     assert imported <= PRIVATE_IMPORTS, sorted(imported - PRIVATE_IMPORTS)
 
 
+def _module_level_imports(tree):
+    # names imported while the module itself runs: function bodies run later
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # scipy is loaded where a section is factored or a null space taken, so
+    # importing the package, or running a diagonal-Gram command, never pays for it
+    found = sorted((name, mod) for name, src in SOURCES.items()
+                   for mod in _module_level_imports(ast.parse(src))
+                   if mod.split(".")[0] == "scipy")
+    assert found == []
+
+
 def test_benchmark_tracer_entry_points_resolve():
     # perfbench/tracing.py wraps these names by attribute path; one that a
     # change to the package removes would break the traced benchmark run
