@@ -12,8 +12,8 @@ independent dense oracle for cross-validation.
 __version__ = "0.1.0"
 
 from .bandop import (
+    GRAM_TOL,
     BandOp,
-    GramSolveParams,
     Lattice,
     LatticeMismatch,
     NoConvergence,

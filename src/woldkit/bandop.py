@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import Iterable, NamedTuple, Sequence
 
@@ -65,6 +64,7 @@ FACTOR_CACHE = 4  # Cholesky factors of recent windows kept per Gram operator
 PLAN_CACHE = 512  # composition and adjoint plans kept per process
 WINDOW_CACHE = 16  # graded windows kept per process
 WINDOW_POINTS = 4096  # points of the largest graded window kept
+GRAM_TOL = 1e-12  # certified relative residual of a Gram solve, by default
 
 
 class LatticeMismatch(ValueError):
@@ -1016,22 +1016,6 @@ def identity(lattice) -> BandOp:
 # guarded Gram solves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramSolveParams:
-    """Controls for the per-vector application of (T*T)^{-1}.
-
-    ``tol`` is the certified relative residual.  No section exceeds
-    ``SECTION_BYTE_CAP``; each Gram operator retains at most ``FACTOR_CACHE``
-    Cholesky factors of at most ``SECTION_BYTE_CAP // 64`` bytes each.
-    """
-
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:  # an inf tol certifies any solve, a NaN none
-            raise ValueError("tol must be finite and positive")
-
-
 def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
     """``(G.apply(x) - v).norm()`` bit for bit, in one pass: the entries
     that vector would drop are exact zeros, and ``fsum`` is exact."""
@@ -1144,12 +1128,13 @@ def _gram_factor(G: BandOp, window: list) -> tuple:
     return _lru(G._factors, FACTOR_CACHE, tuple(window), factor)
 
 
-def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> FinVec:
+def solve_gram(T: BandOp, v: FinVec, tol: float = GRAM_TOL) -> FinVec:
     """Solve ``(T* T) x = v`` with a certified residual.
 
     The residual of the returned ``x`` is re-measured with the exact band
     Gram operator (never trusted from the dense solver) and satisfies
-    ``|| T*T x - v || <= tol * ||v||``.  A diagonal Gram is divided out
+    ``|| T*T x - v || <= tol * ||v||``; ``tol`` must be finite and positive
+    (``ValueError`` otherwise).  A diagonal Gram is divided out
     entrywise, never on a section, or refused by :func:`_diagonal_solve`.
     A fibred Gram is solved on the fibres of ``v``, where its section is
     exact.  Raises :class:`NoConvergence` when that residual misses, or when
@@ -1158,7 +1143,8 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
     lower the residual before it is certified, and
     :class:`LatticeMismatch` when ``v`` has an entry outside the lattice.
     """
-    p = params or GramSolveParams()
+    if not 0 < tol < math.inf:  # an inf tol certifies any solve, a NaN none
+        raise ValueError("tol must be finite and positive")
     if v.rank != T.rank:
         raise RankMismatch(f"vector rank {v.rank}, operator rank {T.rank}")
     if v.is_zero:
@@ -1176,10 +1162,10 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
             _require_in_lattice(v.support(), T.lattice)  # no band step checks v
             raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
         x, residual = _diagonal_solve(G, v)
-        if residual <= p.tol * vn:
+        if residual <= tol * vn:
             return x
         raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "
-                            f"over {p.tol:.1e} * ||v||", residual=residual, window=0)
+                            f"over {tol:.1e} * ||v||", residual=residual, window=0)
 
     import scipy.linalg  # a diagonal Gram never loads scipy
     # a fibred Gram maps the fibres of v (its window at guard 0) into
@@ -1202,7 +1188,7 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
                 residual=last_residual, window=len(window)) from None
         x = FinVec._wrap(dict(zip(window, sol.tolist())), v.rank)  # Python complex
         residual = _gram_residual(G, x, v)
-        if residual <= p.tol * vn:
+        if residual <= tol * vn:
             return x
         if residual >= last_residual:
             # the section solution on a larger window is the better Galerkin
@@ -1224,12 +1210,12 @@ def solve_gram(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> F
         window = grown
 
 
-def left_inverse_apply(T: BandOp, v: FinVec, params: GramSolveParams | None = None) -> FinVec:
+def left_inverse_apply(T: BandOp, v: FinVec) -> FinVec:
     """Apply the canonical left inverse ``(T*T)^{-1} T*`` to ``v``."""
     w = T.adjoint().apply(v)
     if w.is_zero:
         return w
-    return solve_gram(T, w, params)
+    return solve_gram(T, w)
 
 
 def lower_bound_estimate(T: BandOp, window: int) -> float:

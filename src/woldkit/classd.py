@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandop import BandOp, GramSolveParams, left_inverse_apply, solve_gram
+from .bandop import BandOp, left_inverse_apply, solve_gram
 from .seqspace import FinVec, unit
 
 DEFAULT_PROBE_SEED = 0x5EED
@@ -80,15 +80,13 @@ def _worst_ratio(probes: list[FinVec], residual) -> float:
     return worst
 
 
-def isometry_residual(T: BandOp, window: int = 16,
-                      params: GramSolveParams | None = None) -> CheckReport:
+def isometry_residual(T: BandOp, window: int = 16) -> CheckReport:
     """Deviation of ``T*T`` from the identity on window basis vectors.
 
     Also records the deviation of the canonical left inverse from the
     adjoint (``max ||T~ e - T* e||``); the two residuals vanish together,
     which the biconditional test exercises at tolerance level.
     """
-    p = params or GramSolveParams()
     G = T.gram()
     adj = T.adjoint()
     basis = [unit(ix) for ix in T.lattice.window(window)]  # each of norm 1.0
@@ -96,7 +94,7 @@ def isometry_residual(T: BandOp, window: int = 16,
 
     def left_inverse_vs_adjoint(e: FinVec) -> FinVec:
         w = adj.apply(e)  # T* e, once: left_inverse_apply would apply it again
-        return (w if w.is_zero else solve_gram(T, w, p)) - w
+        return (w if w.is_zero else solve_gram(T, w)) - w
 
     li_res = _worst_ratio(basis, left_inverse_vs_adjoint)
     return CheckReport(
@@ -118,7 +116,6 @@ def quasinormal_residual(T: BandOp, probes: list[FinVec] | None = None) -> Check
 
 
 def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = None,
-                    params: GramSolveParams | None = None,
                     tolerance: float = 1e-10) -> CheckReport:
     """Residual of ``(T^n)~ v = (T~)^n v`` over 2 <= n <= n_max and probes.
 
@@ -127,7 +124,6 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    p = params or GramSolveParams()
     probes = probes if probes is not None else default_probes(T.lattice)
     res = 0.0
     worst_n = None
@@ -135,10 +131,10 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
         if v.is_zero:
             continue
         vn = v.norm()
-        y = left_inverse_apply(T, v, p)
+        y = left_inverse_apply(T, v)
         for n in range(2, n_max + 1):
-            y = left_inverse_apply(T, y, p)
-            x = left_inverse_apply(T ** n, v, p)
+            y = left_inverse_apply(T, y)
+            x = left_inverse_apply(T ** n, v)
             r = (x - y).norm() / vn
             if r > res:
                 res, worst_n = r, n
@@ -167,7 +163,6 @@ def double_commuting_residual(T1: BandOp, T2: BandOp,
 
 def product_closure_check(T1: BandOp, T2: BandOp, n_max: int = 8,
                           probes: list[FinVec] | None = None,
-                          params: GramSolveParams | None = None,
                           tolerance: float = 1e-9) -> CheckReport:
     """Power-compatibility of the product of a double-commuting pair.
 
@@ -176,17 +171,16 @@ def product_closure_check(T1: BandOp, T2: BandOp, n_max: int = 8,
     The factor diagnostics (each factor's classd residual and the pair's
     double-commutation residual) are recorded in the details, not enforced.
     """
-    p = params or GramSolveParams()
     probes = probes if probes is not None else default_probes(T1.lattice)
     prod = T1.compose(T2)
 
-    factor1 = classd_residual(T1, n_max, probes, p, tolerance)
-    factor2 = classd_residual(T2, n_max, probes, p, tolerance)
+    factor1 = classd_residual(T1, n_max, probes, tolerance)
+    factor2 = classd_residual(T2, n_max, probes, tolerance)
     dc = double_commuting_residual(T1, T2, probes)
-    prod_classd = classd_residual(prod, n_max, probes, p, tolerance)
+    prod_classd = classd_residual(prod, n_max, probes, tolerance)
 
-    r_factor = _worst_ratio(probes, lambda v: left_inverse_apply(prod, v, p)
-                            - left_inverse_apply(T1, left_inverse_apply(T2, v, p), p))
+    r_factor = _worst_ratio(probes, lambda v: left_inverse_apply(prod, v)
+                            - left_inverse_apply(T1, left_inverse_apply(T2, v)))
 
     notes = []
     if not factor1.passed or not factor2.passed:

@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .bandop import (
     BandOp,
-    GramSolveParams,
     NoConvergence,
     Weight,
     bergman,
@@ -627,12 +626,12 @@ def _oracle_check(T: BandOp, probes) -> dict:
 
 def _vector_prelude(args, spec: OpSpec, lattice):
     """What decompose and fourfold share: the vector, the tolerance (default
-    1e-10), the Gram solve parameters and the report so far."""
+    1e-10) and the report so far."""
     v = _read_vector(args.vector, lattice)
     report = _base_report(spec, args, 1e-10)
     report["vector"] = vector_to_literal(v)
     tol = report["params"]["tol"]
-    return v, tol, GramSolveParams(tol=tol), report
+    return v, tol, report
 
 
 def _oracle_vectors(v: FinVec, extent: int, engine, dense) -> dict:
@@ -653,14 +652,14 @@ def _oracle_vectors(v: FinVec, extent: int, engine, dense) -> dict:
 def _cmd_decompose(args) -> int:
     spec = parse_spec(_read_source(args.spec))
     T = _single(spec, "decompose")
-    v, tol, p, report = _vector_prelude(args, spec, T.lattice)
+    v, tol, report = _vector_prelude(args, spec, T.lattice)
     gate = _left_invertibility(T, GATE_WINDOW)
     report["left_invertibility"] = _check_dict(gate, informational=False)
     if not gate.passed:
         # without a left inverse there is no decomposition to compute
         report["decomposition"] = None
         return _finish(report, False, args)
-    res = decompose(T, v, p, n_max=args.n_max)
+    res = decompose(T, v, tol, n_max=args.n_max)
     report["decomposition"] = _jsonable(res)
     ok = (res.reconstruction_residual <= tol * max(v.norm(), 1e-300)
           and res.power_residual <= tol)
@@ -682,11 +681,11 @@ def _cmd_fourfold(args) -> int:
     if not isinstance(built, tuple):
         raise SpecError(["fourfold needs a pair spec (kind 'pair' or 'tensor_pair')"])
     T1, T2 = built
-    v, tol, p, report = _vector_prelude(args, spec, T1.lattice)
+    v, tol, report = _vector_prelude(args, spec, T1.lattice)
     if not _gate_pair(report, built):
         report["fourfold"] = None
         return _finish(report, False, args)
-    res = fourfold(T1, T2, v, p, n_max=args.n_max)
+    res = fourfold(T1, T2, v, tol, n_max=args.n_max)
     report["fourfold"] = _jsonable(res)
     hn = max(v.norm(), 1e-300)
     ok = res.residual <= tol * hn and res.cross_terms <= tol * hn * hn

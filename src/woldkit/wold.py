@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandop import (
+    GRAM_TOL,
     BandOp,
-    GramSolveParams,
     NoConvergence,
     left_inverse_apply,
     section,
@@ -45,17 +45,19 @@ ORBIT_SCAN_CAP = 4096  # the plateau test never scans the orbit of T* further
 
 
 class NoStrongConvergence(RuntimeError):
-    """The nested-projection iterates did not settle within the iteration cap."""
+    """The nested-projection iterates did not settle within the iteration cap,
+    or settled while ``why`` kept the loop from trusting the plateau."""
 
-    def __init__(self, n_max: int, last_delta: float):
-        super().__init__(f"projection iterates not Cauchy after n_max={n_max} "
-                         f"steps (last delta {last_delta:.3e})")
+    def __init__(self, n_max: int, last_delta: float, why: str = ""):
+        super().__init__(f"projection iterates {'settled' if why else 'not Cauchy'} after "
+                         f"n_max={n_max} steps (last delta {last_delta:.3e})"
+                         + (f", but {why}" if why else ""))
         self.n_max = n_max
         self.last_delta = last_delta
 
 
 class InputNotInHInfinity(ValueError):
-    """A vector assumed to lie in the limit subspace does not (at tolerance)."""
+    """A vector assumed to lie in the limit subspace is measurably outside it."""
 
     def __init__(self, residual: float, detail: str = ""):
         msg = f"input is not in the limit subspace: residual {residual:.3e}"
@@ -87,15 +89,15 @@ class WoldResult:
     flags: tuple
 
 
-def defect_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None) -> FinVec:
-    """Project onto the defect space: ``h - T (T~ h)``, certified in ``ker T*``."""
-    p = params or GramSolveParams()
+def defect_project(T: BandOp, h: FinVec) -> FinVec:
+    """Project onto the defect space: ``h - T (T~ h)``, certified in ``ker T*``
+    by ``||T* d|| <= 4 GRAM_TOL max(||h||, ||T* h||)``."""
     adj_h = T.adjoint().apply(h)
     if adj_h.is_zero:
         return h
-    d = h - T.apply(solve_gram(T, adj_h, p))
+    d = h - T.apply(solve_gram(T, adj_h))
     cert = T.adjoint().apply(d).norm()
-    bound = 4.0 * p.tol * max(h.norm(), adj_h.norm())
+    bound = 4.0 * GRAM_TOL * max(h.norm(), adj_h.norm())
     if cert > bound:
         raise NoConvergence(
             f"defect certificate ||T* d|| = {cert:.3e} exceeds {bound:.3e}",
@@ -103,14 +105,14 @@ def defect_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None) 
     return d
 
 
-def nested_project(T: BandOp, n: int, h: FinVec, params: GramSolveParams | None = None) -> FinVec:
+def nested_project(T: BandOp, n: int, h: FinVec) -> FinVec:
     """Orthogonal projection of ``h`` onto the range of ``T^n``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return h
     Tn = T ** n
-    x = left_inverse_apply(Tn, h, params)
+    x = left_inverse_apply(Tn, h)
     return Tn.apply(x)
 
 
@@ -142,7 +144,7 @@ class _Orbit:
         return k > end
 
 
-def _range_projections(T: BandOp, h: FinVec, p: GramSolveParams, n_max: int):
+def _range_projections(T: BandOp, h: FinVec, tol: float, n_max: int):
     """The limit loop: yields ``(n, T^n, x_n, P_n h, c_n, ||c_n||)`` with
     ``x_n = (T^n)~ h``, ``P_n h = T^n x_n`` and the component
     ``c_n = P_{n-1} h - P_n h``, for nonzero ``h``.
@@ -156,8 +158,11 @@ def _range_projections(T: BandOp, h: FinVec, p: GramSolveParams, n_max: int):
     that far; beyond :data:`ORBIT_SCAN_CAP` no plateau is trusted.  Raises
     :class:`NoStrongConvergence` at the iteration cap, and ``ValueError``
     when ``||h||`` underflows to 0.0 or overflows to inf, where no
-    certificate ``delta <= tol * ||h||`` means anything.
+    certificate ``delta <= tol * ||h||`` means anything, or when ``tol`` is
+    not finite and positive, also where no solve runs.
     """
+    if not 0 < tol < math.inf:  # as solve_gram: the loop may stop before a solve
+        raise ValueError("tol must be finite and positive")
     hn = h.norm()
     if hn == 0.0 or math.isinf(hn):
         raise ValueError(f"nonzero h has norm {hn}: it leaves double precision, "
@@ -173,21 +178,24 @@ def _range_projections(T: BandOp, h: FinVec, p: GramSolveParams, n_max: int):
             yield n, Tn, w, w, prev, prev.norm()
             return
         try:
-            x = solve_gram(Tn, w, p)
+            x = solve_gram(Tn, w, tol)
         except NoConvergence as e:
             raise NoConvergence(f"limit phase, n={n}: {e}", e.residual, e.window) from e
         cur = Tn.apply(x)
         comp = prev - cur
         delta = comp.norm()
         yield n, Tn, x, cur, comp, delta
-        consec = consec + 1 if delta <= p.tol * hn else 0
+        consec = consec + 1 if delta <= tol * hn else 0
         if consec >= 3 and scannable and orbit.settled(n, end):
             return
         prev = cur
-    raise NoStrongConvergence(n_max, delta)
+    why = "" if consec < 3 else (  # small deltas: settled() stopped at a drop, in _k
+        f"the adjoint orbit loses support at step {orbit._k}" if scannable else
+        f"no plateau is trusted past ORBIT_SCAN_CAP={ORBIT_SCAN_CAP} (scan to step {end})")
+    raise NoStrongConvergence(n_max, delta, why)
 
 
-def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
+def shift_limit_project(T: BandOp, h: FinVec, tol: float = GRAM_TOL,
                         n_max: int = 64) -> tuple[FinVec, tuple]:
     """Strong limit of the range projections applied to ``h``: the last
     iterate of the limit loop (:func:`_range_projections` states when it
@@ -199,13 +207,12 @@ def shift_limit_project(T: BandOp, h: FinVec, params: GramSolveParams | None = N
     if h.is_zero:
         return h, ()
     history = []
-    for _, _, _, limit, _, delta in _range_projections(T, h, params or GramSolveParams(), n_max):
+    for _, _, _, limit, _, delta in _range_projections(T, h, tol, n_max):
         history.append(delta)
     return limit, tuple(history)
 
 
-def analytic_criterion(T: BandOp, h: FinVec, n: int,
-                       params: GramSolveParams | None = None) -> float:
+def analytic_criterion(T: BandOp, h: FinVec, n: int) -> float:
     """The norm ``|| G_n^{-1/2} (T*)^n h ||`` with ``G_n`` the Gram of ``T^n``.
 
     Vanishing of this quantity as n grows characterizes membership in the
@@ -223,7 +230,7 @@ def analytic_criterion(T: BandOp, h: FinVec, n: int,
     v = Tn.adjoint().apply(h)
     if v.is_zero:
         return 0.0
-    x = solve_gram(Tn, v, params)
+    x = solve_gram(Tn, v)
     return math.sqrt(2.0 * x.inner(v).real - Tn.apply(x).norm_sq())
 
 
@@ -266,22 +273,20 @@ def wandering_basis(T: BandOp, window: int = 16) -> list[FinVec]:
     return out
 
 
-def series_component(T: BandOp, j: int, h: FinVec,
-                     params: GramSolveParams | None = None) -> FinVec:
+def series_component(T: BandOp, j: int, h: FinVec) -> FinVec:
     """The component ``T^j P0 (T~)^j h`` of the defect series."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    p = params or GramSolveParams()
     x = h
     for _ in range(j):
-        x = left_inverse_apply(T, x, p)
-    c = defect_project(T, x, p)
+        x = left_inverse_apply(T, x)
+    c = defect_project(T, x)
     for _ in range(j):
         c = T.apply(c)
     return c
 
 
-def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
+def decompose(T: BandOp, h: FinVec, tol: float = GRAM_TOL,
               n_max: int = 64) -> WoldResult:
     """Split ``h`` into its limit part and defect-series components.
 
@@ -294,11 +299,10 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     certified solve) and measures the power identity residual
     ``||T^n (y_n - x_n)|| / ||h||``; its maximum over the steps is
     ``power_residual``, flagged with its ``n`` above ``100 * tol``.  A chain
-    that vanishes ends the series exactly, which is flagged too.  The
-    reconstruction residual and the pairwise orthogonality of the
-    components are measured and recorded.
+    that vanishes ends the series exactly, which is flagged too, and so are a
+    reconstruction residual above ``100 * tol * ||h||`` and a cross term of
+    the components above 1e-10.  ``tol`` must be finite and positive.
     """
-    p = params or GramSolveParams()
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if h.is_zero:
@@ -309,12 +313,12 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     history: list[float] = []
     prev = y = h  # P_{n-1} h and y_{n-1} = (T~)^{n-1} h
     power, power_n = 0.0, 0
-    for n, Tn, x, cur, comp, delta in _range_projections(T, h, p, n_max):
+    for n, Tn, x, cur, comp, delta in _range_projections(T, h, tol, n_max):
         comps.append(comp)
         history.append(delta)
         w = adjT.apply(y)
         try:
-            y = w if w.is_zero else solve_gram(T, w, p)
+            y = w if w.is_zero else solve_gram(T, w, tol)
         except NoConvergence as e:
             raise NoConvergence(f"left-inverse chain, n={n}: {e}", e.residual, e.window) from e
         r = Tn.apply(y - x).norm() / hn
@@ -325,7 +329,7 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     flags: list[str] = []
     if y.is_zero:
         flags.append("series terminated exactly: left-inverse iterate vanished")
-    if power > 100.0 * p.tol:
+    if power > 100.0 * tol:
         flags.append(f"power identity residual {power:.3e} at n={power_n}: "
                      f"(T~)^n h is not (T^n)~ h")
 
@@ -333,7 +337,7 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
     for c in comps:
         acc = acc + c
     recon = (h - acc).norm()
-    if recon > 100.0 * p.tol * hn:
+    if recon > 100.0 * tol * hn:
         flags.append(f"reconstruction residual {recon:.3e} exceeds budget")
 
     cross = max_cross(comps) / (hn * hn)
@@ -344,46 +348,42 @@ def decompose(T: BandOp, h: FinVec, params: GramSolveParams | None = None,
                       len(comps) - 1, cross, power, tuple(flags))
 
 
-def reducing_residual(T: BandOp, h: FinVec, n: int,
-                      params: GramSolveParams | None = None) -> float:
+def reducing_residual(T: BandOp, h: FinVec, n: int) -> float:
     """Residual of the intertwining ``P_{n+1} T = T P_n`` on ``h``, normalized."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if h.is_zero:
         return 0.0
-    p = params or GramSolveParams()
-    lhs = nested_project(T, n + 1, T.apply(h), p)
-    rhs = T.apply(nested_project(T, n, h, p))
+    lhs = nested_project(T, n + 1, T.apply(h))
+    rhs = T.apply(nested_project(T, n, h))
     return (lhs - rhs).norm() / h.norm()
 
 
-def surjectivity_witness(T: BandOp, h_inf: FinVec,
-                         params: GramSolveParams | None = None,
-                         n_max: int = 64) -> FinVec:
+def surjectivity_witness(T: BandOp, h_inf: FinVec, n_max: int = 64) -> FinVec:
     """Preimage of a limit-subspace vector under T, staying in the subspace.
 
-    Requires ``h_inf`` to lie in the limit subspace at tolerance (checked;
+    Requires ``h_inf`` to lie in the limit subspace: its limit projection
+    must be within ``GRAM_TOL * ||h_inf||`` of it (checked;
     :class:`InputNotInHInfinity` otherwise).  The returned ``h'`` satisfies
-    ``T h' = h_inf`` and itself projects onto the limit subspace, both within
-    tolerance; gross certificate failures also raise
-    :class:`InputNotInHInfinity`, since they mean the input was not really
-    in the subspace.
+    ``T h' = h_inf`` within ``10 GRAM_TOL ||h_inf||`` and is within
+    ``10 GRAM_TOL ||h'||`` of its own limit projection; a miss of either
+    also raises :class:`InputNotInHInfinity`, since it means the input was
+    not really in the subspace.
     """
-    p = params or GramSolveParams()
     if h_inf.is_zero:
         return h_inf
     hn = h_inf.norm()
-    lim, _ = shift_limit_project(T, h_inf, p, n_max=n_max)
+    lim, _ = shift_limit_project(T, h_inf, n_max=n_max)
     r_in = (h_inf - lim).norm()
-    if r_in > p.tol * hn:
+    if r_in > GRAM_TOL * hn:
         raise InputNotInHInfinity(r_in, "membership pre-check failed")
-    hp = left_inverse_apply(T, h_inf, p)
+    hp = left_inverse_apply(T, h_inf)
     r_pre = (T.apply(hp) - h_inf).norm()
-    if r_pre > 10.0 * p.tol * hn:
+    if r_pre > 10.0 * GRAM_TOL * hn:
         raise InputNotInHInfinity(r_pre, "T (T~ h) does not reproduce h")
     if not hp.is_zero:
-        lim_p, _ = shift_limit_project(T, hp, p, n_max=n_max)
+        lim_p, _ = shift_limit_project(T, hp, n_max=n_max)
         r_mem = (hp - lim_p).norm()
-        if r_mem > 10.0 * p.tol * hp.norm():
+        if r_mem > 10.0 * GRAM_TOL * hp.norm():
             raise InputNotInHInfinity(r_mem, "preimage left the limit subspace")
     return hp

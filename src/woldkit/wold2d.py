@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bandop import BandOp, GramSolveParams
+from .bandop import GRAM_TOL, BandOp
 from .classd import DC_TOLERANCE, default_probes, double_commuting_residual
 from .seqspace import FinVec, max_cross
 from .wold import shift_limit_project
@@ -41,16 +41,16 @@ class FourfoldResult:
 
 
 def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
-             params: GramSolveParams | None = None, n_max: int = 64) -> FourfoldResult:
+             tol: float = GRAM_TOL, n_max: int = 64) -> FourfoldResult:
     """Split ``h`` into its four limit/series parts under the pair.
 
     The pair is expected to double-commute; this is measured on a probe set
     and recorded, and a violation only raises a warning flag (each projection
     is individually well defined, and the reconstruction residual will expose
-    a failing decomposition identity).  Inner limits are computed at a
-    tenfold tighter tolerance than the outer ones.
+    a failing decomposition identity).  The outer limits certify their
+    solves and plateaus at ``tol`` (finite and positive, ``ValueError``
+    otherwise), the inner limits ``Q2 h`` and ``Q1 h`` at ``tol / 10``.
     """
-    p = params or GramSolveParams()
     flags: list[str] = []
 
     dc = double_commuting_residual(
@@ -59,12 +59,11 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
         flags.append(f"pair is not double-commuting at {DC_TOLERANCE:.1e} "
                      f"(residual {dc.residual:.3e}); decomposition may not hold")
 
-    p_inner = GramSolveParams(p.tol / 10.0)
-    q2h, h2 = shift_limit_project(T2, h, p_inner, n_max)
-    q1h, h1 = shift_limit_project(T1, h, p_inner, n_max)
-    inf_inf, h11 = shift_limit_project(T1, q2h, p, n_max)
-    inf_s, h1s = shift_limit_project(T1, h - q2h, p, n_max)
-    s_inf, hs2 = shift_limit_project(T2, h - q1h, p, n_max)
+    q2h, h2 = shift_limit_project(T2, h, tol / 10.0, n_max)
+    q1h, h1 = shift_limit_project(T1, h, tol / 10.0, n_max)
+    inf_inf, h11 = shift_limit_project(T1, q2h, tol, n_max)
+    inf_s, h1s = shift_limit_project(T1, h - q2h, tol, n_max)
+    s_inf, hs2 = shift_limit_project(T2, h - q1h, tol, n_max)
     s_s = h - q1h - q2h + inf_inf
     iterations = tuple(map(len, (h2, h1, h11, h1s, hs2)))
 

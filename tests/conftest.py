@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from woldkit import (
-    GramSolveParams,
     bergman,
     bergman_shift,
     bilateral_shift,
@@ -45,11 +44,6 @@ ZOO = make_zoo_fixtures()
 @pytest.fixture(params=ZOO, ids=[name for name, _ in ZOO])
 def zoo_op(request):
     return request.param
-
-
-@pytest.fixture
-def params():
-    return GramSolveParams()
 
 
 def rand_vec(lattice, rng, size=6, extent=8):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from woldkit.bandop import GramSolveParams, bergman, constant, dirichlet, identity
+from woldkit.bandop import bergman, constant, dirichlet, identity
 from woldkit.classd import (
     classd_residual,
     default_probes,
@@ -123,7 +123,6 @@ def test_isometry_biconditional():
 
 
 def test_projection_suite_on_zoo():
-    p = GramSolveParams()
     worst = {"law": 0.0, "nested": 0.0, "monotone": 0.0, "reducing": 0.0,
              "criterion": 0.0}
     for name, T in ZOO:
@@ -134,25 +133,25 @@ def test_projection_suite_on_zoo():
             hn = h.norm()
             prev_norm = hn
             for n in (1, 2, 3):
-                Pn = nested_project(T, n, h, p)
+                Pn = nested_project(T, n, h)
                 # projection law: idempotence and self-adjointness
                 worst["law"] = max(worst["law"],
-                                   (nested_project(T, n, Pn, p) - Pn).norm() / hn)
+                                   (nested_project(T, n, Pn) - Pn).norm() / hn)
                 g = probes[0]
-                sym = abs(Pn.inner(g) - h.inner(nested_project(T, n, g, p)))
+                sym = abs(Pn.inner(g) - h.inner(nested_project(T, n, g)))
                 worst["law"] = max(worst["law"], sym / (hn * g.norm()))
                 # nestedness and monotonicity
-                Pn1 = nested_project(T, n + 1, h, p)
+                Pn1 = nested_project(T, n + 1, h)
                 worst["nested"] = max(worst["nested"],
-                                      (nested_project(T, n + 1, Pn, p) - Pn1).norm() / hn)
+                                      (nested_project(T, n + 1, Pn) - Pn1).norm() / hn)
                 worst["monotone"] = max(worst["monotone"],
                                         (Pn.norm() - prev_norm) / hn)
                 prev_norm = Pn.norm()
             for n in (0, 2):
-                worst["reducing"] = max(worst["reducing"], reducing_residual(T, h, n, p))
+                worst["reducing"] = max(worst["reducing"], reducing_residual(T, h, n))
             for n in range(1, 9):
-                crit = analytic_criterion(T, h, n, p)
-                pn = nested_project(T, n, h, p).norm()
+                crit = analytic_criterion(T, h, n)
+                pn = nested_project(T, n, h).norm()
                 worst["criterion"] = max(worst["criterion"], abs(crit - pn) / hn)
     ok = (worst["law"] <= 1e-11 and worst["nested"] <= 1e-11
           and worst["monotone"] <= 1e-11 and worst["reducing"] <= 1e-11
@@ -256,7 +255,6 @@ def test_fourfold_suite():
 
 def test_oracle_equivalence_suite():
     start = time.perf_counter()
-    p = GramSolveParams()
     worst = 0.0
     for name, T in ZOO:
         rng = np.random.default_rng(0xACCE + 3)
@@ -266,10 +264,10 @@ def test_oracle_equivalence_suite():
         for v in probes:
             vn = max(1.0, v.norm())
             from woldkit.bandop import left_inverse_apply
-            worst = max(worst, (left_inverse_apply(T, v, p)
+            worst = max(worst, (left_inverse_apply(T, v)
                                 - oracle_left_inverse(D, v)).norm() / vn)
             for n in (1, 2):
-                worst = max(worst, (nested_project(T, n, v, p)
+                worst = max(worst, (nested_project(T, n, v)
                                     - oracle_project(D, v, n)).norm() / vn)
 
     # full decomposition agreement on the rank-1 shift fixtures
@@ -277,7 +275,7 @@ def test_oracle_equivalence_suite():
     for T in (unilateral_shift(), bergman_shift(), dirichlet_shift()):
         h = FinVec({(k,): complex(a) for k, a in
                     enumerate(rng.standard_normal(6) + 1j * rng.standard_normal(6))})
-        res = decompose(T, h, p)
+        res = decompose(T, h)
         D = dense_section(T, 40)
         assert guard_ok(D, [h], depth=res.n_used + res.j_used + 1)
         ores = oracle_decompose(D, h)

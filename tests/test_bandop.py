@@ -15,8 +15,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from woldkit import bandop
 from woldkit.bandop import (
+    GRAM_TOL,
     BandOp,
-    GramSolveParams,
     Lattice,
     LatticeMismatch,
     NoConvergence,
@@ -35,7 +35,8 @@ from woldkit.bandop import (
 from woldkit.classd import classd_residual, isometry_residual
 from woldkit.oracle import dense_section
 from woldkit.seqspace import FinVec, RankMismatch, unit, zero
-from woldkit.wold import decompose
+from woldkit.wold import decompose, shift_limit_project
+from woldkit.wold2d import fourfold
 from woldkit.zoo import (
     bergman_shift,
     direct_sum,
@@ -1129,11 +1130,10 @@ def test_solve_gram_windowed_path_certificate():
     # S + I/2 has a genuinely tridiagonal Gram: exercises the guarded solve
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
-    p = GramSolveParams(tol=1e-12)
     for v in (unit(0), unit(3), FinVec({(1,): 1j, (5,): 2.0})):
-        x = solve_gram(T, v, p)
+        x = solve_gram(T, v, 1e-12)
         r = (T.gram().apply(x) - v).norm()
-        assert r <= p.tol * v.norm()
+        assert r <= 1e-12 * v.norm()
 
 
 def test_solve_gram_guard_doubling():
@@ -1141,9 +1141,8 @@ def test_solve_gram_guard_doubling():
     # tol=1e-12: guard doubling 16, 32, 64 solves windows of 17, 33 and 65
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
-    p = GramSolveParams(tol=1e-12)
-    x = solve_gram(T, unit(0), p)
-    assert (T.gram().apply(x) - unit(0)).norm() <= p.tol
+    x = solve_gram(T, unit(0), 1e-12)
+    assert (T.gram().apply(x) - unit(0)).norm() <= 1e-12
     assert len(x) == 65
     assert [len(w) for w in T.gram()._factors] == [17, 33, 65]
 
@@ -1155,7 +1154,7 @@ def test_solve_gram_window_cap_raises(monkeypatch):
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
     with pytest.raises(NoConvergence) as exc:
-        solve_gram(T, unit(0), GramSolveParams(tol=1e-14))
+        solve_gram(T, unit(0), 1e-14)
     assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
     assert exc.value.window == 65
     assert "a 65x65 section needs 67600 bytes" in str(exc.value)
@@ -1172,7 +1171,7 @@ def test_solve_gram_raises_when_the_window_cannot_grow():
                          (off(-1), constant(1.0 - 1e-6))])
         assert T.gram().is_fibred() is (lat.rank == 1)
         with pytest.raises(NoConvergence, match="window of 2 ordinals cannot grow") as exc:
-            solve_gram(T, unit(ix), GramSolveParams(tol=1e-15))
+            solve_gram(T, unit(ix), 1e-15)
         assert exc.value.window == 2
         assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
 
@@ -1192,7 +1191,7 @@ def test_solve_gram_closed_window_fails_at_once(monkeypatch):
         warnings.simplefilter("ignore")
         Q = quasinormal_block([[1, 1 - 1e-7], [1 - 1e-7, 1]])
     with pytest.raises(NoConvergence, match="window of 2 ordinals cannot grow") as exc:
-        solve_gram(Q, unit((0, 0)), GramSolveParams(tol=1e-15))
+        solve_gram(Q, unit((0, 0)), 1e-15)
     assert sizes == [2]
     assert exc.value.window == 2
     assert exc.value.residual > 0 and math.isfinite(exc.value.residual)
@@ -1204,9 +1203,8 @@ def test_solve_gram_slow_truncation_is_no_round_off_floor():
     # 0.19, 0.068, ...), yet every one lowers it, and the solve certifies
     S = unilateral_shift()
     T = S + 0.97 * identity(S.lattice)
-    p = GramSolveParams()
-    x = solve_gram(T, unit(10), p)
-    assert (T.gram().apply(x) - unit(10)).norm() <= p.tol
+    x = solve_gram(T, unit(10))
+    assert (T.gram().apply(x) - unit(10)).norm() <= GRAM_TOL
     assert len(x) > 1000
 
 
@@ -1236,23 +1234,36 @@ def test_solve_gram_fibred_window_is_the_fibres_of_the_support():
             ("finite", BandOp(Lattice((3, 4)), [((0, 0), constant(2.0)),
                                                ((1, 0), constant(0.5)),
                                                ((0, -1), constant(0.3j))]))]
-    p = GramSolveParams()
     for name, T in ops:
         G = T.gram()
         assert G.is_fibred() and not G.is_diagonal(), name
         for _ in range(3):
             v = rand_vec(T.lattice, rng, size=3, extent=5)
             G._factors = None
-            x = solve_gram(T, v, p)
+            x = solve_gram(T, v)
             assert list(G._factors) == [tuple(T.lattice.neighbourhood(v.support(), 0))], name
-            assert (G.apply(x) - v).norm() <= p.tol * v.norm(), name
+            assert (G.apply(x) - v).norm() <= GRAM_TOL * v.norm(), name
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, -1.0])
 def test_gram_solve_params_refuse_a_tol_that_is_not_finite_and_positive(tol):
-    # residual <= inf certifies any window, and residual <= nan none
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        GramSolveParams(tol=tol)
+    # residual <= inf certifies any window, and residual <= nan none.  Each
+    # function that takes the solve tolerance refuses it on an input that
+    # reaches a solve, and decompose also where none runs: T* e0 = 0 under
+    # the Bergman shift, so its limit loop stops before solving
+    S, B = unilateral_shift(), bergman_shift()
+    T1, T2 = tensor_pair(constant(1.0), constant(1.0))
+    h = unit(0) + unit(3)
+    calls = {"solve_gram diagonal": lambda: solve_gram(B, h, tol),
+             "solve_gram windowed": lambda: solve_gram(S + 0.5 * identity(S.lattice), h, tol),
+             "shift_limit_project": lambda: shift_limit_project(B, h, tol),
+             "decompose": lambda: decompose(B, h, tol),
+             "fourfold": lambda: fourfold(T1, T2, unit((1, 1)), tol),
+             "decompose, no solve": lambda: decompose(B, unit(0), tol)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            call()
+            pytest.fail(name)
 
 
 def test_gram_factor_cache_factors_each_window_once(monkeypatch):
@@ -1286,13 +1297,13 @@ def test_gram_factor_cache_keeps_the_most_recent_windows():
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
     G = T.gram()
-    p = GramSolveParams(tol=1e-4)  # certified on the first window, of guard 16
+    tol = 1e-4  # certified on the first window, of guard 16
     windows = [G.lattice.neighbourhood([(40 * k,)], 16) for k in range(6)]
     for k in range(5):
-        solve_gram(T, unit(40 * k), p)
+        solve_gram(T, unit(40 * k), tol)
     assert list(G._factors) == [tuple(w) for w in windows[1:5]]
-    solve_gram(T, unit(40), p)  # a hit moves its window to the most recent end
-    solve_gram(T, unit(200), p)
+    solve_gram(T, unit(40), tol)  # a hit moves its window to the most recent end
+    solve_gram(T, unit(200), tol)
     assert list(G._factors) == [tuple(w) for w in (windows[3], windows[4], windows[1],
                                                    windows[5])]
 
@@ -1304,11 +1315,10 @@ def test_gram_factor_cache_skips_large_factors(monkeypatch):
     monkeypatch.setattr(bandop, "SECTION_BYTE_CAP", 64 * 16 * 40 * 40)
     S = unilateral_shift()
     T = S + 0.5 * identity(S.lattice)
-    p = GramSolveParams(tol=1e-12)
-    x = solve_gram(T, unit(0), p)
+    x = solve_gram(T, unit(0), 1e-12)
     assert len(x) == 65
     assert [len(w) for w in T.gram()._factors] == [17, 33]
-    assert solve_gram(T, unit(0), p) == x  # re-factors the 65-ordinal window
+    assert solve_gram(T, unit(0), 1e-12) == x  # re-factors the 65-ordinal window
 
 
 def test_gram_factor_failure_repeats_alike():
@@ -1414,14 +1424,13 @@ def test_left_inverse_isometry_is_adjoint():
 
 
 def test_left_inverse_reproduces_on_range():
-    p = GramSolveParams()
     rng = np.random.default_rng(5)
     for T in (bergman_shift(), dirichlet_shift()):
         for _ in range(3):
             u = rand_vec(T.lattice, rng)
             v = T.apply(u)
-            back = left_inverse_apply(T, v, p)
-            assert (back - u).norm() <= p.tol * max(1.0, u.norm()) * 10
+            back = left_inverse_apply(T, v)
+            assert (back - u).norm() <= GRAM_TOL * max(1.0, u.norm()) * 10
 
 
 # ---------------------------------------------------------------------------
@@ -1572,7 +1581,7 @@ def test_gram_residual_is_the_written_out_residual(name, T):
     cases = []
     for size in (1, 3, 6):
         v = rand_vec(T.lattice, rng, size, extent=4)
-        x = solve_gram(T, v, GramSolveParams(tol=1e-6))  # on the first window
+        x = solve_gram(T, v, 1e-6)  # on the first window
         gx = G.apply(x)
         part = FinVec({ix: a for ix, a in gx.items() if rng.integers(2)}, rank=T.rank)
         wild = _extreme_vec(T.lattice, rng, size, extent=4)

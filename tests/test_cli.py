@@ -364,6 +364,15 @@ def test_decompose_spike_past_the_cap_does_not_pass(tmp_path):
     assert rep["decomposition"]["j_used"] == 100
 
 
+def test_decompose_settled_past_the_cap_names_the_step(capsys):
+    # e1000 keeps P_n h = h for the 64 default iterations: the one-line
+    # error names the step where the orbit of B* loses it, the n_max it needs
+    assert main(["decompose", _BERGMAN, "--vector", "[[1000,1,0]]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("convergence error: projection iterates settled after n_max=64")
+    assert err.count("\n") == 1 and err.endswith("loses support at step 1001\n")
+
+
 def test_decompose_pass_rule_needs_the_power_identity(tmp_path, monkeypatch):
     # a reconstruction that holds does not pass when (T~)^n h is not (T^n)~ h
     res = woldkit.decompose(bergman_shift(), unit(0))

@@ -17,6 +17,7 @@ OWNERS = [
     ("._steps", "bandop.py"),       # the band-step memo
     ("_graded(", "bandop.py"),      # the graded window order (and its memo)
     ("16 * max(1, ", "bandop.py"),  # the initial guard of a Gram solve window
+    ("GRAM_TOL = ", "bandop.py"),   # the default Gram solve tolerance
     ("HERMITIAN_TOL", "zoo.py"),    # the Hermitian positive-definite block test
     ("eigvalsh", "zoo.py"),
     ("DC_TOLERANCE = ", "classd.py"),  # the double-commutation tolerance
@@ -38,6 +39,22 @@ def test_one_lru_evicts_for_every_cache():
     lru = next(node for node in ast.parse(SOURCES["bandop.py"]).body
                if isinstance(node, ast.FunctionDef) and node.name == "_lru")
     assert "next(iter(" in ast.get_source_segment(SOURCES["bandop.py"], lru)
+
+
+# the public functions that take a ``tol``: the four whose callers set the
+# Gram solve tolerance, and the dense oracle's limits.  Every other bound
+# reads bandop.GRAM_TOL, so a per-function solve knob threaded through
+# another public signature fails here
+TOL_PARAMETERS = {"solve_gram", "shift_limit_project", "decompose", "fourfold",
+                  "oracle_limit_project", "oracle_decompose", "oracle_fourfold"}
+
+
+def test_tol_is_a_parameter_of_the_tuned_functions_only():
+    found = {node.name for src in SOURCES.values() for node in ast.walk(ast.parse(src))
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+             and "tol" in {a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                           *node.args.kwonlyargs)}}
+    assert found == TOL_PARAMETERS
 
 
 # (module, underscore name it may import from another module); the dense

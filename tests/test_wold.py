@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import woldkit.bandop
 import woldkit.wold
-from woldkit.bandop import (BandOp, GramSolveParams, NoConvergence, Weight, constant,
+from woldkit.bandop import (GRAM_TOL, BandOp, NoConvergence, Weight, constant,
                             identity, left_inverse_apply, lower_bound_estimate, table)
 from woldkit.classd import classd_residual, default_probes
 from woldkit.oracle import dense_section, guard_ok, oracle_project
@@ -105,28 +105,26 @@ def test_nested_project_matches_oracle():
 
 
 def test_projection_laws_on_probes():
-    p = GramSolveParams()
     rng = np.random.default_rng(3)
     for T in (bergman_shift(), dirichlet_shift()):
         for n in (1, 2, 4):
             u = rand_vec(T.lattice, rng)
             v = rand_vec(T.lattice, rng)
-            Pu = nested_project(T, n, u, p)
-            assert (nested_project(T, n, Pu, p) - Pu).norm() <= 1e-11 * u.norm()
-            sym = Pu.inner(v) - u.inner(nested_project(T, n, v, p))
+            Pu = nested_project(T, n, u)
+            assert (nested_project(T, n, Pu) - Pu).norm() <= 1e-11 * u.norm()
+            sym = Pu.inner(v) - u.inner(nested_project(T, n, v))
             assert abs(sym) <= 1e-11 * u.norm() * v.norm()
 
 
 def test_nestedness_and_monotonicity():
-    p = GramSolveParams()
     rng = np.random.default_rng(4)
     for T in (bergman_shift(), dirichlet_shift()):
         h = rand_vec(T.lattice, rng)
         prev_norm = h.norm()
         for n in range(1, 5):
-            Pn = nested_project(T, n, h, p)
-            Pn1 = nested_project(T, n + 1, h, p)
-            assert (nested_project(T, n + 1, Pn, p) - Pn1).norm() <= 1e-11 * h.norm()
+            Pn = nested_project(T, n, h)
+            Pn1 = nested_project(T, n + 1, h)
+            assert (nested_project(T, n + 1, Pn) - Pn1).norm() <= 1e-11 * h.norm()
             assert Pn.norm() <= prev_norm + 1e-11 * h.norm()
             prev_norm = Pn.norm()
 
@@ -201,16 +199,16 @@ def test_spike_past_the_cap_is_not_a_plateau():
     # looks settled, yet the series owns it: the orbit of B* loses it at
     # step 101, which the plateau test scans for past n_max
     B, h = bergman_shift(), unit(0) + unit(100)
-    with pytest.raises(NoStrongConvergence):
+    with pytest.raises(NoStrongConvergence, match="loses support at step 101$"):
         decompose(B, h)
-    with pytest.raises(NoStrongConvergence):
+    with pytest.raises(NoStrongConvergence, match="loses support at step 101$"):
         shift_limit_project(B, h)
     res = decompose(B, h, n_max=128)
     assert res.limit_part.is_zero and (res.n_used, res.j_used) == (101, 100)
     assert (res.components[100] - unit(100)).norm() <= 1e-12
     # beyond ORBIT_SCAN_CAP no plateau is trusted; a lattice without
     # boundaries has nothing to scan for
-    with pytest.raises(NoStrongConvergence):
+    with pytest.raises(NoStrongConvergence, match="past ORBIT_SCAN_CAP=4096"):
         shift_limit_project(B, unit(10 ** 6))
     lim, hist = shift_limit_project(bilateral_shift(), unit(10 ** 6))
     assert lim == unit(10 ** 6) and len(hist) == 3
@@ -218,7 +216,7 @@ def test_spike_past_the_cap_is_not_a_plateau():
 
 def test_limit_cap_raises():
     T = bilateral_shift()
-    with pytest.raises(NoStrongConvergence):
+    with pytest.raises(NoStrongConvergence, match="not Cauchy after n_max=2 steps"):
         shift_limit_project(T, unit(0), n_max=2)
 
 
@@ -447,12 +445,11 @@ def test_decompose_mixed_sum():
 
 def test_decompose_reconstructs_on_every_zoo_fixture():
     from conftest import ZOO
-    p = GramSolveParams()
     for name, T in ZOO:
         rng = np.random.default_rng(19)
         h = rand_vec(T.lattice, rng, size=5, extent=4)
-        res = decompose(T, h, p)
-        assert res.reconstruction_residual <= p.tol * h.norm() * 10, name
+        res = decompose(T, h)
+        assert res.reconstruction_residual <= GRAM_TOL * h.norm() * 10, name
         assert res.component_cross_max <= 1e-10, name
 
 
