@@ -376,9 +376,10 @@ def union(left, right) -> UnionLattice:
 # A weight is a sum of terms; a term is a complex coefficient times a product
 # of atoms (single-axis weight families with a folded-in integer shift and a
 # conjugation flag), coordinate selectors (k[axis] == value) and lattice
-# masks (k + offset must be in the lattice).  Everything is normalized at
-# construction: selector conflicts kill a term, conjugate atom pairs merge to
-# an analytic squared-modulus atom, identical terms merge coefficients.
+# masks (k + offset must be in the lattice).  ``Weight(...)`` brings raw terms
+# to normal form: one routine, ``_normal_skeleton``, kills a term whose
+# selectors conflict and merges conjugate atom pairs to an analytic
+# squared-modulus atom, and identical skeletons merge coefficients.
 # Masks are created only by composition, which resolves every mask a term's
 # own selectors decide (see ``_resolve_masks``).
 
@@ -449,45 +450,41 @@ def _eval_atom(a: Atom, ix: tuple) -> complex:
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
-def _merge_abs2(atoms: list[Atom]) -> list[Atom]:
-    """Replace conjugate pairs of identical atoms by a squared-modulus atom."""
-    changed = True
-    while changed:
-        changed = False
-        n = len(atoms)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = atoms[i], atoms[j]
-                if a.kind == "abs2" or b.kind == "abs2":
-                    continue
-                if (a.kind, a.axis, a.shift, a.params) != (b.kind, b.axis, b.shift, b.params):
-                    continue
-                if a.conj != b.conj or _atom_is_real(a):
-                    merged = Atom("abs2", a.axis, a.shift, False, (a.kind, a.params))
-                    atoms = atoms[:i] + atoms[i + 1:j] + atoms[j + 1:] + [merged]
-                    changed = True
-                    break
-            if changed:
-                break
-    return atoms
+def _merge_abs2(atoms: Iterable[Atom]) -> list[Atom]:
+    """Replace conjugate pairs of identical atoms by a squared-modulus atom,
+    in one pass.  The unpaired atoms of one family, axis, shift and
+    parameters all carry one conjugation flag (a real atom pairs with any
+    copy), so a new atom pairs with the last of them or with none."""
+    out, unpaired = [], {}
+    for a in atoms:
+        if a.kind == "abs2":
+            out.append(a)
+            continue
+        same = unpaired.setdefault((a.kind, a.axis, a.shift, a.params), [])
+        if same and (same[-1].conj != a.conj or _atom_is_real(a)):
+            b = same.pop()
+            out.append(Atom("abs2", b.axis, b.shift, False, (b.kind, b.params)))
+        else:
+            same.append(a)
+    return out + [a for same in unpaired.values() for a in same]
 
 
-def _make_term(coeff: complex, atoms, selects, masks) -> Term | None:
-    coeff = complex(coeff)
-    if coeff == 0:
-        return None
+def _conjugated_atoms(atoms: tuple) -> tuple:
+    """``atoms`` with the conjugation flag of each complex one flipped."""
+    return tuple(a if _atom_is_real(a) else a._replace(conj=not a.conj) for a in atoms)
+
+
+def _normal_skeleton(atoms, selects, masks) -> tuple | None:
+    """A term's ``(atoms, selects, masks)`` in normal form, or None for a
+    term whose selectors conflict: conjugate pairs merged, atoms sorted,
+    repeated selectors and masks removed."""
     sel: dict[int, int] = {}
     for s in selects:
-        if s.axis in sel and sel[s.axis] != s.value:
+        if sel.setdefault(s.axis, s.value) != s.value:
             return None
-        sel[s.axis] = s.value
-    atoms = _merge_abs2(list(atoms))
-    return Term(
-        coeff,
-        tuple(sorted(atoms, key=_atom_sort_key)),
-        tuple(Select(ax, v) for ax, v in sorted(sel.items())),
-        tuple(sorted(set(masks))),
-    )
+    return (tuple(sorted(_merge_abs2(atoms), key=_atom_sort_key)),
+            tuple(Select(ax, v) for ax, v in sorted(sel.items())),
+            tuple(sorted(set(masks))))
 
 
 def _shifted_skeleton(skeleton: tuple, off: tuple) -> tuple:
@@ -504,15 +501,17 @@ def _skeleton_order(skeleton: tuple):
     return tuple(map(_atom_sort_key, atoms)), selects, masks
 
 
-def _normalize_terms(terms: Iterable[Term]) -> tuple:
+def _normalize_terms(terms: Iterable[tuple]) -> tuple:
     merged: dict[tuple, complex] = {}
-    for t in terms:
-        if t is None:
+    for coeff, atoms, selects, masks in terms:
+        coeff = complex(coeff)
+        if coeff == 0:
             continue
-        key = (t.atoms, t.selects, t.masks)
-        merged[key] = merged.get(key, 0j) + t.coeff
+        key = _normal_skeleton(atoms, selects, masks)
+        if key is not None:
+            merged[key] = merged.get(key, 0j) + coeff
     out = [Term(c, *key) for key, c in merged.items() if c != 0]
-    out.sort(key=lambda t: (_skeleton_order(t[1:]), repr(t.coeff)))
+    out.sort(key=lambda t: _skeleton_order(t[1:]))
     return tuple(out)
 
 
@@ -521,7 +520,10 @@ class Weight:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[Term] = ()):
+    def __init__(self, terms: Iterable[tuple] = ()):
+        """A weight of raw ``(coeff, atoms, selects, masks)`` terms: zero
+        coefficients skipped, each skeleton normalised (or the term dropped),
+        equal skeletons summed from ``0j`` in order, zero sums dropped."""
         self.terms = _normalize_terms(terms)
 
     @classmethod
@@ -535,17 +537,16 @@ class Weight:
     # -- constructors -------------------------------------------------------
     @classmethod
     def const(cls, c) -> "Weight":
-        t = _make_term(complex(c), (), (), ())
-        return cls(() if t is None else (t,))
+        return cls([(c, (), (), ())])
 
     @classmethod
     def atom(cls, kind: str, params: tuple = ()) -> "Weight":
         """One weight family on axis 0; ``embedded()`` re-homes it."""
-        return cls((_make_term(1.0, (Atom(kind, 0, 0, False, params),), (), ()),))
+        return cls([(1.0, (Atom(kind, 0, 0, False, params),), (), ())])
 
     @classmethod
     def select(cls, axis: int, value: int) -> "Weight":
-        return cls((_make_term(1.0, (), (Select(axis, value),), ()),))
+        return cls([(1.0, (), (Select(axis, value),), ())])
 
     # -- algebra ------------------------------------------------------------
     @property
@@ -553,12 +554,8 @@ class Weight:
         return not self.terms
 
     def conjugated(self) -> "Weight":
-        out = []
-        for t in self.terms:
-            atoms = tuple(a if _atom_is_real(a) else a._replace(conj=not a.conj)
-                          for a in t.atoms)
-            out.append(_make_term(t.coeff.conjugate(), atoms, t.selects, t.masks))
-        return Weight(out)
+        return Weight((t.coeff.conjugate(), _conjugated_atoms(t.atoms), t.selects, t.masks)
+                      for t in self.terms)
 
     def shifted(self, off: tuple) -> "Weight":
         """Weight evaluating the original at ``k + off``.
@@ -573,25 +570,15 @@ class Weight:
 
     def embedded(self) -> "Weight":
         """Re-home the weight one axis to the right (a tag axis is prepended)."""
-        out = []
-        for t in self.terms:
-            atoms = tuple(a._replace(axis=a.axis + 1) for a in t.atoms)
-            selects = tuple(Select(s.axis + 1, s.value) for s in t.selects)
-            masks = tuple((0,) + m for m in t.masks)
-            out.append(_make_term(t.coeff, atoms, selects, masks))
-        return Weight(out)
+        return Weight((t.coeff, tuple(a._replace(axis=a.axis + 1) for a in t.atoms),
+                       tuple(Select(s.axis + 1, s.value) for s in t.selects),
+                       tuple((0,) + m for m in t.masks)) for t in self.terms)
 
     def __mul__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
             return NotImplemented
-        out = []
-        for ta in self.terms:
-            for tb in other.terms:
-                out.append(_make_term(ta.coeff * tb.coeff,
-                                      ta.atoms + tb.atoms,
-                                      ta.selects + tb.selects,
-                                      ta.masks + tb.masks))
-        return Weight(out)
+        return Weight((ta.coeff * tb.coeff, ta.atoms + tb.atoms, ta.selects + tb.selects,
+                       ta.masks + tb.masks) for ta in self.terms for tb in other.terms)
 
     def __add__(self, other: "Weight") -> "Weight":
         if not isinstance(other, Weight):
@@ -600,8 +587,7 @@ class Weight:
 
     def scaled(self, c) -> "Weight":
         c = complex(c)
-        return Weight(tuple(_make_term(c * t.coeff, t.atoms, t.selects, t.masks)
-                            for t in self.terms))
+        return Weight((c * t.coeff, *t[1:]) for t in self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Weight) and self.terms == other.terms
@@ -916,8 +902,7 @@ def _plan_adjoint(T: BandOp) -> tuple:
         noff = _tneg(off)
         conj = []  # (conjugated skeleton, index of the source coefficient)
         for t in w.terms:
-            (ct,) = Weight._normal((t,)).conjugated().terms
-            conj.append((ct[1:], i))
+            conj.append((_normal_skeleton(_conjugated_atoms(t.atoms), t.selects, t.masks), i))
             i += 1
         conj.sort(key=lambda e: _skeleton_order(e[0]))
         plan.append((noff, tuple((j, _shifted_skeleton(skel, noff)) for skel, j in conj)))
@@ -951,10 +936,10 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
             products: dict[tuple, list] = {}
             for i, ta in enumerate(aw.shifted(boff).terms):
                 for j, tb in enumerate(bw.terms):
-                    t = _make_term(1.0, ta.atoms + tb.atoms, ta.selects + tb.selects,
-                                   ta.masks + tb.masks)
-                    if t is not None:
-                        products.setdefault(t[1:], []).append((a0[p] + i, b0[q] + j))
+                    skel = _normal_skeleton(ta.atoms + tb.atoms, ta.selects + tb.selects,
+                                            ta.masks + tb.masks)
+                    if skel is not None:
+                        products.setdefault(skel, []).append((a0[p] + i, b0[q] + j))
             resolved: dict[tuple, list] = {}
             for skel in sorted(products, key=_skeleton_order):
                 masks = _resolve_masks(skel, boff, lattice)

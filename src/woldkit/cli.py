@@ -81,7 +81,7 @@ from .zoo import (
 
 SCHEMA_VERSION = 1
 LOWER_BOUND_FLOOR = 1e-8
-GATE_WINDOW = 16  # the lower-bound window of the decompose and pair gates
+GATE_WINDOW = 16  # the lower-bound window of every gate, and check's default window
 
 
 class SpecError(ValueError):
@@ -720,7 +720,8 @@ def _cmd_zoo(args) -> int:
 # ---------------------------------------------------------------------------
 
 _FLAGS = {  # every flag of a command, as add_argument takes it
-    "--window": dict(type=int, default=16, help="window for basis-vector checks (default 16)"),
+    "--window": dict(type=int, default=GATE_WINDOW,
+                     help=f"window for basis-vector checks (default {GATE_WINDOW})"),
     "--seed": dict(type=int, default=DEFAULT_PROBE_SEED,
                    help=f"seed of the random check probes (default {DEFAULT_PROBE_SEED})"),
     "--vector": dict(required=True,

@@ -779,7 +779,7 @@ def _reference_compose(A, B):
     lat, out = A.lattice, []
     for aoff, aw in A.bands:
         for boff, bw in B.bands:
-            w = Weight(bandop._make_term(t.coeff, *_translated(t, boff)) for t in aw.terms) * bw
+            w = Weight((t.coeff, *_translated(t, boff)) for t in aw.terms) * bw
             out.append((bandop._tadd(aoff, boff), _reference_masked(w, boff, lat)))
     return BandOp(lat, out)
 
@@ -797,6 +797,58 @@ _ATOMS = [("bergman", ()), ("abs2", ("bergman", ())), ("table", ((1 + 2j, -0.5j)
           ("table", ((2.0,), 0.5))]
 
 
+def _reference_merge_abs2(atoms):
+    """Conjugate pairs merged by a pairwise scan that restarts after every
+    merge: the reference for the one-pass ``bandop._merge_abs2``."""
+    changed = True
+    while changed:
+        changed = False
+        n = len(atoms)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = atoms[i], atoms[j]
+                if a.kind == "abs2" or b.kind == "abs2":
+                    continue
+                if (a.kind, a.axis, a.shift, a.params) != (b.kind, b.axis, b.shift, b.params):
+                    continue
+                if a.conj != b.conj or bandop._atom_is_real(a):
+                    merged = bandop.Atom("abs2", a.axis, a.shift, False, (a.kind, a.params))
+                    atoms = atoms[:i] + atoms[i + 1:j] + atoms[j + 1:] + [merged]
+                    changed = True
+                    break
+            if changed:
+                break
+    return atoms
+
+
+@st.composite
+def _merge_atoms(draw):
+    """Three or more copies of one complex table atom under mixed conj
+    flags, among repeated real atoms, merged abs2 atoms and atoms of other
+    axes and shifts, in any order."""
+    kind, params = _ATOMS[2]  # the complex table atom
+    flags = [False, True] + draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    atoms = [bandop.Atom(kind, 0, 0, conj, params) for conj in flags]
+    for _ in range(draw(st.integers(0, 10))):
+        kind, params = draw(st.sampled_from(_ATOMS))
+        atoms.append(bandop.Atom(kind, draw(st.integers(0, 1)), draw(st.integers(-1, 1)),
+                                 kind == "table" and draw(st.booleans()), params))
+    return draw(st.permutations(atoms))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_merge_atoms(), st.randoms(use_true_random=False))
+def test_one_pass_merge_equals_the_restarting_scan(atoms, rnd):
+    key = bandop._atom_sort_key
+    expect = tuple(sorted(_reference_merge_abs2(list(atoms)), key=key))
+    assert tuple(sorted(bandop._merge_abs2(atoms), key=key)) == expect
+    skeleton = bandop._normal_skeleton(atoms, (), ())
+    assert skeleton[0] == expect
+    shuffled = list(atoms)
+    rnd.shuffle(shuffled)
+    assert bandop._normal_skeleton(shuffled, (), ()) == skeleton
+
+
 @st.composite
 def _term_skeleton(draw, lat):
     atoms = []
@@ -807,8 +859,7 @@ def _term_skeleton(draw, lat):
     selects = [bandop.Select(draw(st.integers(0, lat.rank - 1)), draw(st.integers(-1, 2)))
                for _ in range(draw(st.integers(0, 2)))]
     masks = [_offset(draw, lat, 1) for _ in range(draw(st.integers(0, 1)))]
-    t = bandop._make_term(1.0, atoms, selects, masks)
-    return None if t is None else t[1:]
+    return bandop._normal_skeleton(atoms, selects, masks)
 
 
 @st.composite
@@ -910,7 +961,7 @@ def test_shifted_equals_the_normalizing_construction(data):
     off = _offset(data.draw, lat, 2)
     for _, w in A.bands:
         for v in (w, w.conjugated()):
-            expect = Weight(bandop._make_term(t.coeff, *_translated(t, off)) for t in v.terms)
+            expect = Weight((t.coeff, *_translated(t, off)) for t in v.terms)
             got = v.shifted(off)
             assert got.terms == expect.terms
             assert _bits(BandOp(lat, [(off, got)])) == _bits(BandOp(lat, [(off, expect)]))

@@ -41,6 +41,31 @@ def test_one_lru_evicts_for_every_cache():
     assert "next(iter(" in ast.get_source_segment(SOURCES["bandop.py"], lru)
 
 
+def _functions_calling(match):
+    """Names of the functions of the package holding a call that ``match``
+    accepts (a nested function counts for its outer one as well)."""
+    return sorted(fn.name for src in SOURCES.values() for fn in ast.walk(ast.parse(src))
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, ast.Call) and match(node))
+
+
+def test_one_routine_normalises_a_term_skeleton():
+    # the term normal form is bandop._normal_skeleton: a second routine that
+    # merges conjugate pairs or sorts a term's atoms forks it
+    assert not any("_make_term" in src for src in SOURCES.values())
+    calls = lambda name: lambda call: getattr(call.func, "id", None) == name
+    assert _functions_calling(calls("_normal_skeleton")) == [
+        "_normalize_terms", "_plan_adjoint", "_plan_compose"]
+    assert _functions_calling(calls("_merge_abs2")) == ["_normal_skeleton"]
+
+    def sorts_atoms(call):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        return name in ("sorted", "sort") and any(
+            isinstance(n, ast.Name) and n.id == "_atom_sort_key"
+            for kw in call.keywords if kw.arg == "key" for n in ast.walk(kw.value))
+    assert _functions_calling(sorts_atoms) == ["_normal_skeleton"]
+
+
 # the public functions that take a ``tol``: the four whose callers set the
 # Gram solve tolerance, and the dense oracle's limits.  Every other bound
 # reads bandop.GRAM_TOL, so a per-function solve knob threaded through

@@ -194,6 +194,20 @@ def test_decompose_far_spike_lands_in_series():
     assert res.reconstruction_residual <= 1e-12
 
 
+def test_bergman_runs_at_the_step_the_error_names():
+    # for e200 the adjoint orbit names step 201, so acting on the error
+    # needs the Gram of B^n for every n <= 201: 2n Bergman atoms, merged
+    # pairwise into n squared moduli
+    (off, w), = (bergman_shift() ** 200).gram().bands
+    (t,) = w.terms
+    assert off == (0,) and len(t.atoms) == 200 and {a.kind for a in t.atoms} == {"abs2"}
+    with pytest.raises(NoStrongConvergence, match="loses support at step 201$"):
+        decompose(bergman_shift(), unit(200))
+    res = decompose(bergman_shift(), unit(200), n_max=201)
+    assert res.n_used == 201
+    assert res.flags == ("series terminated exactly: left-inverse iterate vanished",)
+
+
 def test_spike_past_the_cap_is_not_a_plateau():
     # e100 stays in the range of B^n for n <= 100, so P_1 h = ... = P_64 h
     # looks settled, yet the series owns it: the orbit of B* loses it at
