@@ -415,8 +415,15 @@ def _atom_is_real(a: Atom) -> bool:
     return False
 
 
-def _atom_sort_key(a: Atom):
-    return (a.kind, a.axis, a.shift, repr(a.params), a.conj)
+def _atom_sort_key(a: Atom, reprs: dict) -> tuple:
+    """``(kind, axis, shift, repr(params), conj)``, with each parameter
+    object formatted once per call that owns ``reprs``: that memo maps
+    ``id(params)`` to ``(params, repr(params))`` and holds the object, so
+    no id is reused while it is kept."""
+    seen = reprs.get(id(a.params))
+    if seen is None:
+        seen = reprs[id(a.params)] = (a.params, repr(a.params))
+    return a.kind, a.axis, a.shift, seen[1], a.conj
 
 
 def _eval_atom(a: Atom, ix: tuple) -> complex:
@@ -454,8 +461,10 @@ def _merge_abs2(atoms: Iterable[Atom]) -> list[Atom]:
     """Replace conjugate pairs of identical atoms by a squared-modulus atom,
     in one pass.  The unpaired atoms of one family, axis, shift and
     parameters all carry one conjugation flag (a real atom pairs with any
-    copy), so a new atom pairs with the last of them or with none."""
-    out, unpaired = [], {}
+    copy), so a new atom pairs with the last of them or with none.  The
+    squares of one family and parameter object share one parameter tuple,
+    so a sort key formats it once (see :func:`_atom_sort_key`)."""
+    out, unpaired, squared = [], {}, {}
     for a in atoms:
         if a.kind == "abs2":
             out.append(a)
@@ -463,7 +472,8 @@ def _merge_abs2(atoms: Iterable[Atom]) -> list[Atom]:
         same = unpaired.setdefault((a.kind, a.axis, a.shift, a.params), [])
         if same and (same[-1].conj != a.conj or _atom_is_real(a)):
             b = same.pop()
-            out.append(Atom("abs2", b.axis, b.shift, False, (b.kind, b.params)))
+            params = squared.setdefault((b.kind, id(b.params)), (b.kind, b.params))
+            out.append(Atom("abs2", b.axis, b.shift, False, params))
         else:
             same.append(a)
     return out + [a for same in unpaired.values() for a in same]
@@ -474,15 +484,16 @@ def _conjugated_atoms(atoms: tuple) -> tuple:
     return tuple(a if _atom_is_real(a) else a._replace(conj=not a.conj) for a in atoms)
 
 
-def _normal_skeleton(atoms, selects, masks) -> tuple | None:
+def _normal_skeleton(atoms, selects, masks, reprs: dict) -> tuple | None:
     """A term's ``(atoms, selects, masks)`` in normal form, or None for a
-    term whose selectors conflict: conjugate pairs merged, atoms sorted,
-    repeated selectors and masks removed."""
+    term whose selectors conflict: conjugate pairs merged, atoms sorted
+    (``reprs`` as for :func:`_atom_sort_key`), repeated selectors and masks
+    removed."""
     sel: dict[int, int] = {}
     for s in selects:
         if sel.setdefault(s.axis, s.value) != s.value:
             return None
-    return (tuple(sorted(_merge_abs2(atoms), key=_atom_sort_key)),
+    return (tuple(sorted(_merge_abs2(atoms), key=lambda a: _atom_sort_key(a, reprs))),
             tuple(Select(ax, v) for ax, v in sorted(sel.items())),
             tuple(sorted(set(masks))))
 
@@ -495,23 +506,25 @@ def _shifted_skeleton(skeleton: tuple, off: tuple) -> tuple:
             tuple(_tadd(m, off) for m in masks))
 
 
-def _skeleton_order(skeleton: tuple):
-    """Sort key of a term's skeleton ``(atoms, selects, masks)``."""
+def _skeleton_order(skeleton: tuple, reprs: dict):
+    """Sort key of a term's skeleton ``(atoms, selects, masks)`` (``reprs``
+    as for :func:`_atom_sort_key`)."""
     atoms, selects, masks = skeleton
-    return tuple(map(_atom_sort_key, atoms)), selects, masks
+    return tuple([_atom_sort_key(a, reprs) for a in atoms]), selects, masks
 
 
 def _normalize_terms(terms: Iterable[tuple]) -> tuple:
     merged: dict[tuple, complex] = {}
+    reprs: dict = {}
     for coeff, atoms, selects, masks in terms:
         coeff = complex(coeff)
         if coeff == 0:
             continue
-        key = _normal_skeleton(atoms, selects, masks)
+        key = _normal_skeleton(atoms, selects, masks, reprs)
         if key is not None:
             merged[key] = merged.get(key, 0j) + coeff
     out = [Term(c, *key) for key, c in merged.items() if c != 0]
-    out.sort(key=lambda t: _skeleton_order(t[1:]))
+    out.sort(key=lambda t: _skeleton_order(t[1:], reprs))
     return tuple(out)
 
 
@@ -757,6 +770,10 @@ class BandOp:
 
     # -- action -------------------------------------------------------------
     def apply(self, u: FinVec) -> FinVec:
+        return FinVec._wrap(self._image(u), self.rank)
+
+    def _image(self, u: FinVec) -> dict:
+        """The entries of ``self.apply(u)``, exact zeros not yet dropped."""
         if u.rank != self.rank:
             raise RankMismatch(f"vector rank {u.rank}, operator rank {self.rank}")
         if not self.bands:
@@ -764,14 +781,13 @@ class BandOp:
         try:
             # unsorted: one band sends distinct sources to distinct targets,
             # so each target sums its bands' terms in band order regardless
-            acc = _accumulate(self._steps, u._entries.items())
+            return _accumulate(self._steps, u._entries.items())
         except (ValueError, ArithmeticError):
             # fail as the sorted visit does (a LatticeMismatch names the
             # smallest outside index, a weight its first bad index): a
             # failed lookup is not memoised, so it fails again there
             _accumulate(self._steps, u.items())
             raise
-        return FinVec._wrap(acc, self.rank)
 
     # -- algebra ------------------------------------------------------------
     def adjoint(self) -> "BandOp":
@@ -897,14 +913,15 @@ def _plan_adjoint(T: BandOp) -> tuple:
     skeletons to distinct ones, so no terms merge: the algebra only sorts a
     band's conjugated terms, and the translation keeps their order.
     """
-    plan, i = [], 0
+    plan, i, reprs = [], 0, {}
     for off, w in T.bands:
         noff = _tneg(off)
         conj = []  # (conjugated skeleton, index of the source coefficient)
         for t in w.terms:
-            conj.append((_normal_skeleton(_conjugated_atoms(t.atoms), t.selects, t.masks), i))
+            conj.append((_normal_skeleton(_conjugated_atoms(t.atoms), t.selects, t.masks,
+                                          reprs), i))
             i += 1
-        conj.sort(key=lambda e: _skeleton_order(e[0]))
+        conj.sort(key=lambda e: _skeleton_order(e[0], reprs))
         plan.append((noff, tuple((j, _shifted_skeleton(skel, noff)) for skel, j in conj)))
     return tuple(plan)
 
@@ -930,18 +947,18 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
     """
     lattice = A.lattice
     a0, b0 = ([0, *accumulate(len(w.terms) for _, w in T.bands)] for T in (A, B))
-    groups, pairs = [], []
+    groups, pairs, reprs = [], [], {}
     for p, (aoff, aw) in enumerate(A.bands):
         for q, (boff, bw) in enumerate(B.bands):
             products: dict[tuple, list] = {}
             for i, ta in enumerate(aw.shifted(boff).terms):
                 for j, tb in enumerate(bw.terms):
                     skel = _normal_skeleton(ta.atoms + tb.atoms, ta.selects + tb.selects,
-                                            ta.masks + tb.masks)
+                                            ta.masks + tb.masks, reprs)
                     if skel is not None:
                         products.setdefault(skel, []).append((a0[p] + i, b0[q] + j))
             resolved: dict[tuple, list] = {}
-            for skel in sorted(products, key=_skeleton_order):
+            for skel in sorted(products, key=lambda sk: _skeleton_order(sk, reprs)):
                 masks = _resolve_masks(skel, boff, lattice)
                 if masks is not None:
                     resolved.setdefault((skel[0], skel[1], masks), []).append(len(groups))
@@ -962,7 +979,8 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
         for skel, refs in resolved.items():
             band.setdefault(skel, []).append(summed(refs))
     planned = tuple((off, tuple((summed(refs), skel) for skel, refs
-                                in sorted(band.items(), key=lambda kv: _skeleton_order(kv[0]))))
+                                in sorted(band.items(),
+                                          key=lambda kv: _skeleton_order(kv[0], reprs))))
                     for off, band in sorted(bands.items()))
     return tuple(groups), tuple(sums), planned
 
@@ -1010,30 +1028,82 @@ def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
     return math.sqrt(math.fsum(d.real * d.real + d.imag * d.imag for d in acc.values()))
 
 
-def _diagonal_solve(G: BandOp, v: FinVec) -> tuple[FinVec, float]:
-    """``x = G^{-1} v`` entrywise for an exactly diagonal, nonzero ``G``,
-    with its residual ``||G x - v||``.  Raises :class:`NoConvergence` naming
-    the first index of ``v`` whose entry of ``G`` is not a positive real (the
-    operator is not bounded below there), but only once every index of ``v``
-    has passed the lattice check, which raises :class:`LatticeMismatch`.
+def _finite_norm(vn: float) -> float:
+    """``vn``, the norm of a right-hand side, refused unless it is finite:
+    an infinite norm would certify any residual."""
+    if not math.isfinite(vn):
+        raise NoConvergence(f"right-hand side norm {vn} overflows double precision",
+                            residual=vn, window=0)
+    return vn
 
-    The residual is measured in the same loop: each entry is the one
-    ``G.apply(x) - v`` holds, by the same complex operations (an exactly
-    zero ``x_k`` or ``g x_k`` leaves ``-v_k``, up to the sign of a zero),
-    and ``fsum`` is exact, so this equals :func:`_gram_residual` bit for bit.
-    """
+
+def _not_positive(g: complex, ix: tuple) -> NoConvergence:
+    return NoConvergence(f"diagonal Gram entry {g} at {ix} is not a positive real: "
+                         f"the operator is not bounded below there")
+
+
+def _diagonal_checks(G: BandOp, v: dict, rank: int) -> None:
+    """Raise the first error an entrywise solve of ``G x = v`` meets in
+    order: a non-finite ``||v||``, a ``G`` without bands, then, visiting
+    ``v`` by index, the error of a step lookup or an entry of ``G`` that is
+    not a positive real (refused once every index has passed the lattice
+    check, so an off-lattice entry is named first).  Returns if none."""
+    vec = FinVec._wrap(v, rank)
+    vn = _finite_norm(vec.norm())
+    support = vec.support()
+    if not G.bands:
+        _require_in_lattice(support, G.lattice)  # no band step checks v
+        raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
     (steps,) = G._steps
-    entries, terms = {}, []
-    for ix, amp in v.items():
+    for ix in support:
         g = steps[ix][1]
         if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real:
-            _require_in_lattice(v.support(), G.lattice)
-            raise NoConvergence(f"diagonal Gram entry {g} at {ix} is not a positive real: "
-                                f"the operator is not bounded below there")
-        xk = entries[ix] = complex(amp.real / g.real, amp.imag / g.real)
-        d = ((0j + g * xk) - amp) if xk != 0 else -amp
-        terms.append(d.real * d.real + d.imag * d.imag)
-    return FinVec._wrap(entries, v.rank), math.sqrt(math.fsum(terms))
+            _require_in_lattice(support, G.lattice)
+            raise _not_positive(g, ix)
+
+
+def _diagonal_solve(G: BandOp, v: dict, rank: int, tol: float) -> FinVec:
+    """Certified ``x = G^{-1} v`` for an exactly diagonal ``G``, where ``v``
+    maps each index of a right-hand side of rank ``rank`` to its nonzero
+    entry: the one loop that divides by a Gram diagonal.
+
+    One pass over ``v`` in storage order looks up each entry ``g`` of ``G``,
+    divides, and sums ``||v||^2`` and ``||G x - v||^2``.  Each residual
+    entry is the one ``G.apply(x) - v`` holds, by the same complex
+    operations (an exactly zero ``x_k`` or ``g x_k`` leaves ``-v_k``, up to
+    the sign of a zero), and ``fsum`` is exact, so both norms equal those
+    of the vectors bit for bit.  A step lookup that raises, an entry of
+    ``G`` that is not a positive real, or a ``G`` without bands is raised
+    as :func:`_diagonal_checks` raises it, in index order; then
+    :class:`NoConvergence` refuses a non-finite ``||v||`` or a residual
+    over ``tol * ||v||``.
+    """
+    x, vsq, rsq = {}, [], []
+    try:
+        (steps,) = G._steps  # a ValueError for a G without bands
+        for ix, amp in v.items():
+            g = steps[ix][1]
+            gr = g.real
+            if not (gr > 0.0) or abs(g.imag) > 1e-14 * gr:
+                raise _not_positive(g, ix)
+            ar, ai = amp.real, amp.imag
+            xk = x[ix] = complex(ar / gr, ai / gr)
+            d = ((0j + g * xk) - amp) if xk else -amp
+            vsq.append(ar * ar + ai * ai)
+            dr, di = d.real, d.imag
+            rsq.append(dr * dr + di * di)
+    except (NoConvergence, ValueError, ArithmeticError):
+        # the sorted visit runs only here, so the error does not depend on
+        # the storage order: a failed lookup is not memoised, a refused
+        # entry is, so both fail again there unless an earlier check does
+        _diagonal_checks(G, v, rank)
+        raise
+    vn = _finite_norm(math.sqrt(math.fsum(vsq)))
+    residual = math.sqrt(math.fsum(rsq))
+    if residual <= tol * vn:
+        return FinVec._wrap(x, rank)
+    raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "
+                        f"over {tol:.1e} * ||v||", residual=residual, window=0)
 
 
 def _require_section_fits(nrows: int, ncols: int) -> None:
@@ -1135,22 +1205,10 @@ def solve_gram(T: BandOp, v: FinVec, tol: float = GRAM_TOL) -> FinVec:
     if v.is_zero:
         return v
     G = T.gram()
-    vn = v.norm()
-    if not math.isfinite(vn):
-        # an infinite norm would certify any residual
-        raise NoConvergence(f"right-hand side norm {vn} overflows double precision",
-                            residual=vn, window=0)
-
     if G.is_diagonal():
         # exactly diagonal (every weighted shift lands here): divide entrywise
-        if not G.bands:
-            _require_in_lattice(v.support(), T.lattice)  # no band step checks v
-            raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
-        x, residual = _diagonal_solve(G, v)
-        if residual <= tol * vn:
-            return x
-        raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "
-                            f"over {tol:.1e} * ||v||", residual=residual, window=0)
+        return _diagonal_solve(G, v._entries, v.rank, tol)
+    vn = _finite_norm(v.norm())
 
     import scipy.linalg  # a diagonal Gram never loads scipy
     # a fibred Gram maps the fibres of v (its window at guard 0) into
@@ -1196,11 +1254,21 @@ def solve_gram(T: BandOp, v: FinVec, tol: float = GRAM_TOL) -> FinVec:
 
 
 def left_inverse_apply(T: BandOp, v: FinVec) -> FinVec:
-    """Apply the canonical left inverse ``(T*T)^{-1} T*`` to ``v``."""
-    w = T.adjoint().apply(v)
-    if w.is_zero:
-        return w
-    return solve_gram(T, w)
+    """Apply the canonical left inverse ``(T*T)^{-1} T*`` to ``v``.
+
+    On a diagonal Gram the entries of ``T* v`` go straight to the entrywise
+    solve, which measures their norm in its own pass; any other Gram is
+    solved by :func:`solve_gram`.
+    """
+    w = T.adjoint()._image(v)
+    if 0 in w.values():  # the exact zeros a vector drops
+        w = {ix: a for ix, a in w.items() if a != 0}
+    if not w:
+        return FinVec._wrap(w, T.rank)
+    G = T.gram()
+    if G.is_diagonal():
+        return _diagonal_solve(G, w, T.rank, GRAM_TOL)
+    return solve_gram(T, FinVec._wrap(w, T.rank))
 
 
 def lower_bound_estimate(T: BandOp, window: int) -> float:

@@ -615,8 +615,8 @@ def _oracle_check(T: BandOp, probes) -> dict:
     extent = _oracle_extent(probes, depth=2, reach=T.max_band_reach()) + 8
     try:
         D = dense_section(T, extent)
-        worst = _worst_ratio(probes, lambda v: left_inverse_apply(T, v)
-                             - oracle_left_inverse(D, v))
+        worst = _worst_ratio(probes, lambda v: (left_inverse_apply(T, v),
+                                                oracle_left_inverse(D, v)))
     except (WindowTooLarge, RankDeficientSection) as e:
         # an operator that is not left invertible has no left inverse to compare
         return {"skipped": str(e)}

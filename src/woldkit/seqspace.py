@@ -174,6 +174,18 @@ def _inner(u: dict, w: dict, ukeys: list | None = None, wkeys: list | None = Non
     return acc
 
 
+def _distance(u: FinVec, w: FinVec) -> float:
+    """``(u - w).norm()`` bit for bit, without building the difference:
+    an entry alone on one side squares as its difference with ``0j`` does,
+    a dropped exact zero adds nothing, and ``fsum`` is exact in any order."""
+    if w._rank != u._rank:
+        raise RankMismatch(f"rank {u._rank} vs {w._rank}")
+    a, b = u._entries, w._entries
+    sq = [(d := x - b.get(ix, 0j)).real * d.real + d.imag * d.imag for ix, x in a.items()]
+    sq += [y.real * y.real + y.imag * y.imag for ix, y in b.items() if ix not in a]
+    return math.sqrt(math.fsum(sq))
+
+
 def unit(ix) -> FinVec:
     """Basis vector with amplitude 1 at the given index."""
     ix = as_index(ix)

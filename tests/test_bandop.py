@@ -839,14 +839,14 @@ def _merge_atoms(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_merge_atoms(), st.randoms(use_true_random=False))
 def test_one_pass_merge_equals_the_restarting_scan(atoms, rnd):
-    key = bandop._atom_sort_key
+    key = lambda a: bandop._atom_sort_key(a, {})
     expect = tuple(sorted(_reference_merge_abs2(list(atoms)), key=key))
     assert tuple(sorted(bandop._merge_abs2(atoms), key=key)) == expect
-    skeleton = bandop._normal_skeleton(atoms, (), ())
+    skeleton = bandop._normal_skeleton(atoms, (), (), {})
     assert skeleton[0] == expect
     shuffled = list(atoms)
     rnd.shuffle(shuffled)
-    assert bandop._normal_skeleton(shuffled, (), ()) == skeleton
+    assert bandop._normal_skeleton(shuffled, (), (), {}) == skeleton
 
 
 @st.composite
@@ -859,7 +859,7 @@ def _term_skeleton(draw, lat):
     selects = [bandop.Select(draw(st.integers(0, lat.rank - 1)), draw(st.integers(-1, 2)))
                for _ in range(draw(st.integers(0, 2)))]
     masks = [_offset(draw, lat, 1) for _ in range(draw(st.integers(0, 1)))]
-    return bandop._normal_skeleton(atoms, selects, masks)
+    return bandop._normal_skeleton(atoms, selects, masks, {})
 
 
 @st.composite
@@ -869,7 +869,7 @@ def _operand_pair(draw, lat):
     for _ in range(draw(st.integers(1, 3))):
         skels = {s for s in draw(st.lists(_term_skeleton(lat), min_size=1, max_size=3)) if s}
         if skels:
-            bands[_offset(draw, lat, 1)] = sorted(skels, key=bandop._skeleton_order)
+            bands[_offset(draw, lat, 1)] = sorted(skels, key=lambda sk: bandop._skeleton_order(sk, {}))
     return tuple(
         BandOp(lat, [(off, Weight([bandop.Term(complex(draw(st.sampled_from(_COEFFS))), *s)
                                    for s in skels]))
@@ -1646,16 +1646,140 @@ def test_gram_residual_is_the_written_out_residual(name, T):
         assert bandop._gram_residual(G, x, v).hex() == _apply_residual(G, x, v).hex(), (x, v)
 
 
+def _reference_diagonal_solve(G: BandOp, v: dict, rank: int, tol: float) -> FinVec:
+    """The entrywise solve in two steps, as ``solve_gram`` ran it before the
+    one-pass kernel: ``||v||`` by the vector, the division in index order,
+    then the residual by the band Gram (``_gram_residual``), then the
+    certificate; each refusal raised where those checks meet it."""
+    vec = FinVec._wrap(dict(v), rank)
+    vn = vec.norm()
+    if not math.isfinite(vn):
+        raise NoConvergence(f"right-hand side norm {vn} overflows double precision",
+                            residual=vn, window=0)
+    if not G.bands:
+        bandop._require_in_lattice(vec.support(), G.lattice)
+        raise NoConvergence("Gram operator is identically zero", residual=vn, window=0)
+    (steps,) = G._steps
+    x = {}
+    for ix, amp in vec.items():
+        g = steps[ix][1]
+        if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real:
+            bandop._require_in_lattice(vec.support(), G.lattice)
+            raise NoConvergence(f"diagonal Gram entry {g} at {ix} is not a positive real: "
+                                f"the operator is not bounded below there")
+        x[ix] = complex(amp.real / g.real, amp.imag / g.real)
+    xv = FinVec._wrap(x, rank)
+    residual = bandop._gram_residual(G, xv, vec)
+    if residual <= tol * vn:
+        return xv
+    raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "
+                        f"over {tol:.1e} * ||v||", residual=residual, window=0)
+
+
+def _reference_left_inverse(T: BandOp, v: FinVec) -> FinVec:
+    """``T.adjoint().apply(v)``, then the two-step entrywise solve."""
+    w = T.adjoint().apply(v)
+    if w.is_zero:
+        return w
+    return _reference_diagonal_solve(T.gram(), w._entries, w.rank, GRAM_TOL)
+
+
+def _reference_solve_gram(T: BandOp, v: FinVec) -> FinVec:
+    if v.rank != T.rank:
+        raise RankMismatch(f"vector rank {v.rank}, operator rank {T.rank}")
+    if v.is_zero:
+        return v
+    return _reference_diagonal_solve(T.gram(), v._entries, v.rank, GRAM_TOL)
+
+
+def _outcome(run, *args):
+    """What ``run(*args)`` does, bit for bit: its entries with both parts
+    of each amplitude in hex (signed zeros included), or the type, message
+    and residual bits of what it raised."""
+    try:
+        x = run(*args)
+    except (ValueError, ArithmeticError, RuntimeError) as e:
+        return type(e), str(e), getattr(e, "residual", 0.0).hex()
+    return x.rank, [(ix, a.real.hex(), a.imag.hex()) for ix, a in x.items()]
+
+
 @pytest.mark.parametrize("name,T", _DIAGONAL_GRAM_ZOO, ids=[n for n, _ in _DIAGONAL_GRAM_ZOO])
 def test_diagonal_solve_residual_is_the_band_gram_residual(name, T):
+    # at tolerance 0 the kernel reports the residual it measured in its own
+    # pass (unless it is exactly 0): it must carry the bits of the band
+    # Gram's residual, on huge, tiny and subnormal amplitudes alike; a
+    # vector whose norm overflows is refused for that first, as before
     rng = np.random.default_rng(20170420)
     for n in (1, 2, 3):
         G = (T ** n).gram()
         assert G.is_diagonal()
         for size in (1, 3, 6):
             v = _extreme_vec(T.lattice, rng, size)
-            x, r = bandop._diagonal_solve(G, v)
-            assert r.hex() == _apply_residual(G, x, v).hex(), (n, v)
+            for tol in (0.0, GRAM_TOL):
+                expect = _outcome(_reference_diagonal_solve, G, v._entries, v.rank, tol)
+                assert _outcome(bandop._diagonal_solve, G, v._entries, v.rank, tol) == expect
+
+
+def _amplitudes():
+    part = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e154, 1e200]))
+    return st.builds(complex, part, part)
+
+
+@st.composite
+def _diagonal_gram_case(draw):
+    """A power (1 to 3) of a diagonal-Gram zoo fixture and a vector of up
+    to 8 entries, with signed-zero, subnormal and huge parts, on its window."""
+    _, T = draw(st.sampled_from(_DIAGONAL_GRAM_ZOO))
+    pool = T.lattice.window(6)
+    support = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    return T ** draw(st.integers(1, 3)), FinVec({ix: draw(_amplitudes()) for ix in support},
+                                                rank=T.rank)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_diagonal_gram_case())
+def test_fused_left_inverse_and_solve_are_the_two_step_path_bit_for_bit(case):
+    T, v = case
+    assert _outcome(left_inverse_apply, T, v) == _outcome(_reference_left_inverse, T, v)
+    assert _outcome(solve_gram, T, v) == _outcome(_reference_solve_gram, T, v)
+
+
+def test_fused_left_inverse_and_solve_raise_as_the_two_step_path():
+    # each entry: operator, vector, and what left_inverse_apply and
+    # solve_gram must both meet (a vector, or a type and message start);
+    # the references fix the whole message and the residual bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the zero weights fail the probe
+        # Gram entries 0.0 at 1 (a zero weight) and at 3 (an underflow)
+        holed = weighted_shift(table([1.0, 0.0, 2.0, 1e-170], 1.0), 1, "nat")
+        tiny = weighted_shift(table([1.0, 1e-170, 2.0, 1e-170], 1.0), 1, "nat")
+    B = bergman_shift()
+    zero_entry = (NoConvergence, "diagonal Gram entry 0j at (1,) is not a positive real")
+    overflow = (NoConvergence, "right-hand side norm inf overflows")
+    nan = (NoConvergence, "right-hand side norm nan")
+    outside = (LatticeMismatch, "vector entry at (-4,) lies outside")
+    rank = (RankMismatch, "vector rank 2, operator rank 1")
+    cases = [
+        (unilateral_shift(), unit(0), "vector", "vector"),  # T* kills it
+        (B, FinVec({(0,): 1.0, (3,): complex(math.nan, 1.0)}), nan, nan),
+        (B, FinVec({(2,): 1.0, (-1,): 1.0, (-4,): 0.5}), outside, outside),
+        (B, unit((1, 2)), rank, rank),
+        (B, FinVec({(1,): 1e200, (2,): 1.0}), overflow, overflow),
+        (holed, FinVec({(3,): 1e200, (1,): 1.0}), overflow, overflow),
+        (tiny, FinVec({(4,): 1e200, (3,): 1e200, (2,): 1.0}), overflow, overflow),
+        (holed, FinVec({(3,): 1.0, (1,): 1.0, (0,): 1.0}), "vector", zero_entry),
+        (tiny, FinVec({(4,): 1.0, (2,): 1.0}), zero_entry, "vector"),
+    ]
+    for T, v, *expected in cases:
+        for run, ref, expect in ((left_inverse_apply, _reference_left_inverse, expected[0]),
+                                 (solve_gram, _reference_solve_gram, expected[1])):
+            got = _outcome(run, T, v)
+            assert got == _outcome(ref, T, v), (run.__name__, v)
+            if expect == "vector":
+                assert isinstance(got[0], int), (run.__name__, v, got)
+            else:
+                assert got[0] is expect[0] and got[1].startswith(expect[1]), (run.__name__, v, got)
 
 
 _EXTREME_DIAGONAL = (2.0, 0.3, 1e308, 1e-308, 5e-324, 0.0, -1.0, 1 + 1j,
@@ -1672,16 +1796,17 @@ def test_diagonal_solve_residual_on_extreme_table_diagonals():
     solved = refused = 0
     for _ in range(300):
         v = _extreme_vec(G.lattice, rng, int(rng.integers(1, 5)), len(_EXTREME_DIAGONAL) - 1)
-        gs = {ix: w.evaluate(ix, G.lattice) for ix, _ in v.items()}  # in solve order
+        gs = {ix: w.evaluate(ix, G.lattice) for ix, _ in v.items()}  # in index order
         bad = [ix for ix, g in gs.items() if not (g.real > 0.0) or abs(g.imag) > 1e-14 * g.real]
-        if bad:
+        kernel = _outcome(bandop._diagonal_solve, G, v._entries, v.rank, 0.0)
+        assert kernel == _outcome(_reference_diagonal_solve, G, v._entries, v.rank, 0.0), v
+        if not math.isfinite(v.norm()):
+            assert "right-hand side norm" in kernel[1]  # before any diagonal entry
+        elif bad:
             refused += 1
-            with pytest.raises(NoConvergence, match=rf"entry .* at \({bad[0][0]},\) is not"):
-                bandop._diagonal_solve(G, v)
-            continue
-        solved += 1
-        x, r = bandop._diagonal_solve(G, v)
-        assert r.hex() == _apply_residual(G, x, v).hex(), v
+            assert re.search(rf"entry .* at \({bad[0][0]},\) is not", kernel[1]), kernel
+        else:
+            solved += 1
     assert solved > 30 and refused > 30
 
 
@@ -1716,15 +1841,10 @@ def _grid_outcomes(xs=_GRID_XS) -> list:
 def test_solve_gram_falls_through_to_the_windowed_path_as_before(monkeypatch, x):
     # a diagonal Gram no longer falls through to the windowed path; what
     # holds as before is that every outcome on the grid, solution bits and
-    # refusals alike, is the same when the residual of the entrywise solve
-    # is measured by applying G and subtracting v
+    # refusals alike, is the same when the entrywise solve divides in index
+    # order and measures its residual by the band Gram
     inline = _grid_outcomes((x,))
-
-    def measured_by_apply(G, v, solve=bandop._diagonal_solve):
-        y, _ = solve(G, v)
-        return y, _apply_residual(G, y, v)
-
-    monkeypatch.setattr(bandop, "_diagonal_solve", measured_by_apply)
+    monkeypatch.setattr(bandop, "_diagonal_solve", _reference_diagonal_solve)
     assert _grid_outcomes((x,)) == inline
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 from woldkit.seqspace import (
     FinVec,
     RankMismatch,
+    _distance,
     max_cross,
     unit,
     zero,
@@ -206,3 +207,39 @@ def test_vector_arithmetic_never_shares_entries_with_an_operand():
     u, z = unit(0) + 2j * unit(3), zero(1)
     for out in (u + z, z + u, u - z, z - u, u * 1, 1 * u, u / 1, -u, u + u, u - (-u)):
         assert out._entries is not u._entries and out._entries is not z._entries
+
+
+def _distance_outcome(u: FinVec, w: FinVec):
+    try:
+        return _distance(u, w).hex()
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_distance_is_the_norm_of_the_difference_bit_for_bit():
+    rng = np.random.default_rng(20170429)
+    u, w = _special_vec(rng, 5, 0, 8), _special_vec(rng, 6, 0, 8)  # overlapping
+    disjoint = _special_vec(rng, 4, 20, 30)
+    cancel = FinVec({(0,): 1.5 - 2j, (3,): complex(-0.0, 4.0)})
+    signed = FinVec({(0,): complex(-0.0, 1.0), (1,): complex(1.0, -0.0)})
+    nan_vec = FinVec({(0,): math.nan, (2,): complex(1.0, math.nan)})
+    huge = FinVec({(0,): 1e154, (1,): 1e154, (2,): 1e200})  # squares to inf
+    big = FinVec({(0,): 1e154, (1,): 1e154})  # finite squares, overflowing sum
+    fixed = [(u, w), (w, u), (u, disjoint), (disjoint, u), (u, zero(1)), (zero(1), u),
+             (zero(1), zero(1)), (cancel, cancel), (u, u), (signed, -signed),
+             (signed, FinVec({(0,): complex(0.0, 1.0), (1,): complex(1.0, 0.0)})),
+             (nan_vec, u), (u, nan_vec), (nan_vec, nan_vec), (huge, -huge), (huge, u),
+             (big, zero(1)), (zero(1), big), (big, -big)]
+    for a, b in fixed + [(_special_vec(rng, int(rng.integers(0, 7))),
+                          _special_vec(rng, int(rng.integers(0, 7)))) for _ in range(400)]:
+        try:
+            expect = (a - b).norm().hex()
+        except ArithmeticError as e:  # fsum's intermediate overflow
+            expect = type(e), str(e)
+        assert _distance_outcome(a, b) == expect, (a, b)
+    assert _distance(cancel, cancel) == 0.0 and math.isnan(_distance(nan_vec, u))
+    assert _distance(huge, -huge) == math.inf
+    with pytest.raises(OverflowError):
+        _distance(zero(1), big)
+    with pytest.raises(RankMismatch, match=r"rank 1 vs 2"):
+        _distance(unit(0), unit((0, 0)))

@@ -66,6 +66,32 @@ def test_one_routine_normalises_a_term_skeleton():
     assert _functions_calling(sorts_atoms) == ["_normal_skeleton"]
 
 
+def test_one_kernel_divides_by_a_gram_diagonal():
+    # the entrywise Gram solve is bandop._diagonal_solve, reached by the
+    # public solve and by the fused left inverse; a second loop that divides
+    # by a diagonal forks it (``_eval_atom`` divides only in the closed
+    # forms of the weight families)
+    tree = ast.parse(SOURCES["bandop.py"])
+    dividing = sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn)
+                      if isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.Div))
+    assert sorted(set(dividing)) == ["_diagonal_solve", "_eval_atom"]
+    calls = lambda call: getattr(call.func, "id", None) == "_diagonal_solve"
+    assert _functions_calling(calls) == ["left_inverse_apply", "solve_gram"]
+
+
+def test_classd_measures_residuals_without_difference_vectors():
+    # a residual norm is seqspace._distance: ``(a - b).norm()`` builds a
+    # vector only to measure it
+    found = [ast.get_source_segment(SOURCES["classd.py"], node)
+             for node in ast.walk(ast.parse(SOURCES["classd.py"]))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "norm" and isinstance(node.func.value, ast.BinOp)
+             and isinstance(node.func.value.op, ast.Sub)]
+    assert found == []
+
+
 # the public functions that take a ``tol``: the four whose callers set the
 # Gram solve tolerance, and the dense oracle's limits.  Every other bound
 # reads bandop.GRAM_TOL, so a per-function solve knob threaded through
@@ -84,7 +110,7 @@ def test_tol_is_a_parameter_of_the_tuned_functions_only():
 
 # (module, underscore name it may import from another module); the dense
 # oracle in particular shares no code path with the engine
-PRIVATE_IMPORTS = {("cli.py", "_worst_ratio")}
+PRIVATE_IMPORTS = {("cli.py", "_worst_ratio"), ("classd.py", "_distance")}
 
 
 def test_no_module_imports_private_names_of_another():
