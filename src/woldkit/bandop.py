@@ -1019,15 +1019,6 @@ def identity(lattice) -> BandOp:
 # guarded Gram solves
 # ---------------------------------------------------------------------------
 
-def _gram_residual(G: BandOp, x: FinVec, v: FinVec) -> float:
-    """``(G.apply(x) - v).norm()`` bit for bit, in one pass: the entries
-    that vector would drop are exact zeros, and ``fsum`` is exact."""
-    acc = _accumulate(G._steps, x._entries.items())
-    for ix, amp in v._entries.items():
-        acc[ix] = acc.get(ix, 0j) - amp
-    return math.sqrt(math.fsum(d.real * d.real + d.imag * d.imag for d in acc.values()))
-
-
 def _finite_norm(vn: float) -> float:
     """``vn``, the norm of a right-hand side, refused unless it is finite:
     an infinite norm would certify any residual."""
@@ -1230,7 +1221,7 @@ def solve_gram(T: BandOp, v: FinVec, tol: float = GRAM_TOL) -> FinVec:
                 "Gram section is not positive definite (operator near-singular?)",
                 residual=last_residual, window=len(window)) from None
         x = FinVec._wrap(dict(zip(window, sol.tolist())), v.rank)  # Python complex
-        residual = _gram_residual(G, x, v)
+        residual = G.apply(x).distance(v)
         if residual <= tol * vn:
             return x
         if residual >= last_residual:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandop import BandOp, left_inverse_apply, solve_gram
-from .seqspace import FinVec, _distance, unit
+from .seqspace import FinVec, unit
 
 DEFAULT_PROBE_SEED = 0x5EED
 DC_TOLERANCE = 1e-10  # a larger double-commuting residual fails the check
@@ -77,7 +77,7 @@ def _worst_ratio(probes: list[FinVec], sides) -> float:
     worst = 0.0
     for v in probes:
         if not v.is_zero:
-            worst = max(worst, _distance(*sides(v)) / v.norm())
+            worst = max(worst, FinVec.distance(*sides(v)) / v.norm())
     return worst
 
 
@@ -128,7 +128,6 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
     probes = probes if probes is not None else default_probes(T.lattice)
     res = 0.0
     worst_n = None
-    powers = [T]  # T^n at n - 1, taken at its first use
     for v in probes:
         if v.is_zero:
             continue
@@ -136,10 +135,8 @@ def classd_residual(T: BandOp, n_max: int = 8, probes: list[FinVec] | None = Non
         y = left_inverse_apply(T, v)
         for n in range(2, n_max + 1):
             y = left_inverse_apply(T, y)
-            if len(powers) < n:
-                powers.append(T ** n)
-            x = left_inverse_apply(powers[n - 1], v)
-            r = _distance(x, y) / vn
+            x = left_inverse_apply(T ** n, v)  # T ** n is cached on T
+            r = x.distance(y) / vn
             if r > res:
                 res, worst_n = r, n
     details = {} if worst_n is None else {"worst_power": float(worst_n)}

@@ -644,7 +644,7 @@ def _oracle_vectors(v: FinVec, extent: int, engine, dense) -> dict:
     except WindowTooLarge as e:
         return {"skipped": str(e)}
     zero = FinVec((), rank=v.rank)
-    delta = max((a - b).norm() for a, b in zip_longest(engine, replica, fillvalue=zero))
+    delta = max(a.distance(b) for a, b in zip_longest(engine, replica, fillvalue=zero))
     return {"window": extent, "max_abs_delta": delta,
             "max_rel_delta": delta / max(v.norm(), 1e-300)}
 

@@ -155,6 +155,18 @@ class FinVec:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
+    def distance(self, other: "FinVec") -> float:
+        """``(self - other).norm()`` bit for bit, without building the
+        difference: an entry alone on one side squares as its difference
+        with ``0j`` does, a dropped exact zero adds nothing, and ``fsum`` is
+        exact in any order."""
+        if other._rank != self._rank:
+            raise RankMismatch(f"rank {self._rank} vs {other._rank}")
+        a, b = self._entries, other._entries
+        sq = [(d := x - b.get(ix, 0j)).real * d.real + d.imag * d.imag for ix, x in a.items()]
+        sq += [y.real * y.real + y.imag * y.imag for ix, y in b.items() if ix not in a]
+        return math.sqrt(math.fsum(sq))
+
 
 def _inner(u: dict, w: dict, ukeys: list | None = None, wkeys: list | None = None) -> complex:
     """``sum_k u[k] * conj(w[k])``, accumulated over the sorted keys of the
@@ -172,18 +184,6 @@ def _inner(u: dict, w: dict, ukeys: list | None = None, wkeys: list | None = Non
             a = small[ix]
             acc += (a * b.conjugate()) if not swap else (b * a.conjugate())
     return acc
-
-
-def _distance(u: FinVec, w: FinVec) -> float:
-    """``(u - w).norm()`` bit for bit, without building the difference:
-    an entry alone on one side squares as its difference with ``0j`` does,
-    a dropped exact zero adds nothing, and ``fsum`` is exact in any order."""
-    if w._rank != u._rank:
-        raise RankMismatch(f"rank {u._rank} vs {w._rank}")
-    a, b = u._entries, w._entries
-    sq = [(d := x - b.get(ix, 0j)).real * d.real + d.imag * d.imag for ix, x in a.items()]
-    sq += [y.real * y.real + y.imag * y.imag for ix, y in b.items() if ix not in a]
-    return math.sqrt(math.fsum(sq))
 
 
 def unit(ix) -> FinVec:

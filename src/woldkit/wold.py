@@ -336,7 +336,7 @@ def decompose(T: BandOp, h: FinVec, tol: float = GRAM_TOL,
     acc = prev
     for c in comps:
         acc = acc + c
-    recon = (h - acc).norm()
+    recon = h.distance(acc)
     if recon > 100.0 * tol * hn:
         flags.append(f"reconstruction residual {recon:.3e} exceeds budget")
 
@@ -356,10 +356,10 @@ def reducing_residual(T: BandOp, h: FinVec, n: int) -> float:
         return 0.0
     lhs = nested_project(T, n + 1, T.apply(h))
     rhs = T.apply(nested_project(T, n, h))
-    return (lhs - rhs).norm() / h.norm()
+    return lhs.distance(rhs) / h.norm()
 
 
-def surjectivity_witness(T: BandOp, h_inf: FinVec, n_max: int = 64) -> FinVec:
+def surjectivity_witness(T: BandOp, h_inf: FinVec) -> FinVec:
     """Preimage of a limit-subspace vector under T, staying in the subspace.
 
     Requires ``h_inf`` to lie in the limit subspace: its limit projection
@@ -368,22 +368,23 @@ def surjectivity_witness(T: BandOp, h_inf: FinVec, n_max: int = 64) -> FinVec:
     ``T h' = h_inf`` within ``10 GRAM_TOL ||h_inf||`` and is within
     ``10 GRAM_TOL ||h'||`` of its own limit projection; a miss of either
     also raises :class:`InputNotInHInfinity`, since it means the input was
-    not really in the subspace.
+    not really in the subspace.  Both limit projections take
+    :func:`shift_limit_project`'s defaults.
     """
     if h_inf.is_zero:
         return h_inf
     hn = h_inf.norm()
-    lim, _ = shift_limit_project(T, h_inf, n_max=n_max)
-    r_in = (h_inf - lim).norm()
+    lim, _ = shift_limit_project(T, h_inf)
+    r_in = h_inf.distance(lim)
     if r_in > GRAM_TOL * hn:
         raise InputNotInHInfinity(r_in, "membership pre-check failed")
     hp = left_inverse_apply(T, h_inf)
-    r_pre = (T.apply(hp) - h_inf).norm()
+    r_pre = T.apply(hp).distance(h_inf)
     if r_pre > 10.0 * GRAM_TOL * hn:
         raise InputNotInHInfinity(r_pre, "T (T~ h) does not reproduce h")
     if not hp.is_zero:
-        lim_p, _ = shift_limit_project(T, hp, n_max=n_max)
-        r_mem = (hp - lim_p).norm()
+        lim_p, _ = shift_limit_project(T, hp)
+        r_mem = hp.distance(lim_p)
         if r_mem > 10.0 * GRAM_TOL * hp.norm():
             raise InputNotInHInfinity(r_mem, "preimage left the limit subspace")
     return hp

@@ -69,7 +69,7 @@ def fourfold(T1: BandOp, T2: BandOp, h: FinVec,
 
     parts = {"inf_inf": inf_inf, "inf_s": inf_s, "s_inf": s_inf, "s_s": s_s}
     acc = inf_inf + inf_s + s_inf + s_s
-    residual = (h - acc).norm()
+    residual = h.distance(acc)
 
     cross = max_cross([parts[tag] for tag in PART_TAGS])
 

@@ -1643,13 +1643,13 @@ def test_gram_residual_is_the_written_out_residual(name, T):
     residuals = [_apply_residual(G, x, v) for x, v in cases]
     assert 0.0 in residuals and math.inf in residuals  # exact cancellation, overflow
     for x, v in cases:
-        assert bandop._gram_residual(G, x, v).hex() == _apply_residual(G, x, v).hex(), (x, v)
+        assert G.apply(x).distance(v).hex() == _apply_residual(G, x, v).hex(), (x, v)
 
 
 def _reference_diagonal_solve(G: BandOp, v: dict, rank: int, tol: float) -> FinVec:
     """The entrywise solve in two steps, as ``solve_gram`` ran it before the
     one-pass kernel: ``||v||`` by the vector, the division in index order,
-    then the residual by the band Gram (``_gram_residual``), then the
+    then the residual by the band Gram (``_apply_residual``), then the
     certificate; each refusal raised where those checks meet it."""
     vec = FinVec._wrap(dict(v), rank)
     vn = vec.norm()
@@ -1669,7 +1669,7 @@ def _reference_diagonal_solve(G: BandOp, v: dict, rank: int, tol: float) -> FinV
                                 f"the operator is not bounded below there")
         x[ix] = complex(amp.real / g.real, amp.imag / g.real)
     xv = FinVec._wrap(x, rank)
-    residual = bandop._gram_residual(G, xv, vec)
+    residual = _apply_residual(G, xv, vec)
     if residual <= tol * vn:
         return xv
     raise NoConvergence(f"entrywise diagonal Gram solve: residual {residual:.3e} "

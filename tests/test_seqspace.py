@@ -7,7 +7,6 @@ from hypothesis import given, seed, settings, strategies as st
 from woldkit.seqspace import (
     FinVec,
     RankMismatch,
-    _distance,
     max_cross,
     unit,
     zero,
@@ -211,7 +210,7 @@ def test_vector_arithmetic_never_shares_entries_with_an_operand():
 
 def _distance_outcome(u: FinVec, w: FinVec):
     try:
-        return _distance(u, w).hex()
+        return u.distance(w).hex()
     except (ArithmeticError, ValueError) as e:
         return type(e), str(e)
 
@@ -237,9 +236,9 @@ def test_distance_is_the_norm_of_the_difference_bit_for_bit():
         except ArithmeticError as e:  # fsum's intermediate overflow
             expect = type(e), str(e)
         assert _distance_outcome(a, b) == expect, (a, b)
-    assert _distance(cancel, cancel) == 0.0 and math.isnan(_distance(nan_vec, u))
-    assert _distance(huge, -huge) == math.inf
+    assert cancel.distance(cancel) == 0.0 and math.isnan(nan_vec.distance(u))
+    assert huge.distance(-huge) == math.inf
     with pytest.raises(OverflowError):
-        _distance(zero(1), big)
+        zero(1).distance(big)
     with pytest.raises(RankMismatch, match=r"rank 1 vs 2"):
-        _distance(unit(0), unit((0, 0)))
+        unit(0).distance(unit((0, 0)))

@@ -3,6 +3,7 @@ another module fails here."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -81,15 +82,17 @@ def test_one_kernel_divides_by_a_gram_diagonal():
     assert _functions_calling(calls) == ["left_inverse_apply", "solve_gram"]
 
 
-def test_classd_measures_residuals_without_difference_vectors():
-    # a residual norm is seqspace._distance: ``(a - b).norm()`` builds a
-    # vector only to measure it
-    found = [ast.get_source_segment(SOURCES["classd.py"], node)
-             for node in ast.walk(ast.parse(SOURCES["classd.py"]))
+def test_every_residual_is_measured_without_difference_vectors():
+    # a residual norm is FinVec.distance: ``(a - b).norm()`` builds a
+    # vector only to measure it, and a second distance routine forks it
+    found = [ast.get_source_segment(src, node)
+             for src in SOURCES.values() for node in ast.walk(ast.parse(src))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "norm" and isinstance(node.func.value, ast.BinOp)
              and isinstance(node.func.value.op, ast.Sub)]
     assert found == []
+    assert [name for name, src in sorted(SOURCES.items())
+            if re.search(r"\b_(gram_residual|distance)\b", src)] == []
 
 
 # the public functions that take a ``tol``: the four whose callers set the
@@ -110,7 +113,7 @@ def test_tol_is_a_parameter_of_the_tuned_functions_only():
 
 # (module, underscore name it may import from another module); the dense
 # oracle in particular shares no code path with the engine
-PRIVATE_IMPORTS = {("cli.py", "_worst_ratio"), ("classd.py", "_distance")}
+PRIVATE_IMPORTS = {("cli.py", "_worst_ratio")}
 
 
 def test_no_module_imports_private_names_of_another():
