@@ -15,16 +15,16 @@ the squared modulus of a Bergman weight), it is merged analytically; this
 keeps Gram operators of weighted shifts exactly diagonal with rational
 entries.  Every structural decision of a composition reads only the
 operands' skeletons (their terms without coefficients) and the lattice:
-each product's masks are resolved against its own selectors, and a product
-that no in-lattice index selects is dropped.  So a composition is planned
-once per pair of skeletons and replayed on the coefficients of each new
-pair; an adjoint is planned once per skeleton alike, and the ``PLAN_CACHE``
-most recently used plans of both kinds are kept.  Graded lattice windows
-depend only on the lattice and the extent, so they are sorted once too
-(``WINDOW_CACHE``), and whether a band's images stay in the lattice is
-decided once per band.  Every window, graded or around a support,
-enumerates its boxes with one routine, and every bounded cache evicts
-through one least-recently-used helper.
+each product's masks are resolved against its selectors and its band's
+domain, and a product that no index of its band selects is dropped.  So
+a composition is planned once per pair of skeletons and replayed on the
+coefficients of each new pair; an adjoint is planned once per skeleton
+alike, and the ``PLAN_CACHE`` most recently used plans of both kinds are
+kept.  Graded lattice windows depend only on the lattice and the extent,
+so they are sorted once too (``WINDOW_CACHE``), and whether a band's
+images stay in the lattice is decided once per band.  Every window,
+graded or around a support, enumerates its boxes with one routine, and
+every bounded cache evicts through one least-recently-used helper.
 
 The inverse Gram factor needed by the canonical left inverse
 ``(T* T)^{-1} T*`` is never formed as an operator: the inverse of a band
@@ -228,23 +228,23 @@ class Lattice:
         boxes = {self._box(c, guard) for c in support}
         return sorted({ix for box in boxes for ix in _box_points(box)})
 
-    def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
+    def shift_cover(self, selects: dict, off: tuple, band: tuple) -> tuple[bool, bool]:
         """``(every, none)``: whether ``k + off`` lies in the lattice for every
-        / for no in-lattice ``k`` whose coordinates satisfy ``selects``
-        (axis -> value).
+        / for no ``k`` of the band at offset ``band`` (``k`` and ``k + band``
+        in the lattice) whose coordinates satisfy ``selects`` (axis -> value).
 
-        Axes are independent, so per axis the selected coordinates form an
-        interval that is shifted and compared with the axis range.  With no
-        such ``k`` at all, both answers are (vacuously) true.
+        Axes are independent, so per axis the band and the selected value clip
+        the axis range to an interval, which is shifted and compared with it.
+        With no such ``k`` at all, both answers are (vacuously) true.
         """
         every, none = True, False
-        for axis, ((tlo, thi), o) in enumerate(zip(self.bounds, off)):
-            lo, hi = tlo, thi
+        for axis, ((tlo, thi), o, b) in enumerate(zip(self.bounds, off, band)):
+            lo, hi = (tlo - b, thi) if b < 0 else (tlo, thi - b)
             v = selects.get(axis)
             if v is not None:
-                if not lo <= v <= hi:
-                    return True, True
-                lo = hi = v
+                lo, hi = max(lo, v), min(hi, v)
+            if lo > hi:
+                return True, True
             if lo + o < tlo or hi + o > thi:
                 every = False
             if hi + o < tlo or lo + o > thi:
@@ -328,13 +328,15 @@ class UnionLattice:
         return [(tag,) + ix for tag, part in enumerate(self.parts)
                 for ix in part.neighbourhood(by_tag[tag], guard)]
 
-    def shift_cover(self, selects: dict, off: tuple) -> tuple[bool, bool]:
+    def shift_cover(self, selects: dict, off: tuple, band: tuple) -> tuple[bool, bool]:
         """Like :meth:`Lattice.shift_cover`, recursing into the selected parts.
 
         An offset that moves the tag into the other part is left undecided
-        (``(False, False)``); operators never build one.
+        (``(False, False)``), and a band that moves it gets no domain (its
+        parts decide as for band 0); operators never build either.
         """
         rest = {axis - 1: v for axis, v in selects.items() if axis}
+        band = (0,) * (len(band) - 1) if band[0] else band[1:]
         every, none = True, True
         for tag in ([selects[0]] if 0 in selects else [0, 1]):
             if tag not in (0, 1):
@@ -344,7 +346,7 @@ class UnionLattice:
                 continue
             if off[0]:
                 return False, False
-            e, n = self.parts[tag].shift_cover(rest, off[1:])
+            e, n = self.parts[tag].shift_cover(rest, off[1:], band)
             every, none = every and e, none and n
         return every, none
 
@@ -379,9 +381,9 @@ def union(left, right) -> UnionLattice:
 # masks (k + offset must be in the lattice).  ``Weight(...)`` brings raw terms
 # to normal form: one routine, ``_normal_skeleton``, kills a term whose
 # selectors conflict and merges conjugate atom pairs to an analytic
-# squared-modulus atom, and identical skeletons merge coefficients.
-# Masks are created only by composition, which resolves every mask a term's
-# own selectors decide (see ``_resolve_masks``).
+# squared-modulus atom, and identical skeletons merge coefficients.  Masks
+# come only from composition, which resolves every mask that a term's own
+# selectors and its band's domain decide (see ``_resolve_masks``).
 
 class Atom(NamedTuple):
     kind: str        # 'bergman' | 'dirichlet' | 'table' | 'powratio' | 'abs2'
@@ -702,7 +704,7 @@ class _BandSteps(dict):
     def __init__(self, lattice, off: tuple, w: Weight):
         super().__init__()
         self.lattice, self.off, self.w = lattice, off, w
-        self.stays = lattice.shift_cover({}, off) == (True, False)
+        self.stays = lattice.shift_cover({}, off, (0,) * len(off)) == (True, False)
 
     def __missing__(self, ix: tuple):
         lat = self.lattice
@@ -871,22 +873,23 @@ class BandOp:
         return f"BandOp({self.lattice!r}, offsets={list(self.offsets)!r})"
 
 
-def _resolve_masks(skeleton: tuple, off: tuple, lattice) -> tuple | None:
-    """The masks of a term of ``skeleton`` times the mask ``k + off in
-    lattice``, in lattice-aware normal form, or None for no term.
+def _resolve_masks(skeleton: tuple, off: tuple, band: tuple, lattice) -> tuple | None:
+    """The masks of a term of ``skeleton`` in the band at offset ``band``
+    times the mask ``k + off in lattice``, in normal form, or None for no term.
 
-    Each mask is decided against the term's own selectors: one that always
+    Each mask is decided against the term's own selectors and the band's
+    domain, where ``k`` and ``k + band`` lie in the lattice: one that always
     holds is dropped, a term with one that never holds is dropped, an
-    undecided one is kept.  Both drops are exact because weights are only
-    evaluated at in-lattice indices.  Without them, powers of selector
-    operators (quasinormal blocks) keep terms that differ only in redundant
-    masks and grow exponentially.
+    undecided one is kept.  Both drops are exact because a band weight is
+    only evaluated on its domain.  So ``(T*)^n`` and ``(T^n)*`` normalise
+    alike, and powers of selector operators (quasinormal blocks) and of
+    their adjoints keep no terms that differ only in redundant masks.
     """
     _, selects, masks = skeleton
     selects = dict(selects)
     kept = []
     for m in (masks if off in masks else masks + (off,)):
-        every, none = lattice.shift_cover(selects, m)
+        every, none = lattice.shift_cover(selects, m, band)
         if none:  # also when no k satisfies the selectors
             return None
         if not every:
@@ -957,13 +960,13 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
                                             ta.masks + tb.masks, reprs)
                     if skel is not None:
                         products.setdefault(skel, []).append((a0[p] + i, b0[q] + j))
-            resolved: dict[tuple, list] = {}
+            band, resolved = _tadd(aoff, boff), {}
             for skel in sorted(products, key=lambda sk: _skeleton_order(sk, reprs)):
-                masks = _resolve_masks(skel, boff, lattice)
+                masks = _resolve_masks(skel, boff, band, lattice)
                 if masks is not None:
                     resolved.setdefault((skel[0], skel[1], masks), []).append(len(groups))
                     groups.append(tuple(products[skel]))
-            pairs.append((_tadd(aoff, boff), resolved))
+            pairs.append((band, resolved))
 
     sums = []
 

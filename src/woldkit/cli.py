@@ -797,6 +797,9 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as e:
             print(f"spec error: {e}", file=sys.stderr)
             return 1
+        except RecursionError:  # each recursion follows a spec's, vector's or lattice's nesting
+            print("spec error: the spec or vector nests too deeply", file=sys.stderr)
+            return 1
     # an error exit keeps its one line; a report gets one line per distinct
     # library warning, without the Python source location
     for msg in dict.fromkeys(str(w.message) for w in caught):

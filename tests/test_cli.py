@@ -691,6 +691,22 @@ def test_all_zero_vector_literal_passes(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+def _nested_adjoints(depth):
+    return '{"kind":"adjoint","child":' * depth + _BERGMAN + "}" * depth
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", _nested_adjoints(400)],
+    ["check", _nested_adjoints(3000)],
+    ["decompose", _BERGMAN, "--vector", "[" * 3000 + "]" * 3000],
+], ids=["spec-depth-400", "spec-depth-3000", "vector-depth-3000"])
+def test_input_nested_past_the_recursion_limit_exits_1_with_one_line(capsys, argv):
+    # building the operator (depth 400) or decoding the JSON (depth 3,000)
+    # runs out of Python's recursion limit: one line, not a traceback
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "spec error: the spec or vector nests too deeply\n"
+
+
 _BIG = '{"kind":"scale","factor":1e200,"child":' + _BERGMAN + '}'
 
 

@@ -67,6 +67,34 @@ def test_one_routine_normalises_a_term_skeleton():
     assert _functions_calling(sorts_atoms) == ["_normal_skeleton"]
 
 
+def _qualified_functions(tree):
+    """``(name, node)`` of each module-level function and each method, a
+    method named ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_one_rule_decides_every_mask():
+    # lattice masks are decided by shift_cover, against a term's selectors
+    # and its band's domain, only for a composition's products and for a
+    # band's images: a second mask rule forks the weight normal form
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    def callers(name):
+        return sorted(qual for src in SOURCES.values()
+                      for qual, fn in _qualified_functions(ast.parse(src))
+                      if any(calls(node, name) for node in ast.walk(fn)))
+    assert callers("shift_cover") == ["UnionLattice.shift_cover", "_BandSteps.__init__",
+                                      "_resolve_masks"]
+    assert callers("_resolve_masks") == ["_plan_compose"]
+
+
 def test_one_kernel_divides_by_a_gram_diagonal():
     # the entrywise Gram solve is bandop._diagonal_solve, reached by the
     # public solve and by the fused left inverse; a second loop that divides
