@@ -10,9 +10,10 @@ shifts and translations (nothing is mapped below index 0).
 Adjoints and compositions are computed symbolically on a small weight
 algebra (sums of products of shifted family atoms, coordinate selectors and
 lattice masks), so applying any derived operator to a vector is still exact.
-Where a product of conjugate weight factors has a closed form (for example
-the squared modulus of a Bergman weight), it is merged analytically; this
-keeps Gram operators of weighted shifts exactly diagonal with rational
+Each atom carries an exponent pair ``(p, q)``, meaning ``a^p conj(a)^q``, so
+a product of factors of one atom adds exponents, and a squared modulus
+``(1, 1)`` (of a Bergman weight, say) is evaluated in closed form; this keeps
+Gram operators of weighted shifts exactly diagonal with rational
 entries.  Every structural decision of a composition reads only the
 operands' skeletons (their terms without coefficients) and the lattice:
 each product's masks are resolved against its selectors and its band's
@@ -376,20 +377,22 @@ def union(left, right) -> UnionLattice:
 # ---------------------------------------------------------------------------
 #
 # A weight is a sum of terms; a term is a complex coefficient times a product
-# of atoms (single-axis weight families with a folded-in integer shift and a
-# conjugation flag), coordinate selectors (k[axis] == value) and lattice
-# masks (k + offset must be in the lattice).  ``Weight(...)`` brings raw terms
-# to normal form: one routine, ``_normal_skeleton``, kills a term whose
-# selectors conflict and merges conjugate atom pairs to an analytic
-# squared-modulus atom, and identical skeletons merge coefficients.  Masks
-# come only from composition, which resolves every mask that a term's own
-# selectors and its band's domain decide (see ``_resolve_masks``).
+# of atoms (single-axis weight families with a folded-in integer shift, each
+# raised to ``a^p conj(a)^q``), coordinate selectors (k[axis] == value) and
+# lattice masks (k + offset must be in the lattice).  ``Weight(...)`` brings
+# raw terms to normal form: one routine, ``_normal_skeleton``, kills a term
+# whose selectors conflict and adds the exponents of atoms of one family,
+# axis, shift and parameters (a conjugate pair becomes the closed-form
+# squared modulus ``(1, 1)``), and identical skeletons merge coefficients.
+# Masks come only from composition, which resolves every mask that a term's
+# own selectors and its band's domain decide (see ``_resolve_masks``).
 
 class Atom(NamedTuple):
-    kind: str        # 'bergman' | 'dirichlet' | 'table' | 'powratio' | 'abs2'
+    kind: str        # 'bergman' | 'dirichlet' | 'table' | 'powratio'
     axis: int
     shift: int
-    conj: bool
+    p: int           # the power of the atom ...
+    q: int           # ... times this power of its conjugate
     params: tuple
 
 
@@ -405,7 +408,7 @@ class Term(NamedTuple):
     masks: tuple
 
 
-_REAL_ATOM_KINDS = frozenset({"bergman", "dirichlet", "powratio", "abs2"})
+_REAL_ATOM_KINDS = frozenset({"bergman", "dirichlet", "powratio"})
 
 
 def _atom_is_real(a: Atom) -> bool:
@@ -418,84 +421,82 @@ def _atom_is_real(a: Atom) -> bool:
 
 
 def _atom_sort_key(a: Atom, reprs: dict) -> tuple:
-    """``(kind, axis, shift, repr(params), conj)``, with each parameter
-    object formatted once per call that owns ``reprs``: that memo maps
-    ``id(params)`` to ``(params, repr(params))`` and holds the object, so
-    no id is reused while it is kept."""
+    """``(kind, axis, shift, repr(params), q, p)``: an atom sorts before its
+    conjugate.  Each parameter object is formatted once per call that owns
+    ``reprs``: that memo maps ``id(params)`` to ``(params, repr(params))``
+    and holds the object, so no id is reused while it is kept."""
     seen = reprs.get(id(a.params))
     if seen is None:
         seen = reprs[id(a.params)] = (a.params, repr(a.params))
-    return a.kind, a.axis, a.shift, seen[1], a.conj
+    return a.kind, a.axis, a.shift, seen[1], a.q, a.p
 
 
 def _eval_atom(a: Atom, ix: tuple) -> complex:
-    """Value of one atom at ``ix``; an ``abs2`` atom evaluates its inner
-    family squared, in closed form (no square root, doubled exponent)."""
-    m = ix[a.axis] + a.shift
-    kind, params = a.kind, a.params
-    sq = kind == "abs2"
-    if sq:
-        kind, params = params
-    if kind == "bergman":
+    """Value of ``a^p conj(a)^q`` at ``ix``: ``min(p, q)`` squared moduli,
+    in closed form (no square root, doubled exponent), times ``|p - q|``
+    plain factors, conjugated where ``q > p``."""
+    kind, axis, shift, p, q, params = a
+    m = ix[axis] + shift
+    n, k = (q, p - q) if p >= q else (p, q - p)
+    if kind == "bergman" or kind == "dirichlet":
         if m < 0:
-            raise ValueError(f"Bergman weight evaluated at negative index {m}")
-        return (m + 1) / (m + 2) if sq else math.sqrt((m + 1) / (m + 2))
-    if kind == "dirichlet":
-        if m < 0:
-            raise ValueError(f"Dirichlet weight evaluated at negative index {m}")
-        return (m + 2) / (m + 1) if sq else math.sqrt((m + 2) / (m + 1))
-    if kind == "table":
+            raise ValueError(f"{kind.capitalize()} weight evaluated at negative index {m}")
+        square = (m + 1) / (m + 2) if kind == "bergman" else (m + 2) / (m + 1)
+        factor = k and math.sqrt(square)
+    elif kind == "table":
         values, default = params
         v = values[m] if 0 <= m < len(values) else default
-        if sq:
-            return v.real * v.real + v.imag * v.imag
-        return v.conjugate() if a.conj else v
-    if kind == "powratio":
+        square = n and v.real * v.real + v.imag * v.imag
+        factor = v if p >= q else v.conjugate()
+    elif kind == "powratio":
         beta, h, steps = params
         if m < 0:
             raise ValueError(f"translation weight evaluated at negative grid site {m}")
         base = (1.0 + (m + steps) * h) / (1.0 + m * h)
-        return base ** (2.0 * beta if sq else beta)
-    raise ValueError(f"unknown atom kind {kind!r}")
+        square, factor = n and base ** (2.0 * beta), k and base ** beta
+    else:
+        raise ValueError(f"unknown atom kind {kind!r}")
+    if not k:
+        return square if n == 1 else square ** n
+    factor = factor if k == 1 else factor ** k
+    return factor if not n else (square if n == 1 else square ** n) * factor
 
 
-def _merge_abs2(atoms: Iterable[Atom]) -> list[Atom]:
-    """Replace conjugate pairs of identical atoms by a squared-modulus atom,
-    in one pass.  The unpaired atoms of one family, axis, shift and
-    parameters all carry one conjugation flag (a real atom pairs with any
-    copy), so a new atom pairs with the last of them or with none.  The
-    squares of one family and parameter object share one parameter tuple,
-    so a sort key formats it once (see :func:`_atom_sort_key`)."""
-    out, unpaired, squared = [], {}, {}
+def _merge_powers(atoms: Iterable[Atom]) -> list[Atom]:
+    """The atoms of one family, axis, shift and parameters multiplied into
+    one, in one pass: their exponents added, an atom in normal form whose
+    key occurs once kept as it is.  A real atom's total exponent ``e`` is
+    balanced to ``(ceil(e/2), floor(e/2))``, so ``conj(a) = a`` keeps one
+    normal form, and an atom of exponents ``(0, 0)`` is dropped."""
+    merged: dict[tuple, Atom] = {}
     for a in atoms:
-        if a.kind == "abs2":
-            out.append(a)
-            continue
-        same = unpaired.setdefault((a.kind, a.axis, a.shift, a.params), [])
-        if same and (same[-1].conj != a.conj or _atom_is_real(a)):
-            b = same.pop()
-            params = squared.setdefault((b.kind, id(b.params)), (b.kind, b.params))
-            out.append(Atom("abs2", b.axis, b.shift, False, params))
-        else:
-            same.append(a)
-    return out + [a for same in unpaired.values() for a in same]
+        key = (a.kind, a.axis, a.shift, a.params)
+        b = merged.get(key)
+        if b is not None or not 0 <= a.p - a.q <= 1 and _atom_is_real(a):
+            p, q = (a.p, a.q) if b is None else (a.p + b.p, a.q + b.q)
+            if not 0 <= p - q <= 1 and _atom_is_real(a):
+                p, q = p + q - (p + q) // 2, (p + q) // 2
+            a = Atom(a.kind, a.axis, a.shift, p, q, a.params)
+        merged[key] = a
+    return [a for a in merged.values() if a.p or a.q]
 
 
 def _conjugated_atoms(atoms: tuple) -> tuple:
-    """``atoms`` with the conjugation flag of each complex one flipped."""
-    return tuple(a if _atom_is_real(a) else a._replace(conj=not a.conj) for a in atoms)
+    """``atoms`` with the exponents of each complex one swapped."""
+    return tuple(a if a.p == a.q or _atom_is_real(a)
+                 else Atom(a.kind, a.axis, a.shift, a.q, a.p, a.params) for a in atoms)
 
 
 def _normal_skeleton(atoms, selects, masks, reprs: dict) -> tuple | None:
     """A term's ``(atoms, selects, masks)`` in normal form, or None for a
-    term whose selectors conflict: conjugate pairs merged, atoms sorted
+    term whose selectors conflict: atom powers merged, atoms sorted
     (``reprs`` as for :func:`_atom_sort_key`), repeated selectors and masks
     removed."""
     sel: dict[int, int] = {}
     for s in selects:
         if sel.setdefault(s.axis, s.value) != s.value:
             return None
-    return (tuple(sorted(_merge_abs2(atoms), key=lambda a: _atom_sort_key(a, reprs))),
+    return (tuple(sorted(_merge_powers(atoms), key=lambda a: _atom_sort_key(a, reprs))),
             tuple(Select(ax, v) for ax, v in sorted(sel.items())),
             tuple(sorted(set(masks))))
 
@@ -503,7 +504,7 @@ def _normal_skeleton(atoms, selects, masks, reprs: dict) -> tuple | None:
 def _shifted_skeleton(skeleton: tuple, off: tuple) -> tuple:
     """A term's ``(atoms, selects, masks)`` evaluated at ``k + off``."""
     atoms, selects, masks = skeleton
-    return (tuple(Atom(a.kind, a.axis, a.shift + off[a.axis], a.conj, a.params) for a in atoms),
+    return (tuple(Atom(a.kind, a.axis, a.shift + off[a.axis], a.p, a.q, a.params) for a in atoms),
             tuple(Select(s.axis, s.value - off[s.axis]) for s in selects),
             tuple(_tadd(m, off) for m in masks))
 
@@ -557,7 +558,7 @@ class Weight:
     @classmethod
     def atom(cls, kind: str, params: tuple = ()) -> "Weight":
         """One weight family on axis 0; ``embedded()`` re-homes it."""
-        return cls([(1.0, (Atom(kind, 0, 0, False, params),), (), ())])
+        return cls([(1.0, (Atom(kind, 0, 0, 1, 0, params),), (), ())])
 
     @classmethod
     def select(cls, axis: int, value: int) -> "Weight":
@@ -912,19 +913,17 @@ def _plan_adjoint(T: BandOp) -> tuple:
     """The plan of ``T.adjoint()``: per band, the negated offset and its
     terms as ``(index of the source coefficient, skeleton)``, in order.
 
-    Conjugation flips each complex atom of a term, which maps distinct
-    skeletons to distinct ones, so no terms merge: the algebra only sorts a
-    band's conjugated terms, and the translation keeps their order.
+    Conjugation swaps the exponents of each complex atom.  A normal term
+    holds one atom per family, axis, shift and parameters, and exponents sort
+    last, so the swap keeps terms normal and distinct: the algebra only sorts
+    a band's conjugated terms, and the translation keeps their order.
     """
     plan, i, reprs = [], 0, {}
     for off, w in T.bands:
         noff = _tneg(off)
-        conj = []  # (conjugated skeleton, index of the source coefficient)
-        for t in w.terms:
-            conj.append((_normal_skeleton(_conjugated_atoms(t.atoms), t.selects, t.masks,
-                                          reprs), i))
-            i += 1
-        conj.sort(key=lambda e: _skeleton_order(e[0], reprs))
+        conj = sorted((((_conjugated_atoms(t.atoms), t.selects, t.masks), i + j)
+                       for j, t in enumerate(w.terms)), key=lambda e: _skeleton_order(e[0], reprs))
+        i += len(w.terms)
         plan.append((noff, tuple((j, _shifted_skeleton(skel, noff)) for skel, j in conj)))
     return tuple(plan)
 

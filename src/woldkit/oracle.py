@@ -68,9 +68,9 @@ class DenseSection:
 def dense_section(T: BandOp, window: int,
                   max_ordinals: int = DEFAULT_MAX_ORDINALS) -> DenseSection:
     """Materialize T on ``lattice.window(window)`` as a dense matrix."""
+    if (size := T.lattice.window_size(window)) > max_ordinals:  # counted, never built
+        raise WindowTooLarge(f"{size} ordinals exceed the cap of {max_ordinals}")
     idx = tuple(T.lattice.window(window))
-    if len(idx) > max_ordinals:
-        raise WindowTooLarge(f"{len(idx)} ordinals exceed the cap of {max_ordinals}")
     pos = {ix: i for i, ix in enumerate(idx)}
     M = np.zeros((len(idx), len(idx)), dtype=complex)
     for j, jx in enumerate(idx):

@@ -493,12 +493,25 @@ ATOM_FAMILIES = {
 def test_atom_evaluation_pinned(family):
     plain, closed, _ = ATOM_FAMILIES[family]
     square = plain * plain.conjugated()
-    assert [a.kind for t in square.terms for a in t.atoms] == ["abs2"]
+    assert [(a.kind, a.p, a.q) for t in square.terms for a in t.atoms] == [(family, 1, 1)]
     lat = Lattice.nat(1)
     for m in range(41):
         got = square.evaluate((m,), lat)
         assert got == closed(m) and got.imag == 0.0
         assert abs(abs(plain.evaluate((m,), lat)) ** 2 - closed(m)) <= 1e-15 * max(1.0, closed(m))
+
+
+@pytest.mark.parametrize("family", list(ATOM_FAMILIES))
+def test_atom_powers_match_the_plain_value(family):
+    # a^p conj(a)^q from closed-form squares and plain or conjugated factors
+    plain, _, _ = ATOM_FAMILIES[family]
+    ((_, (atom,), _, _),) = plain.terms
+    for m in range(41):
+        v = bandop._eval_atom(atom, (m,))
+        for p, q in itertools.product(range(4), repeat=2):
+            want = v ** p * v.conjugate() ** q
+            got = bandop._eval_atom(atom._replace(p=p, q=q), (m,))
+            assert abs(got - want) <= 1e-14 * abs(want), (m, p, q)
 
 
 def test_table_atom_conj_and_default():
@@ -526,8 +539,11 @@ def test_unknown_atom_kind_raises():
     lat = Lattice.nat(1)
     with pytest.raises(ValueError, match="unknown"):
         Weight.atom("nope").evaluate((0,), lat)
+    nope = Weight.atom("nope")
+    (square,) = (nope * nope.conjugated()).terms
+    assert [(a.p, a.q) for a in square.atoms] == [(1, 1)]
     with pytest.raises(ValueError, match="unknown"):
-        Weight.atom("abs2", ("nope", ())).evaluate((0,), lat)
+        Weight([square]).evaluate((0,), lat)
 
 
 @seed(20170412)
@@ -899,55 +915,55 @@ def _bits(T):
 # or overflow, parts of either sign of zero, and sums that round
 _COEFFS = [1.0, -1.0, 1j, -1j, 2.0, 0.5 - 1.5j, -0.5 + 1.5j, 1e-200, -1e-200, 1e200,
            complex(-0.0, 1.0), complex(1.0, -0.0), complex(-2.0, -0.0), 0.1 + 0.7j, 1 / 3]
-_ATOMS = [("bergman", ()), ("abs2", ("bergman", ())), ("table", ((1 + 2j, -0.5j), 1j)),
-          ("table", ((2.0,), 0.5))]
+_ATOMS = [("bergman", ()), ("table", ((1 + 2j, -0.5j), 1j)), ("table", ((2.0,), 0.5))]
+_EXPONENTS = st.integers(0, 3)
 
 
-def _reference_merge_abs2(atoms):
-    """Conjugate pairs merged by a pairwise scan that restarts after every
-    merge: the reference for the one-pass ``bandop._merge_abs2``."""
-    changed = True
-    while changed:
-        changed = False
-        n = len(atoms)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = atoms[i], atoms[j]
-                if a.kind == "abs2" or b.kind == "abs2":
-                    continue
-                if (a.kind, a.axis, a.shift, a.params) != (b.kind, b.axis, b.shift, b.params):
-                    continue
-                if a.conj != b.conj or bandop._atom_is_real(a):
-                    merged = bandop.Atom("abs2", a.axis, a.shift, False, (a.kind, a.params))
-                    atoms = atoms[:i] + atoms[i + 1:j] + atoms[j + 1:] + [merged]
-                    changed = True
-                    break
-            if changed:
-                break
-    return atoms
+def _reference_merge_powers(atoms):
+    """Exponents summed per family, axis, shift and parameters, the total
+    ``e`` of a real atom split as ``(e - e // 2, e // 2)`` and an atom of
+    exponents ``(0, 0)`` dropped: the reference for the one-pass
+    ``bandop._merge_powers``."""
+    total = {}
+    for a in atoms:
+        key = (a.kind, a.axis, a.shift, a.params)
+        p, q = total.get(key, (0, 0))
+        total[key] = (p + a.p, q + a.q)
+    out = []
+    for (kind, axis, shift, params), (p, q) in total.items():
+        if kind != "table" or all(complex(v).imag == 0 for v in (*params[0], params[1])):
+            p, q = p + q - (p + q) // 2, (p + q) // 2
+        if (p, q) != (0, 0):
+            out.append(bandop.Atom(kind, axis, shift, p, q, params))
+    return out
+
+
+def _atom(draw, kind, params, axis=0, shift=0):
+    return bandop.Atom(kind, axis, shift, draw(_EXPONENTS), draw(_EXPONENTS), params)
 
 
 @st.composite
 def _merge_atoms(draw):
-    """Three or more copies of one complex table atom under mixed conj
-    flags, among repeated real atoms, merged abs2 atoms and atoms of other
-    axes and shifts, in any order."""
-    kind, params = _ATOMS[2]  # the complex table atom
-    flags = [False, True] + draw(st.lists(st.booleans(), min_size=1, max_size=5))
-    atoms = [bandop.Atom(kind, 0, 0, conj, params) for conj in flags]
+    """Two or more copies of one complex and of one real atom, each with
+    exponents in 0..3, among atoms of other axes and shifts, in any order."""
+    atoms = [_atom(draw, *_ATOMS[i]) for i in (1, 0) for _ in range(draw(st.integers(2, 5)))]
     for _ in range(draw(st.integers(0, 10))):
-        kind, params = draw(st.sampled_from(_ATOMS))
-        atoms.append(bandop.Atom(kind, draw(st.integers(0, 1)), draw(st.integers(-1, 1)),
-                                 kind == "table" and draw(st.booleans()), params))
+        atoms.append(_atom(draw, *draw(st.sampled_from(_ATOMS)), draw(st.integers(0, 1)),
+                           draw(st.integers(-1, 1))))
     return draw(st.permutations(atoms))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_merge_atoms(), st.randoms(use_true_random=False))
-def test_one_pass_merge_equals_the_restarting_scan(atoms, rnd):
+def test_one_pass_merge_equals_the_per_key_exponent_sum(atoms, rnd):
     key = lambda a: bandop._atom_sort_key(a, {})
-    expect = tuple(sorted(_reference_merge_abs2(list(atoms)), key=key))
-    assert tuple(sorted(bandop._merge_abs2(atoms), key=key)) == expect
+    expect = tuple(sorted(_reference_merge_powers(list(atoms)), key=key))
+    merged = bandop._merge_powers(atoms)
+    assert tuple(sorted(merged, key=key)) == expect
+    # an atom in normal form whose key occurs once is kept as it is
+    keys = [(a.kind, a.axis, a.shift, a.params) for a in atoms]
+    assert all(any(a is b for b in merged)
+               for a, k in zip(atoms, keys) if keys.count(k) == 1 and a in expect)
     skeleton = bandop._normal_skeleton(atoms, (), (), {})
     assert skeleton[0] == expect
     shuffled = list(atoms)
@@ -955,13 +971,29 @@ def test_one_pass_merge_equals_the_restarting_scan(atoms, rnd):
     assert bandop._normal_skeleton(shuffled, (), (), {}) == skeleton
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_conjugating_twice_gives_the_weight_back(data):
+    # real atoms keep their balanced exponents and complex ones swap theirs,
+    # odd totals included, in terms that mix both
+    terms = [bandop.Term(complex(data.draw(st.sampled_from(_COEFFS))),
+                         tuple(_atom(data.draw, *atom, 0, data.draw(st.integers(-1, 1)))
+                               for atom in data.draw(st.lists(st.sampled_from(_ATOMS),
+                                                              max_size=4))), (), ())
+             for _ in range(data.draw(st.integers(1, 4)))]
+    w = Weight(terms)
+    assert w.conjugated().conjugated() == w
+    lat = Lattice.nat()
+    for m in (1, 2, 5):
+        v = w.evaluate((m,), lat)
+        assert abs(w.conjugated().evaluate((m,), lat) - v.conjugate()) <= 1e-13 * sum(
+            abs(Weight([t]).evaluate((m,), lat)) for t in w.terms)
+
+
 @st.composite
 def _term_skeleton(draw, lat):
-    atoms = []
-    for _ in range(draw(st.integers(0, 2))):
-        kind, params = draw(st.sampled_from(_ATOMS))
-        atoms.append(bandop.Atom(kind, draw(st.integers(0, lat.rank - 1)), draw(st.integers(-1, 1)),
-                                 kind == "table" and draw(st.booleans()), params))
+    atoms = [_atom(draw, *draw(st.sampled_from(_ATOMS)), draw(st.integers(0, lat.rank - 1)),
+                   draw(st.integers(-1, 1))) for _ in range(draw(st.integers(0, 2)))]
     selects = [bandop.Select(draw(st.integers(0, lat.rank - 1)), draw(st.integers(-1, 2)))
                for _ in range(draw(st.integers(0, 2)))]
     masks = [_offset(draw, lat, 1) for _ in range(draw(st.integers(0, 1)))]
@@ -1035,7 +1067,8 @@ def test_compose_replays_the_algebra_on_edge_cases(case):
     assert _bits(cold) == _bits(warm) == _bits(_reference_compose(A, B))
     bands = dict(cold.bands)
     if case == "cancellation":
-        assert [t.atoms[0].kind for t in bands[(1,)].terms if t.atoms] == ["abs2"]
+        assert [(a.kind, a.p, a.q) for t in bands[(1,)].terms for a in t.atoms] == [
+            ("bergman", 1, 1)]
     elif case == "underflow":
         assert not cold.bands
     elif case == "negative-zero-part":
@@ -1108,7 +1141,7 @@ def _reference_adjoint(T):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data())
 def test_adjoint_replay_equals_the_algebra_bit_for_bit(data):
-    # complex table atoms (whose conj flag flips) and real ones, abs2,
+    # complex table atoms (whose exponents swap) and real ones, powers,
     # selectors, masks, unions, and real coefficients whose conjugate has a
     # -0.0 imaginary part
     lat = data.draw(lattices())
@@ -1124,14 +1157,14 @@ def test_adjoint_replay_equals_the_algebra_bit_for_bit(data):
 
 def test_adjoint_replays_the_algebra_on_edge_cases():
     nat = Lattice.nat()
-    cplx = bandop.Atom("table", 0, 0, False, ((1 + 2j, -0.5j), 1j))
-    real = bandop.Atom("table", 0, 0, False, ((2 + 0j,), 0.5 + 0j))
+    cplx = bandop.Atom("table", 0, 0, 1, 0, ((1 + 2j, -0.5j), 1j))
+    real = bandop.Atom("table", 0, 0, 1, 0, ((2 + 0j,), 0.5 + 0j))
     term = lambda c, *atoms: bandop.Term(complex(c), atoms, (), ())
     # conjugation swaps the order of the first two terms: their atoms differ
-    # only in the conj flag, which sorts last
-    T = BandOp(nat, [((1,), Weight([term(1.0, cplx), term(2.0, cplx._replace(conj=True)),
+    # only in the exponents, which sort last
+    T = BandOp(nat, [((1,), Weight([term(1.0, cplx), term(2.0, cplx._replace(p=0, q=1)),
                                     term(0.5 - 1.5j, real)]))])
-    T2 = BandOp(nat, [((1,), Weight([term(3j, cplx), term(-4.0, cplx._replace(conj=True)),
+    T2 = BandOp(nat, [((1,), Weight([term(3j, cplx), term(-4.0, cplx._replace(p=0, q=1)),
                                      term(complex(-0.0, 1.0), real)]))])
     bandop._PLANS.clear()
     for S in (T, T2, T, T2):  # cold, then warm on other and on the same coefficients
@@ -1140,8 +1173,9 @@ def test_adjoint_replays_the_algebra_on_edge_cases():
     assert len(bandop._PLANS) == 1
     (off, w), = BandOp(nat, T.bands).adjoint().bands
     assert off == (-1,)
-    assert [(t.atoms[0].params[0], t.atoms[0].shift, t.atoms[0].conj) for t in w.terms] == [
-        (cplx.params[0], -1, False), (cplx.params[0], -1, True), (real.params[0], -1, False)]
+    assert [(t.atoms[0].params[0], t.atoms[0].shift, t.atoms[0].p, t.atoms[0].q)
+            for t in w.terms] == [(cplx.params[0], -1, 1, 0), (cplx.params[0], -1, 0, 1),
+                                  (real.params[0], -1, 1, 0)]
     # conj(2 + 0j) is 2 - 0j; summed from 0j, as the algebra merges, it is 2 + 0j
     assert [(t.coeff.real.hex(), t.coeff.imag.hex()) for t in w.terms] == [
         ((2.0).hex(), "0x0.0p+0"), ((1.0).hex(), "0x0.0p+0"), ((0.5).hex(), (1.5).hex())]

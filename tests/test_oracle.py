@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_dense_section_diagonal_weight():
 def test_dense_section_memory_cap():
     with pytest.raises(WindowTooLarge):
         dense_section(unilateral_shift(), 10, max_ordinals=5)
+
+
+def test_dense_section_refuses_a_window_before_enumerating_it():
+    # 601 x 601 = 361,201 ordinals, counted per axis: listing them alone
+    # would take tens of MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowTooLarge, match="^361201 ordinals exceed the cap of 4096$"):
+            dense_section(identity(Lattice.integers(2)), 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_vec_to_array_rejects_outside_support():

@@ -52,12 +52,13 @@ def _functions_calling(match):
 
 def test_one_routine_normalises_a_term_skeleton():
     # the term normal form is bandop._normal_skeleton: a second routine that
-    # merges conjugate pairs or sorts a term's atoms forks it
-    assert not any("_make_term" in src for src in SOURCES.values())
+    # merges atom powers or sorts a term's atoms forks it; an adjoint only
+    # swaps exponents, which keeps a term normal
+    assert not any(name in src for src in SOURCES.values()
+                   for name in ("_make_term", "_merge_abs2"))
     calls = lambda name: lambda call: getattr(call.func, "id", None) == name
-    assert _functions_calling(calls("_normal_skeleton")) == [
-        "_normalize_terms", "_plan_adjoint", "_plan_compose"]
-    assert _functions_calling(calls("_merge_abs2")) == ["_normal_skeleton"]
+    assert _functions_calling(calls("_normal_skeleton")) == ["_normalize_terms", "_plan_compose"]
+    assert _functions_calling(calls("_merge_powers")) == ["_normal_skeleton"]
 
     def sorts_atoms(call):
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
@@ -65,6 +66,22 @@ def test_one_routine_normalises_a_term_skeleton():
             isinstance(n, ast.Name) and n.id == "_atom_sort_key"
             for kw in call.keywords if kw.arg == "key" for n in ast.walk(kw.value))
     assert _functions_calling(sorts_atoms) == ["_normal_skeleton"]
+
+    # an atom power is one exponent pair, a^p conj(a)^q: no squared-modulus
+    # pseudo-family and no conjugation flag
+    tree = ast.parse(SOURCES["bandop.py"])
+    atom = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Atom")
+    assert [n.target.id for n in atom.body if isinstance(n, ast.AnnAssign)] == [
+        "kind", "axis", "shift", "p", "q", "params"]
+    for src in SOURCES.values():
+        nodes = list(ast.walk(ast.parse(src)))
+        called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+        assert not [n for n in nodes if isinstance(n, ast.Constant) and n.value == "abs2"]
+        # numpy's ``.conj()`` is a call; a field would be read or set by name
+        assert not [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "conj"
+                    and id(n) not in called]
+        assert not [kw for n in nodes if isinstance(n, ast.Call) for kw in n.keywords
+                    if kw.arg == "conj"]
 
 
 def _qualified_functions(tree):

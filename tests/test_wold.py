@@ -196,11 +196,12 @@ def test_decompose_far_spike_lands_in_series():
 
 def test_bergman_runs_at_the_step_the_error_names():
     # for e200 the adjoint orbit names step 201, so acting on the error
-    # needs the Gram of B^n for every n <= 201: 2n Bergman atoms, merged
-    # pairwise into n squared moduli
+    # needs the Gram of B^n for every n <= 201: 2n Bergman atoms, whose
+    # exponents add up to n squared moduli
     (off, w), = (bergman_shift() ** 200).gram().bands
     (t,) = w.terms
-    assert off == (0,) and len(t.atoms) == 200 and {a.kind for a in t.atoms} == {"abs2"}
+    assert off == (0,) and len(t.atoms) == 200
+    assert {(a.kind, a.p, a.q) for a in t.atoms} == {("bergman", 1, 1)}
     with pytest.raises(NoStrongConvergence, match="loses support at step 201$"):
         decompose(bergman_shift(), unit(200))
     res = decompose(bergman_shift(), unit(200), n_max=201)
