@@ -13,8 +13,9 @@ lattice masks), so applying any derived operator to a vector is still exact.
 Each atom carries an exponent pair ``(p, q)``, meaning ``a^p conj(a)^q``, so
 a product of factors of one atom adds exponents, and a squared modulus
 ``(1, 1)`` (of a Bergman weight, say) is evaluated in closed form; this keeps
-Gram operators of weighted shifts exactly diagonal with rational
-entries.  Every structural decision of a composition reads only the
+Gram operators of weighted shifts exactly diagonal with rational entries.
+Atom parameters are floats, ints and tuples of them (a table's values are
+``(re, im)`` pairs), so atoms and terms sort as plain tuples.  Every structural decision of a composition reads only the
 operands' skeletons (their terms without coefficients) and the lattice:
 each product's masks are resolved against its selectors and its band's
 domain, and a product that no index of its band selects is dropped.  So
@@ -379,11 +380,13 @@ def union(left, right) -> UnionLattice:
 # A weight is a sum of terms; a term is a complex coefficient times a product
 # of atoms (single-axis weight families with a folded-in integer shift, each
 # raised to ``a^p conj(a)^q``), coordinate selectors (k[axis] == value) and
-# lattice masks (k + offset must be in the lattice).  ``Weight(...)`` brings
-# raw terms to normal form: one routine, ``_normal_skeleton``, kills a term
-# whose selectors conflict and adds the exponents of atoms of one family,
-# axis, shift and parameters (a conjugate pair becomes the closed-form
-# squared modulus ``(1, 1)``), and identical skeletons merge coefficients.
+# lattice masks (k + offset must be in the lattice); atoms and skeletons
+# compare as plain tuples, a table's parameters being ``(re, im)`` float
+# pairs.  ``Weight(...)`` brings raw terms to normal form: one routine,
+# ``_normal_skeleton``, kills a term whose selectors conflict and adds the
+# exponents of atoms of one family, axis, shift and parameters (a conjugate
+# pair becomes the closed-form squared modulus ``(1, 1)``), and identical
+# skeletons merge coefficients.
 # Masks come only from composition, which resolves every mask that a term's
 # own selectors and its band's domain decide (see ``_resolve_masks``).
 
@@ -391,9 +394,9 @@ class Atom(NamedTuple):
     kind: str        # 'bergman' | 'dirichlet' | 'table' | 'powratio'
     axis: int
     shift: int
-    p: int           # the power of the atom ...
-    q: int           # ... times this power of its conjugate
-    params: tuple
+    params: tuple    # floats, ints and tuples of them: atoms compare as tuples
+    q: int           # a^p conj(a)^q, q first, so that an atom
+    p: int           # sorts before its conjugate
 
 
 class Select(NamedTuple):
@@ -416,26 +419,15 @@ def _atom_is_real(a: Atom) -> bool:
         return True
     if a.kind == "table":
         values, default = a.params
-        return all(v.imag == 0 for v in values) and default.imag == 0
+        return all(im == 0 for _, im in values) and default[1] == 0
     return False
-
-
-def _atom_sort_key(a: Atom, reprs: dict) -> tuple:
-    """``(kind, axis, shift, repr(params), q, p)``: an atom sorts before its
-    conjugate.  Each parameter object is formatted once per call that owns
-    ``reprs``: that memo maps ``id(params)`` to ``(params, repr(params))``
-    and holds the object, so no id is reused while it is kept."""
-    seen = reprs.get(id(a.params))
-    if seen is None:
-        seen = reprs[id(a.params)] = (a.params, repr(a.params))
-    return a.kind, a.axis, a.shift, seen[1], a.q, a.p
 
 
 def _eval_atom(a: Atom, ix: tuple) -> complex:
     """Value of ``a^p conj(a)^q`` at ``ix``: ``min(p, q)`` squared moduli,
     in closed form (no square root, doubled exponent), times ``|p - q|``
     plain factors, conjugated where ``q > p``."""
-    kind, axis, shift, p, q, params = a
+    kind, axis, shift, params, q, p = a
     m = ix[axis] + shift
     n, k = (q, p - q) if p >= q else (p, q - p)
     if kind == "bergman" or kind == "dirichlet":
@@ -445,9 +437,9 @@ def _eval_atom(a: Atom, ix: tuple) -> complex:
         factor = k and math.sqrt(square)
     elif kind == "table":
         values, default = params
-        v = values[m] if 0 <= m < len(values) else default
-        square = n and v.real * v.real + v.imag * v.imag
-        factor = v if p >= q else v.conjugate()
+        vr, vi = values[m] if 0 <= m < len(values) else default
+        square = n and vr * vr + vi * vi
+        factor = complex(vr, vi) if p >= q else complex(vr, -vi)
     elif kind == "powratio":
         beta, h, steps = params
         if m < 0:
@@ -470,13 +462,13 @@ def _merge_powers(atoms: Iterable[Atom]) -> list[Atom]:
     normal form, and an atom of exponents ``(0, 0)`` is dropped."""
     merged: dict[tuple, Atom] = {}
     for a in atoms:
-        key = (a.kind, a.axis, a.shift, a.params)
+        key = a[:4]  # kind, axis, shift, params
         b = merged.get(key)
         if b is not None or not 0 <= a.p - a.q <= 1 and _atom_is_real(a):
             p, q = (a.p, a.q) if b is None else (a.p + b.p, a.q + b.q)
             if not 0 <= p - q <= 1 and _atom_is_real(a):
                 p, q = p + q - (p + q) // 2, (p + q) // 2
-            a = Atom(a.kind, a.axis, a.shift, p, q, a.params)
+            a = Atom(a.kind, a.axis, a.shift, a.params, q, p)
         merged[key] = a
     return [a for a in merged.values() if a.p or a.q]
 
@@ -484,19 +476,18 @@ def _merge_powers(atoms: Iterable[Atom]) -> list[Atom]:
 def _conjugated_atoms(atoms: tuple) -> tuple:
     """``atoms`` with the exponents of each complex one swapped."""
     return tuple(a if a.p == a.q or _atom_is_real(a)
-                 else Atom(a.kind, a.axis, a.shift, a.q, a.p, a.params) for a in atoms)
+                 else Atom(a.kind, a.axis, a.shift, a.params, a.p, a.q) for a in atoms)
 
 
-def _normal_skeleton(atoms, selects, masks, reprs: dict) -> tuple | None:
+def _normal_skeleton(atoms, selects, masks) -> tuple | None:
     """A term's ``(atoms, selects, masks)`` in normal form, or None for a
-    term whose selectors conflict: atom powers merged, atoms sorted
-    (``reprs`` as for :func:`_atom_sort_key`), repeated selectors and masks
-    removed."""
+    term whose selectors conflict: atom powers merged, atoms sorted as
+    tuples, repeated selectors and masks removed."""
     sel: dict[int, int] = {}
     for s in selects:
         if sel.setdefault(s.axis, s.value) != s.value:
             return None
-    return (tuple(sorted(_merge_powers(atoms), key=lambda a: _atom_sort_key(a, reprs))),
+    return (tuple(sorted(_merge_powers(atoms))),
             tuple(Select(ax, v) for ax, v in sorted(sel.items())),
             tuple(sorted(set(masks))))
 
@@ -504,30 +495,22 @@ def _normal_skeleton(atoms, selects, masks, reprs: dict) -> tuple | None:
 def _shifted_skeleton(skeleton: tuple, off: tuple) -> tuple:
     """A term's ``(atoms, selects, masks)`` evaluated at ``k + off``."""
     atoms, selects, masks = skeleton
-    return (tuple(Atom(a.kind, a.axis, a.shift + off[a.axis], a.p, a.q, a.params) for a in atoms),
+    return (tuple(Atom(a.kind, a.axis, a.shift + off[a.axis], a.params, a.q, a.p) for a in atoms),
             tuple(Select(s.axis, s.value - off[s.axis]) for s in selects),
             tuple(_tadd(m, off) for m in masks))
 
 
-def _skeleton_order(skeleton: tuple, reprs: dict):
-    """Sort key of a term's skeleton ``(atoms, selects, masks)`` (``reprs``
-    as for :func:`_atom_sort_key`)."""
-    atoms, selects, masks = skeleton
-    return tuple([_atom_sort_key(a, reprs) for a in atoms]), selects, masks
-
-
 def _normalize_terms(terms: Iterable[tuple]) -> tuple:
     merged: dict[tuple, complex] = {}
-    reprs: dict = {}
     for coeff, atoms, selects, masks in terms:
         coeff = complex(coeff)
         if coeff == 0:
             continue
-        key = _normal_skeleton(atoms, selects, masks, reprs)
+        key = _normal_skeleton(atoms, selects, masks)
         if key is not None:
             merged[key] = merged.get(key, 0j) + coeff
     out = [Term(c, *key) for key, c in merged.items() if c != 0]
-    out.sort(key=lambda t: _skeleton_order(t[1:], reprs))
+    out.sort(key=lambda t: t[1:])
     return tuple(out)
 
 
@@ -558,7 +541,7 @@ class Weight:
     @classmethod
     def atom(cls, kind: str, params: tuple = ()) -> "Weight":
         """One weight family on axis 0; ``embedded()`` re-homes it."""
-        return cls([(1.0, (Atom(kind, 0, 0, 1, 0, params),), (), ())])
+        return cls([(1.0, (Atom(kind, 0, 0, params, 0, 1),), (), ())])
 
     @classmethod
     def select(cls, axis: int, value: int) -> "Weight":
@@ -656,8 +639,9 @@ def dirichlet() -> Weight:
 
 def table(values: Sequence, default) -> Weight:
     """Tabulated weight on axis 0; out-of-range lookups return the explicit default."""
-    vals = tuple(complex(v) for v in values)
-    return Weight.atom("table", (vals, complex(default)))
+    vals = tuple((v.real, v.imag) for v in map(complex, values))
+    d = complex(default)
+    return Weight.atom("table", (vals, (d.real, d.imag)))
 
 
 def power_ratio(beta: float, h: float, steps: int) -> Weight:
@@ -918,11 +902,11 @@ def _plan_adjoint(T: BandOp) -> tuple:
     last, so the swap keeps terms normal and distinct: the algebra only sorts
     a band's conjugated terms, and the translation keeps their order.
     """
-    plan, i, reprs = [], 0, {}
+    plan, i = [], 0
     for off, w in T.bands:
         noff = _tneg(off)
-        conj = sorted((((_conjugated_atoms(t.atoms), t.selects, t.masks), i + j)
-                       for j, t in enumerate(w.terms)), key=lambda e: _skeleton_order(e[0], reprs))
+        conj = sorted(((_conjugated_atoms(t.atoms), t.selects, t.masks), i + j)
+                      for j, t in enumerate(w.terms))
         i += len(w.terms)
         plan.append((noff, tuple((j, _shifted_skeleton(skel, noff)) for skel, j in conj)))
     return tuple(plan)
@@ -949,18 +933,18 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
     """
     lattice = A.lattice
     a0, b0 = ([0, *accumulate(len(w.terms) for _, w in T.bands)] for T in (A, B))
-    groups, pairs, reprs = [], [], {}
+    groups, pairs = [], []
     for p, (aoff, aw) in enumerate(A.bands):
         for q, (boff, bw) in enumerate(B.bands):
             products: dict[tuple, list] = {}
             for i, ta in enumerate(aw.shifted(boff).terms):
                 for j, tb in enumerate(bw.terms):
                     skel = _normal_skeleton(ta.atoms + tb.atoms, ta.selects + tb.selects,
-                                            ta.masks + tb.masks, reprs)
+                                            ta.masks + tb.masks)
                     if skel is not None:
                         products.setdefault(skel, []).append((a0[p] + i, b0[q] + j))
             band, resolved = _tadd(aoff, boff), {}
-            for skel in sorted(products, key=lambda sk: _skeleton_order(sk, reprs)):
+            for skel in sorted(products):
                 masks = _resolve_masks(skel, boff, band, lattice)
                 if masks is not None:
                     resolved.setdefault((skel[0], skel[1], masks), []).append(len(groups))
@@ -980,9 +964,7 @@ def _plan_compose(A: BandOp, B: BandOp) -> tuple:
         band = bands.setdefault(off, {})
         for skel, refs in resolved.items():
             band.setdefault(skel, []).append(summed(refs))
-    planned = tuple((off, tuple((summed(refs), skel) for skel, refs
-                                in sorted(band.items(),
-                                          key=lambda kv: _skeleton_order(kv[0], reprs))))
+    planned = tuple((off, tuple((summed(refs), skel) for skel, refs in sorted(band.items())))
                     for off, band in sorted(bands.items()))
     return tuple(groups), tuple(sums), planned
 

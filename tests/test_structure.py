@@ -53,26 +53,30 @@ def _functions_calling(match):
 def test_one_routine_normalises_a_term_skeleton():
     # the term normal form is bandop._normal_skeleton: a second routine that
     # merges atom powers or sorts a term's atoms forks it; an adjoint only
-    # swaps exponents, which keeps a term normal
+    # swaps exponents, which keeps a term normal.  Atoms sort as plain
+    # tuples: no sort key, no memo of formatted parameters
     assert not any(name in src for src in SOURCES.values()
-                   for name in ("_make_term", "_merge_abs2"))
+                   for name in ("_make_term", "_merge_abs2", "_atom_sort_key",
+                                "_skeleton_order", "reprs"))
     calls = lambda name: lambda call: getattr(call.func, "id", None) == name
     assert _functions_calling(calls("_normal_skeleton")) == ["_normalize_terms", "_plan_compose"]
     assert _functions_calling(calls("_merge_powers")) == ["_normal_skeleton"]
 
     def sorts_atoms(call):
-        name = getattr(call.func, "id", getattr(call.func, "attr", None))
-        return name in ("sorted", "sort") and any(
-            isinstance(n, ast.Name) and n.id == "_atom_sort_key"
-            for kw in call.keywords if kw.arg == "key" for n in ast.walk(kw.value))
+        return getattr(call.func, "id", None) == "sorted" and any(
+            isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_merge_powers"
+            for arg in call.args)
     assert _functions_calling(sorts_atoms) == ["_normal_skeleton"]
+    tree = ast.parse(SOURCES["bandop.py"])
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) == "repr"]
 
     # an atom power is one exponent pair, a^p conj(a)^q: no squared-modulus
-    # pseudo-family and no conjugation flag
-    tree = ast.parse(SOURCES["bandop.py"])
+    # pseudo-family and no conjugation flag; the fields in this order make
+    # the natural tuple order the canonical one, an atom before its conjugate
     atom = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Atom")
     assert [n.target.id for n in atom.body if isinstance(n, ast.AnnAssign)] == [
-        "kind", "axis", "shift", "p", "q", "params"]
+        "kind", "axis", "shift", "params", "q", "p"]
     for src in SOURCES.values():
         nodes = list(ast.walk(ast.parse(src)))
         called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
